@@ -13,12 +13,13 @@
 use crate::report::{counters_json, stages_json, wall_json, BENCH_SCHEMA};
 use crate::time_stats;
 use esd_core::index::ParallelBuildReport;
-use esd_core::maintain::{GraphUpdate, PipelineReport};
+use esd_core::maintain::{GraphUpdate, MutationBatch, PipelineReport};
 use esd_core::online::{online_topk, UpperBound};
 use esd_core::{EsdIndex, Family, FamilySuite, MaintainedIndex};
 use esd_datasets::churn::{churn_trace, ChurnEvent, ChurnMix};
 use esd_datasets::{load, Scale};
 use esd_graph::{Graph, VertexId};
+use esd_serve::{Service, ServiceConfig};
 use esd_telemetry::json::Json;
 
 /// Which benchmark suite to run.
@@ -220,6 +221,41 @@ fn run_dataset(out: &mut Vec<Json>, g: &Graph, dataset: &str, cfg: &SuiteConfig)
             let _ = suite.query(family, 100, 2);
         }
     })));
+
+    // Served write windows: each repetition is one single-edge window
+    // through an inline service — index apply, family apply and snapshot
+    // publication — alternately removing and re-inserting an edge that
+    // closes triangles, so the window has a real blast radius and the
+    // graph returns to its start every second repetition.
+    let edge = g
+        .edges()
+        .iter()
+        .copied()
+        .find(|e| !g.common_neighbors(e.u, e.v).is_empty())
+        .expect("every bundled dataset has a triangle");
+    let service = Service::start(
+        g,
+        &ServiceConfig {
+            workers: 0,
+            pipeline_threads: cfg.threads,
+            ..ServiceConfig::default()
+        },
+    );
+    let handle = service.handle();
+    let mut present = true;
+    out.push(Json::obj(bench("serve_window", dataset, reps, || {
+        let update = if present {
+            GraphUpdate::Remove(edge.u, edge.v)
+        } else {
+            GraphUpdate::Insert(edge.u, edge.v)
+        };
+        let outcome = handle
+            .submit(MutationBatch::from(vec![update]))
+            .expect("inline window applies");
+        assert_eq!(outcome.applied, 1, "every window changes the graph");
+        present = !present;
+    })));
+    service.shutdown();
 }
 
 fn splitmix(mut x: u64) -> u64 {
@@ -351,6 +387,7 @@ mod tests {
                 "query_topk",
                 "online_topk",
                 "family_topk",
+                "serve_window",
                 "intersect_hub_merge",
                 "intersect_hub_gallop",
                 "intersect_hub_bitset",

@@ -1129,10 +1129,9 @@ impl MaintainedIndex {
 
         // Forest well-formedness, collecting each forest's size multiset.
         let mut edge_sizes: Vec<(Edge, Vec<u32>)> = Vec::with_capacity(self.forests.len());
-        let mut forest_keys: Vec<u64> = self.forests.keys().copied().collect();
-        forest_keys.sort_unstable();
-        for key in forest_keys {
-            let forest = &self.forests[&key];
+        let mut forests: Vec<(u64, &EdgeDsu)> = self.forests.iter().collect();
+        forests.sort_unstable_by_key(|&(key, _)| key);
+        for (key, forest) in forests {
             let e = Edge::from_key(key);
             if forest.nodes.is_empty() {
                 out.push(MaintViolation::EmptyForest { edge: e });
@@ -1198,7 +1197,7 @@ impl MaintainedIndex {
         // forest, and no forest exists for a non-owned edge.
         for e in self.g.edges() {
             if self.ownership.owns_key(e.key())
-                && !self.forests.contains_key(&e.key())
+                && !self.forests.contains_key(e.key())
                 && !self.g.common_neighbors(e.u, e.v).is_empty()
             {
                 out.push(MaintViolation::MissingForest { edge: e });
@@ -1207,7 +1206,6 @@ impl MaintainedIndex {
         let mut foreign: Vec<u64> = self
             .forests
             .keys()
-            .copied()
             .filter(|&k| !self.ownership.owns_key(k))
             .collect();
         foreign.sort_unstable();
@@ -1312,10 +1310,9 @@ impl MaintainedIndex {
     pub fn validate_deep(&self) -> Vec<MaintViolation> {
         let mut out = self.validate();
         let n = self.g.num_vertices();
-        let mut forest_keys: Vec<u64> = self.forests.keys().copied().collect();
-        forest_keys.sort_unstable();
-        for key in forest_keys {
-            let forest = &self.forests[&key];
+        let mut forests: Vec<(u64, &EdgeDsu)> = self.forests.iter().collect();
+        forests.sort_unstable_by_key(|&(key, _)| key);
+        for (key, forest) in forests {
             let e = Edge::from_key(key);
             let in_graph = (e.u as usize) < n && (e.v as usize) < n && self.g.has_edge(e.u, e.v);
             if !in_graph {
@@ -1782,11 +1779,11 @@ mod tests {
     fn maintained_detects_forest_faults() {
         let (g, _) = fig1();
         let mut index = MaintainedIndex::new(&g);
-        let key = *index.forests.keys().next().unwrap();
+        let key = index.forests.keys().next().unwrap();
 
         // Stray forest for a non-edge.
         let mut bad = index.clone();
-        let forest = bad.forests[&key].clone();
+        let forest = bad.forests.get(key).unwrap().clone();
         bad.forests.insert(Edge::new(0, 15).key(), forest);
         let v = bad.validate();
         assert!(
@@ -1797,7 +1794,7 @@ mod tests {
         );
 
         // Root size corruption.
-        let forest = index.forests.get_mut(&key).unwrap();
+        let forest = index.forests.get_mut(key).unwrap();
         let root = {
             let mut vs: Vec<VertexId> = forest.nodes.keys().copied().collect();
             vs.sort_unstable();
@@ -1824,7 +1821,7 @@ mod tests {
         // Fig 1; merging them keeps every structural check locally sound at
         // the forest level except the partition itself.
         let key = Edge::new(n["j"], n["k"]).key();
-        let forest = index.forests.get_mut(&key).unwrap();
+        let forest = index.forests.get_mut(key).unwrap();
         let mut roots: Vec<VertexId> = {
             let mut vs: Vec<VertexId> = forest.nodes.keys().copied().collect();
             vs.sort_unstable();

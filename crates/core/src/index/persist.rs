@@ -13,12 +13,14 @@
 //! No external serialisation crate is needed; the format is explicit,
 //! stable, and validated on load (magic, version, arity, offsets
 //! monotonicity, checksum), so truncated or corrupted files are rejected
-//! rather than misread.
+//! rather than misread. The loader reads the whole file before decoding
+//! and bounds every count by the bytes actually present, so a corrupt
+//! header can never make it allocate more than the file's own size.
 
 use super::frozen::FrozenEsdIndex;
 use crate::ScoredEdge;
 use esd_graph::Edge;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"ESDX";
@@ -150,9 +152,11 @@ impl FrozenEsdIndex {
     }
 
     /// Deserialises from any reader, validating structure and checksum.
-    pub fn read_from(reader: impl Read) -> Result<Self, PersistError> {
+    pub fn read_from(mut reader: impl Read) -> Result<Self, PersistError> {
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes)?;
         let mut r = HashingReader {
-            inner: BufReader::new(reader),
+            inner: bytes.as_slice(),
             hash: Fnv1a::new(),
         };
         let mut magic = [0u8; 4];
@@ -166,9 +170,12 @@ impl FrozenEsdIndex {
         }
         let num_lists = r.get_u64()? as usize;
         let num_entries = r.get_u64()? as usize;
-        // Arity guard before allocating (a corrupt header must not OOM us).
-        if num_lists > (1 << 32) || num_entries > (1 << 40) {
-            return Err(PersistError::Corrupt("implausible header counts"));
+        // Arity guard before allocating: each list takes 12 bytes (its
+        // size and its offset) and each entry 12, so a count the remaining
+        // bytes cannot hold is corrupt — and never reaches an allocation.
+        let remaining = r.inner.len();
+        if num_lists > remaining / 12 || num_entries > remaining / 12 {
+            return Err(PersistError::Corrupt("header counts exceed file size"));
         }
         let mut sizes = Vec::with_capacity(num_lists);
         for _ in 0..num_lists {
@@ -298,6 +305,25 @@ mod tests {
         let mid = buf.len() / 2;
         bad[mid] ^= 0x40;
         assert!(FrozenEsdIndex::read_from(bad.as_slice()).is_err());
+    }
+
+    #[test]
+    fn header_counts_beyond_the_file_are_rejected_before_allocating() {
+        for (lists, entries) in [(1u64 << 32, 0u64), (0, 1 << 40), (u64::MAX, u64::MAX)] {
+            let mut bad = Vec::new();
+            bad.extend_from_slice(MAGIC);
+            bad.extend_from_slice(&VERSION.to_le_bytes());
+            bad.extend_from_slice(&lists.to_le_bytes());
+            bad.extend_from_slice(&entries.to_le_bytes());
+            bad.extend_from_slice(&[0; 64]);
+            assert!(
+                matches!(
+                    FrozenEsdIndex::read_from(bad.as_slice()),
+                    Err(PersistError::Corrupt("header counts exceed file size"))
+                ),
+                "|C| = {lists}, #entries = {entries}"
+            );
+        }
     }
 
     mod fuzz {

@@ -21,9 +21,11 @@
 //! * [`maintain`] — dynamic maintenance of the index under edge insertions
 //!   (Algorithm 4) and deletions (Algorithm 5).
 //!
-//! Additional modules: [`baselines`] (the CN / BT rankings used by the
-//! paper's case studies), [`vertex_sd`] (the earlier top-k *vertex*
-//! structural diversity problem, for context/comparison), and [`fixtures`]
+//! Additional modules: [`cow`] (the copy-on-write edge map that lets a
+//! served snapshot share the maintained state's pages), [`baselines`]
+//! (the CN / BT rankings used by the paper's case studies), [`vertex_sd`]
+//! (the earlier top-k *vertex* structural diversity problem, for
+//! context/comparison), and [`fixtures`]
 //! (a faithful reconstruction of the paper's running-example graph used by
 //! the golden tests).
 //!
@@ -40,6 +42,7 @@
 pub mod audit;
 pub mod baselines;
 pub mod bounds;
+pub mod cow;
 pub mod explain;
 pub mod family;
 pub mod fixtures;

@@ -22,6 +22,7 @@
 //! `τ ≤ c`; cloning is correct because no unaffected edge can have a
 //! component size strictly between `c` and `c'`.
 
+use crate::cow::CowMap;
 use crate::index::build;
 use crate::index::ostree::{RankKey, ScoreTreap};
 use crate::ScoredEdge;
@@ -188,7 +189,16 @@ impl GraphUpdate {
     }
 }
 
+/// Page count of [`MaintainedIndex`]'s forest map. Only the writer reads
+/// the forests, so pages can be small — about a dozen forests each at
+/// LiveJournal Small scale — and no reader pays for the many page hops.
+const FOREST_PAGES: usize = 4096;
+
 /// An ESDIndex that stays consistent under edge insertions and deletions.
+///
+/// Cloning is cheap in the forests, the bulk of the state: they live in a
+/// copy-on-write [`CowMap`], so a clone shares their pages and a later
+/// update copies only the pages its blast radius touches.
 ///
 /// # Examples
 ///
@@ -208,8 +218,9 @@ impl GraphUpdate {
 #[derive(Debug, Clone)]
 pub struct MaintainedIndex {
     pub(crate) g: DynamicGraph,
-    /// `M_uv` per edge (absent when the common neighbourhood is empty).
-    pub(crate) forests: HashMap<u64, EdgeDsu>,
+    /// `M_uv` per edge (absent when the common neighbourhood is empty),
+    /// paged so a published clone shares every page a window leaves alone.
+    pub(crate) forests: CowMap<EdgeDsu>,
     /// `H(c)` per size `c ∈ C`.
     pub(crate) lists: BTreeMap<u32, ScoreTreap>,
     /// `c -> number of edges whose C_uv contains c`. Keys are exactly `C`.
@@ -234,15 +245,14 @@ impl MaintainedIndex {
     /// the global lists edge-for-edge.
     pub fn new_owned(g: &Graph, ownership: EdgeOwnership) -> Self {
         let artifacts = build::components_by_four_cliques(g);
-        let mut forests = HashMap::with_capacity(g.num_edges());
         let mut arena = artifacts.arena;
-        for (eid, e) in g.edges().iter().enumerate() {
+        let owned_forests = g.edges().iter().enumerate().filter_map(|(eid, e)| {
             if !ownership.owns_key(e.key()) {
-                continue;
+                return None;
             }
             let range = &artifacts.nbrs[artifacts.nbr_offsets[eid]..artifacts.nbr_offsets[eid + 1]];
             if range.is_empty() {
-                continue;
+                return None;
             }
             let mut dsu = EdgeDsu::default();
             for (i, &w) in range.iter().enumerate() {
@@ -251,8 +261,9 @@ impl MaintainedIndex {
                 let count = arena.root_size(eid, root_slot);
                 dsu.nodes.insert(w, (root_vertex, count));
             }
-            forests.insert(e.key(), dsu);
-        }
+            Some((e.key(), dsu))
+        });
+        let forests = CowMap::from_entries(FOREST_PAGES, owned_forests);
 
         let mut refcounts: BTreeMap<u32, usize> = BTreeMap::new();
         for (eid, e) in g.edges().iter().enumerate() {
@@ -313,6 +324,15 @@ impl MaintainedIndex {
     #[must_use]
     pub fn ownership(&self) -> EdgeOwnership {
         self.ownership
+    }
+
+    /// How many forest pages differ from `other`'s: after `other` was
+    /// cloned from this index (or this from `other`), the pages the
+    /// updates since then have copied. Each updated forest dirties at most
+    /// one page, so this is bounded by the updates' blast radius.
+    #[must_use]
+    pub fn forest_pages_unshared_with(&self, other: &Self) -> usize {
+        self.forests.pages_unshared_with(&other.forests)
     }
 
     /// The current graph.
@@ -380,11 +400,11 @@ impl MaintainedIndex {
             // v joins N(uw) and u joins N(vw).
             let uw = Edge::new(u, w).key();
             if self.ownership.owns_key(uw) {
-                self.forests.entry(uw).or_default().insert_singleton(v);
+                self.forests.get_or_insert_default(uw).insert_singleton(v);
             }
             let vw = Edge::new(v, w).key();
             if self.ownership.owns_key(vw) {
-                self.forests.entry(vw).or_default().insert_singleton(u);
+                self.forests.get_or_insert_default(vw).insert_singleton(u);
             }
         }
         if !m_uv.is_empty() && self.ownership.owns_key(Edge::new(u, v).key()) {
@@ -435,7 +455,7 @@ impl MaintainedIndex {
     /// The graph + forest mutations of Algorithm 5 (no list bookkeeping).
     fn mutate_remove(&mut self, u: VertexId, v: VertexId, affected: &[u64]) {
         self.g.remove_edge(u, v);
-        self.forests.remove(&Edge::new(u, v).key());
+        self.forests.remove(Edge::new(u, v).key());
 
         // Union–find cannot split: rebuild every affected forest from its
         // post-deletion ego-network (Algorithm 5's Update, applied per edge).
@@ -569,7 +589,7 @@ impl MaintainedIndex {
         let mut dead = Vec::new();
         let mut treap_removes = 0u64;
         for &key in affected {
-            let Some(forest) = self.forests.get(&key) else {
+            let Some(forest) = self.forests.get(key) else {
                 continue;
             };
             let sizes = forest.component_sizes();
@@ -604,7 +624,7 @@ impl MaintainedIndex {
         for &key in affected {
             let sizes = self
                 .forests
-                .get(&key)
+                .get(key)
                 .map(EdgeDsu::component_sizes)
                 .unwrap_or_default();
             let mut distinct = sizes.clone();
@@ -668,7 +688,7 @@ impl MaintainedIndex {
         }
         let forest = self
             .forests
-            .get_mut(&e.key())
+            .get_mut(e.key())
             .expect("forest exists for every 4-clique member edge");
         debug_assert!(forest.contains(a) && forest.contains(b));
         forest.union(a, b);
@@ -687,7 +707,7 @@ impl MaintainedIndex {
                 self.forests.insert(e.key(), dsu);
             }
             None => {
-                self.forests.remove(&e.key());
+                self.forests.remove(e.key());
             }
         }
     }
@@ -789,7 +809,7 @@ mod tests {
         // (d,e)'s ego-network becomes one component {b, c, f, g}.
         let sizes = index
             .forests
-            .get(&Edge::new(n["d"], n["e"]).key())
+            .get(Edge::new(n["d"], n["e"]).key())
             .unwrap()
             .component_sizes();
         assert_eq!(sizes, vec![4]);
@@ -805,7 +825,7 @@ mod tests {
         // (j,k)'s components are now {h,i} and {v,p,q}.
         let sizes = index
             .forests
-            .get(&Edge::new(n["j"], n["k"]).key())
+            .get(Edge::new(n["j"], n["k"]).key())
             .unwrap()
             .component_sizes();
         assert_eq!(sizes, vec![2, 3]);

@@ -122,7 +122,7 @@ impl MaintainedIndex {
                         self.forests.insert(key, dsu);
                     }
                     None => {
-                        self.forests.remove(&key);
+                        self.forests.remove(key);
                     }
                 }
             }

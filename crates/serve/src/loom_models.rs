@@ -21,12 +21,12 @@ use crate::cache::{CacheKey, ResultCache};
 use crate::queue::BoundedQueue;
 use crate::snapshot::{Snapshot, SnapshotCell};
 use crate::sync::Arc;
-use esd_core::{MaintainedIndex, ScoredEdge};
+use esd_core::{Family, FamilySuite, MaintainedIndex, ScoredEdge};
 use esd_graph::Graph;
 
 fn snap(epoch: u64) -> Snapshot {
     let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
-    Snapshot::new(epoch, MaintainedIndex::new(&g))
+    Snapshot::new(epoch, MaintainedIndex::new(&g), FamilySuite::new(&g))
 }
 
 fn val(score: u32) -> Arc<Vec<ScoredEdge>> {
@@ -63,6 +63,7 @@ fn shard_lru_concurrent_insert_lookup_stays_consistent() {
     loom::model(|| {
         let cache = Arc::new(ResultCache::new(64));
         let key = CacheKey {
+            family: Family::Component,
             k: 5,
             tau: 2,
             epoch: 0,

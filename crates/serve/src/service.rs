@@ -1355,7 +1355,8 @@ impl EngineHandle for ServiceHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esd_graph::generators;
+    use esd_graph::{generators, DynamicGraph, Edge, VertexId};
+    use std::collections::BTreeSet;
 
     fn test_graph() -> Graph {
         generators::clique_overlap(120, 90, 5, 42)
@@ -1633,6 +1634,75 @@ mod tests {
             epoch,
             "a no-op batch publishes nothing"
         );
+        service.shutdown();
+    }
+
+    /// Adds the family-agnostic blast radius of updating `(u, v)` against
+    /// `g` to `out`: the edge, every edge at `u` or `v`, and every ego pair
+    /// of `N(u) ∩ N(v)`. It covers the component index's radius too.
+    fn add_blast_radius(g: &DynamicGraph, u: VertexId, v: VertexId, out: &mut BTreeSet<u64>) {
+        out.insert(Edge::new(u, v).key());
+        for x in [u, v] {
+            out.extend(g.neighbors(x).iter().map(|&w| Edge::new(x, w).key()));
+        }
+        let members = g.common_neighbors(u, v);
+        for (i, &a) in members.iter().enumerate() {
+            for &b in &members[i + 1..] {
+                if g.has_edge(a, b) {
+                    out.insert(Edge::new(a, b).key());
+                }
+            }
+        }
+    }
+
+    /// `(forest, profile)` pages that `next` does not share with `prev`.
+    fn unshared_pages(next: &Snapshot, prev: &Snapshot) -> (usize, usize) {
+        (
+            next.index().forest_pages_unshared_with(prev.index()),
+            next.families().pages_unshared_with(prev.families()),
+        )
+    }
+
+    #[test]
+    fn publication_copies_only_the_blast_radius() {
+        let g = generators::clique_overlap(1500, 1200, 6, 7);
+        let service = Service::start(
+            &g,
+            &ServiceConfig {
+                workers: 0,
+                ..ServiceConfig::default()
+            },
+        );
+        let handle = service.handle();
+        let edges = g.edges();
+        let mut windows: Vec<GraphUpdate> = (0..4)
+            .map(|i| {
+                let e = edges[i * edges.len() / 4];
+                GraphUpdate::Remove(e.u, e.v)
+            })
+            .collect();
+        // Re-inserting a removed edge restores its 4-cliques: a non-trivial
+        // insertion radius.
+        let (u0, v0) = windows[0].endpoints();
+        windows.push(GraphUpdate::Insert(u0, v0));
+        for update in windows {
+            let prev = handle.snapshot();
+            let outcome = handle.submit(MutationBatch::from(vec![update])).unwrap();
+            assert_eq!(outcome.applied, 1, "{update:?}");
+            let next = handle.snapshot();
+            assert_eq!(next.epoch(), prev.epoch() + 1);
+            let (u, v) = update.endpoints();
+            let mut radius = BTreeSet::new();
+            add_blast_radius(prev.index().graph(), u, v, &mut radius);
+            add_blast_radius(next.index().graph(), u, v, &mut radius);
+            let (forests, profiles) = unshared_pages(&next, &prev);
+            assert!(
+                forests <= radius.len() && profiles <= radius.len(),
+                "{update:?}: {forests} forest + {profiles} profile pages copied, radius {}",
+                radius.len()
+            );
+            assert!(profiles > 0, "{update:?} rewrote no profile");
+        }
         service.shutdown();
     }
 

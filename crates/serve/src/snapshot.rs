@@ -58,7 +58,9 @@ impl Snapshot {
 
 /// The publication point: a single atomic slot holding the current
 /// snapshot. `load` is a brief read-lock and an `Arc` bump; `store` swaps
-/// the pointer. Readers holding an older `Arc` are unaffected by a swap.
+/// the pointer. Readers holding an older `Arc` are unaffected by a swap,
+/// and the replaced snapshot is released after the lock is, so no reader
+/// waits on its deallocation.
 #[derive(Debug)]
 pub(crate) struct SnapshotCell(RwLock<Arc<Snapshot>>);
 
@@ -72,33 +74,56 @@ impl SnapshotCell {
     }
 
     pub(crate) fn store(&self, snapshot: Arc<Snapshot>) {
-        *self.0.write().unpoison() = snapshot;
+        let replaced = std::mem::replace(&mut *self.0.write().unpoison(), snapshot);
+        drop(replaced);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esd_core::maintain::GraphUpdate;
     use esd_graph::Graph;
+
+    /// Every family's full ranking at τ ∈ 1..=3: a snapshot's answers.
+    fn answers(snap: &Snapshot) -> Vec<Vec<ScoredEdge>> {
+        Family::ALL
+            .into_iter()
+            .flat_map(|f| (1..=3).map(move |tau| snap.query_family(f, usize::MAX, tau)))
+            .collect()
+    }
 
     #[test]
     fn old_arcs_survive_publication() {
-        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]);
-        let cell = SnapshotCell::new(Snapshot::new(
-            0,
-            MaintainedIndex::new(&g),
-            FamilySuite::new(&g),
-        ));
+        let g = esd_graph::generators::clique_overlap(60, 40, 4, 9);
+        let mut index = MaintainedIndex::new(&g);
+        let mut families = FamilySuite::new(&g);
+        let cell = SnapshotCell::new(Snapshot::new(0, index.clone(), families.clone()));
         let old = cell.load();
+        let before = answers(&old);
 
-        let mut next = MaintainedIndex::new(&g);
-        next.remove_edge(2, 3);
-        cell.store(Arc::new(Snapshot::new(1, next, FamilySuite::new(&g))));
-
+        // Each window mutates a working copy that shares pages with every
+        // published snapshot, exactly as the serve writer does.
+        for (epoch, e) in (1..=8u64).zip(g.edges().iter().step_by(7)) {
+            let window = [GraphUpdate::Remove(e.u, e.v)];
+            index.apply_batch(&window);
+            families.apply(index.graph(), &window, 1);
+            cell.store(Arc::new(Snapshot::new(
+                epoch,
+                index.clone(),
+                families.clone(),
+            )));
+            assert_eq!(cell.load().epoch(), epoch);
+            // The retained snapshot still answers from the pre-publication state.
+            assert_eq!(answers(&old), before, "after window {epoch}");
+        }
         assert_eq!(old.epoch(), 0);
-        assert_eq!(cell.load().epoch(), 1);
-        // The retained snapshot still answers from the pre-publication state.
-        assert_eq!(old.query(10, 1).len(), old.index().graph().num_edges());
+        assert_eq!(old.index().graph().num_edges(), g.num_edges());
+        assert_ne!(
+            answers(&cell.load()),
+            before,
+            "the windows changed the answers"
+        );
     }
 
     #[test]
