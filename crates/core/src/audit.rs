@@ -14,14 +14,19 @@
 //! | [`EsdIndex`] | [`EsdIndex::validate`], [`EsdIndex::validate_against`] | ascending `C`, per-list treap soundness, list nesting `H(c') ⊆ H(c)`, score monotonicity; vs-graph: exact contents + Theorem 3 |
 //! | [`FrozenEsdIndex`] | [`FrozenEsdIndex::validate`], [`FrozenEsdIndex::validate_against`] | same invariants on the flat layout |
 //! | [`MaintainedIndex`] | [`MaintainedIndex::validate`], [`MaintainedIndex::validate_deep`] | graph soundness, forest well-formedness and coverage, refcounts, list/forest agreement; deep: forests vs true ego-network partitions |
+//! | [`CowRun`] | [`CowRun::validate`] | non-empty pages, strict rank order within and across pages, `len` |
+//! | [`FamilySuite`] | [`FamilySuite::validate`] | every run sound and equal to the ranking a scan of the profiles derives; truss refcounts equal the core-size multiset, and the run keys equal the refcount keys |
 //!
 //! The `strict-invariants` cargo feature (always on in this crate's unit
 //! tests) re-runs these validators at construction and maintenance
 //! boundaries, panicking via [`assert_clean`] with the full report.
 
+use crate::cow::CowRun;
 use crate::index::ostree::{priority_of, RankKey, ScoreTreap, NIL};
 use crate::index::{EdgeComponents, EsdIndex, FrozenEsdIndex};
 use crate::maintain::{ego_edges, EdgeDsu, MaintainedIndex};
+use crate::score::score_from_sizes;
+use crate::FamilySuite;
 use esd_graph::audit::GraphViolation;
 use esd_graph::{Edge, Graph, VertexId};
 use std::cmp::Ordering;
@@ -1356,6 +1361,269 @@ impl MaintainedIndex {
     }
 }
 
+// ---------------------------------------------------------------------------
+// CowRun and FamilySuite
+// ---------------------------------------------------------------------------
+
+/// One violated invariant of a [`CowRun`], located by page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum RunViolation {
+    /// A page holds no key.
+    EmptyPage {
+        /// The page's position in the run.
+        page: usize,
+    },
+    /// A key does not rank strictly after its predecessor (the previous
+    /// key of its page, or the last key of the previous page).
+    OutOfOrder {
+        /// The page holding the key.
+        page: usize,
+        /// The key's offset within its page.
+        offset: usize,
+    },
+    /// `len` disagrees with the keys the pages hold.
+    LenMismatch {
+        /// Cached length.
+        stored: usize,
+        /// Keys held by the pages.
+        actual: usize,
+    },
+}
+
+impl std::fmt::Display for RunViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::EmptyPage { page } => write!(f, "page {page} is empty"),
+            Self::OutOfOrder { page, offset } => {
+                write!(f, "rank order breaks at page {page}, offset {offset}")
+            }
+            Self::LenMismatch { stored, actual } => {
+                write!(f, "len is {stored} but the pages hold {actual} keys")
+            }
+        }
+    }
+}
+
+impl CowRun {
+    /// Audits the run's layout: every page non-empty, keys strictly
+    /// rank-ascending within and across pages, and `len` equal to the keys
+    /// held. Returns all violations found (empty = sound).
+    pub fn validate(&self) -> Vec<RunViolation> {
+        let mut out = Vec::new();
+        let mut prev: Option<RankKey> = None;
+        for (page, keys) in self.pages.iter().enumerate() {
+            if keys.is_empty() {
+                out.push(RunViolation::EmptyPage { page });
+            }
+            for (offset, &key) in keys.iter().enumerate() {
+                if prev.is_some_and(|p| p >= key) {
+                    out.push(RunViolation::OutOfOrder { page, offset });
+                }
+                prev = Some(key);
+            }
+        }
+        let actual = self.pages.iter().map(|p| p.len()).sum();
+        if actual != self.len {
+            out.push(RunViolation::LenMismatch {
+                stored: self.len,
+                actual,
+            });
+        }
+        out
+    }
+}
+
+/// Which ranked run of a [`FamilySuite`] a violation is located in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FamilyRun {
+    /// The truss run of one core size.
+    Truss(u32),
+    /// The parameter-free run.
+    ParameterFree,
+    /// The ego-betweenness run.
+    EgoBetweenness,
+}
+
+impl std::fmt::Display for FamilyRun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Truss(c) => write!(f, "truss run {c}"),
+            Self::ParameterFree => f.write_str("parameter-free run"),
+            Self::EgoBetweenness => f.write_str("ego-betweenness run"),
+        }
+    }
+}
+
+/// One violated invariant of a [`FamilySuite`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum FamilyViolation {
+    /// A run's layout is unsound.
+    Run {
+        /// The run.
+        run: FamilyRun,
+        /// What is wrong with it.
+        inner: RunViolation,
+    },
+    /// A run differs from the ranking a scan of the profiles derives.
+    RankingDiverged {
+        /// The run.
+        run: FamilyRun,
+        /// Rank of the first key that differs (or the shorter length).
+        at: usize,
+        /// Keys the reference ranking holds.
+        expected: usize,
+        /// Keys the run holds.
+        actual: usize,
+    },
+    /// A truss refcount disagrees with the profiles' core-size multiset.
+    RefcountMismatch {
+        /// The core size.
+        size: u32,
+        /// Stored refcount (0 when the key is missing).
+        stored: usize,
+        /// Profiles holding the size.
+        actual: usize,
+    },
+    /// A truss run exists for a size with no refcount entry.
+    RunWithoutRefcount {
+        /// The orphaned run's core size.
+        size: u32,
+    },
+    /// A refcounted core size has no truss run.
+    RefcountWithoutRun {
+        /// The size missing its run.
+        size: u32,
+    },
+}
+
+impl std::fmt::Display for FamilyViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Run { run, inner } => write!(f, "{run}: {inner}"),
+            Self::RankingDiverged {
+                run,
+                at,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "{run} diverges from the profile scan at rank {at} \
+                 ({actual} keys, scan gives {expected})"
+            ),
+            Self::RefcountMismatch {
+                size,
+                stored,
+                actual,
+            } => write!(
+                f,
+                "truss refcount[{size}] is {stored}, profiles give {actual}"
+            ),
+            Self::RunWithoutRefcount { size } => {
+                write!(f, "truss run {size} has no refcount entry")
+            }
+            Self::RefcountWithoutRun { size } => {
+                write!(f, "refcounted core size {size} has no truss run")
+            }
+        }
+    }
+}
+
+impl FamilySuite {
+    /// Audits the ranked runs against the profiles: each run is sound and
+    /// equals the reference ranking a scan of every profile derives (for a
+    /// truss run of core size `c`, the scan at τ = `c`); the truss
+    /// refcounts equal the multiset of distinct core sizes, and the truss
+    /// run keys equal the refcount keys. Returns all violations found
+    /// (empty = sound).
+    pub fn validate(&self) -> Vec<FamilyViolation> {
+        let r = &self.rankings;
+        let mut out = Vec::new();
+        let mut actual: BTreeMap<u32, usize> = BTreeMap::new();
+        for (_, prof) in self.profiles.values() {
+            for c in prof.distinct_cores() {
+                *actual.entry(c).or_insert(0) += 1;
+            }
+        }
+        let sizes: std::collections::BTreeSet<u32> = actual
+            .keys()
+            .chain(r.truss_refcounts.keys())
+            .copied()
+            .collect();
+        for size in sizes {
+            let stored = r.truss_refcounts.get(&size).copied().unwrap_or(0);
+            let actual = actual.get(&size).copied().unwrap_or(0);
+            if stored != actual {
+                out.push(FamilyViolation::RefcountMismatch {
+                    size,
+                    stored,
+                    actual,
+                });
+            }
+        }
+        for &size in r.truss.keys() {
+            if !r.truss_refcounts.contains_key(&size) {
+                out.push(FamilyViolation::RunWithoutRefcount { size });
+            }
+        }
+        for &size in r.truss_refcounts.keys() {
+            if !r.truss.contains_key(&size) {
+                out.push(FamilyViolation::RefcountWithoutRun { size });
+            }
+        }
+        let runs = r
+            .truss
+            .iter()
+            .map(|(&c, run)| (FamilyRun::Truss(c), run))
+            .chain([
+                (FamilyRun::ParameterFree, &r.pf),
+                (FamilyRun::EgoBetweenness, &r.betweenness),
+            ]);
+        for (id, run) in runs {
+            out.extend(
+                run.validate()
+                    .into_iter()
+                    .map(|inner| FamilyViolation::Run { run: id, inner }),
+            );
+            let expected = self.reference_ranking(id);
+            let at = run
+                .iter()
+                .zip(&expected)
+                .position(|(got, want)| got != *want)
+                .or_else(|| (run.len() != expected.len()).then(|| run.len().min(expected.len())));
+            if let Some(at) = at {
+                out.push(FamilyViolation::RankingDiverged {
+                    run: id,
+                    at,
+                    expected: expected.len(),
+                    actual: run.len(),
+                });
+            }
+        }
+        out
+    }
+
+    /// The reference ranking of `run`: score every profile and sort the
+    /// positive scores — the per-query scan the runs replaced.
+    fn reference_ranking(&self, run: FamilyRun) -> Vec<RankKey> {
+        let mut keys: Vec<RankKey> = self
+            .profiles
+            .values()
+            .filter_map(|&(edge, ref prof)| {
+                let score = match run {
+                    FamilyRun::Truss(c) => score_from_sizes(&prof.truss_cores, c),
+                    FamilyRun::ParameterFree => prof.pf,
+                    FamilyRun::EgoBetweenness => prof.betweenness,
+                };
+                (score > 0).then_some(RankKey { score, edge })
+            })
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1866,5 +2134,73 @@ mod tests {
             }),
             "got {v:?}"
         );
+    }
+
+    #[test]
+    fn family_suite_audit_reports_corrupted_runs() {
+        let g = generators::clique_overlap(60, 30, 6, 9);
+        let suite = FamilySuite::new(&g);
+        assert!(suite.validate().is_empty());
+
+        // A key missing from a run.
+        let mut missing = suite.clone();
+        let top = missing.rankings.pf.iter().next().expect("a ranked edge");
+        missing.rankings.pf.remove(&top);
+        assert_eq!(
+            missing.validate(),
+            [FamilyViolation::RankingDiverged {
+                run: FamilyRun::ParameterFree,
+                at: 0,
+                expected: suite.rankings.pf.len(),
+                actual: suite.rankings.pf.len() - 1,
+            }]
+        );
+
+        // Two keys swapped inside a page.
+        let mut swapped = suite.clone();
+        let (&c, run) = swapped
+            .rankings
+            .truss
+            .iter_mut()
+            .next()
+            .expect("a truss run");
+        assert!(run.len() >= 2);
+        std::sync::Arc::make_mut(&mut run.pages[0]).swap(0, 1);
+        let v = swapped.validate();
+        assert!(
+            v.contains(&FamilyViolation::Run {
+                run: FamilyRun::Truss(c),
+                inner: RunViolation::OutOfOrder { page: 0, offset: 1 },
+            }),
+            "got {v:?}"
+        );
+        assert!(v.iter().any(|x| matches!(
+            x,
+            FamilyViolation::RankingDiverged { run: FamilyRun::Truss(t), at: 0, .. } if *t == c
+        )));
+
+        // A stale length, a stale refcount and an orphaned run.
+        let mut stale = suite.clone();
+        stale.rankings.betweenness.len += 1;
+        *stale.rankings.truss_refcounts.get_mut(&c).unwrap() += 1;
+        stale.rankings.truss.insert(999, CowRun::default());
+        let v = stale.validate();
+        for want in [
+            FamilyViolation::Run {
+                run: FamilyRun::EgoBetweenness,
+                inner: RunViolation::LenMismatch {
+                    stored: suite.rankings.betweenness.len() + 1,
+                    actual: suite.rankings.betweenness.len(),
+                },
+            },
+            FamilyViolation::RefcountMismatch {
+                size: c,
+                stored: suite.rankings.truss_refcounts[&c] + 1,
+                actual: suite.rankings.truss_refcounts[&c],
+            },
+            FamilyViolation::RunWithoutRefcount { size: 999 },
+        ] {
+            assert!(v.contains(&want), "missing {want}: got {v:?}");
+        }
     }
 }

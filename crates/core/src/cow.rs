@@ -1,4 +1,4 @@
-//! A copy-on-write map keyed by canonical edge key.
+//! Copy-on-write containers whose clones share unmodified pages.
 //!
 //! [`CowMap`] splits its entries over a fixed number of `Arc`-shared pages,
 //! each a key-sorted `Vec<(u64, V)>`. Cloning a map copies only the page
@@ -10,7 +10,14 @@
 //! Which page a key lands on is a fixed multiplicative hash of the key, so
 //! the layout — and with it the iteration order — depends only on the
 //! content and the page count, never on the insertion history.
+//!
+//! [`CowRun`] applies the same sharing to a ranking: a rank-sorted run of
+//! [`RankKey`]s cut into `Arc`-shared pages of about [`RUN_PAGE`] keys, so
+//! a top-k read is a walk over the first pages and a re-ranked edge copies
+//! the one or two pages its old and new keys sit on.
 
+use crate::index::ostree::RankKey;
+use crate::ScoredEdge;
 use std::sync::Arc;
 
 type Page<V> = Arc<Vec<(u64, V)>>;
@@ -236,11 +243,174 @@ impl<V: std::fmt::Debug> std::fmt::Debug for CowMap<V> {
     }
 }
 
+/// Target key count of a [`CowRun`] page; a page splits in two once an
+/// insert brings it to twice this size. A re-ranked key copies its page,
+/// so the page bounds the bytes one key edit costs a shared run (256 keys
+/// are 3 KiB); a top-k read touches `⌈k / RUN_PAGE⌉ + 1` pages at most.
+pub const RUN_PAGE: usize = 256;
+
+type RunPage = Arc<Vec<RankKey>>;
+
+/// A rank-sorted run of [`RankKey`]s (score descending, then edge
+/// ascending — the [`ScoredEdge::ranking_cmp`] order) whose clones share
+/// unmodified pages.
+///
+/// The run is cut into non-empty `Arc`-shared pages that partition it in
+/// order. `Clone` copies the page pointers; `insert` and `remove` call
+/// `Arc::make_mut` on the one page the key belongs on, split that page at
+/// `2 ×` [`RUN_PAGE`] keys and drop it once empty. Equality is logical:
+/// where the page boundaries fall does not matter.
+///
+/// # Examples
+///
+/// ```
+/// use esd_core::cow::CowRun;
+/// use esd_core::index::ostree::RankKey;
+/// use esd_graph::Edge;
+///
+/// let key = |score, u, v| RankKey { score, edge: Edge::new(u, v) };
+/// let mut live = CowRun::from_sorted(&[key(5, 0, 1), key(2, 0, 2)]);
+/// let published = live.clone(); // copies one page pointer
+/// live.insert(key(3, 1, 2)); // copies the one page it lands on
+/// assert_eq!(live.top_k(2)[1].score, 3);
+/// assert_eq!(published.len(), 2);
+/// assert_eq!(live.pages_unshared_with(&published), 1);
+/// ```
+#[derive(Clone, Default)]
+pub struct CowRun {
+    /// Non-empty pages, each strictly rank-ascending, every key of a page
+    /// ranked before every key of the next.
+    pub(crate) pages: Vec<RunPage>,
+    pub(crate) len: usize,
+}
+
+impl CowRun {
+    /// Builds a run from keys already in strictly ascending rank order,
+    /// [`RUN_PAGE`] keys to a page.
+    #[must_use]
+    pub fn from_sorted(keys: &[RankKey]) -> Self {
+        debug_assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "keys are not strictly rank-sorted"
+        );
+        Self {
+            pages: keys
+                .chunks(RUN_PAGE)
+                .map(|c| Arc::new(c.to_vec()))
+                .collect(),
+            len: keys.len(),
+        }
+    }
+
+    /// Number of keys.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the run holds no key.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every key, best first.
+    pub fn iter(&self) -> impl Iterator<Item = RankKey> + '_ {
+        self.pages.iter().flat_map(|page| page.iter().copied())
+    }
+
+    /// The best `k` keys as scored edges, best first.
+    #[must_use]
+    pub fn top_k(&self, k: usize) -> Vec<ScoredEdge> {
+        let mut out = Vec::with_capacity(k.min(self.len));
+        out.extend(self.iter().take(k).map(|key| ScoredEdge {
+            edge: key.edge,
+            score: key.score,
+        }));
+        out
+    }
+
+    /// The page `key` belongs on: the first whose last key does not rank
+    /// before it, or the last page. The run must not be empty.
+    fn page_for(&self, key: &RankKey) -> usize {
+        let p = self
+            .pages
+            .partition_point(|page| page[page.len() - 1] < *key);
+        p.min(self.pages.len() - 1)
+    }
+
+    /// Adds `key`; `false` (and nothing copied) if it is already present.
+    pub fn insert(&mut self, key: RankKey) -> bool {
+        if self.pages.is_empty() {
+            self.pages.push(Arc::new(vec![key]));
+            self.len = 1;
+            return true;
+        }
+        let p = self.page_for(&key);
+        let Err(i) = self.pages[p].binary_search(&key) else {
+            return false;
+        };
+        let page = Arc::make_mut(&mut self.pages[p]);
+        page.insert(i, key);
+        if page.len() >= 2 * RUN_PAGE {
+            let upper = page.split_off(RUN_PAGE);
+            self.pages.insert(p + 1, Arc::new(upper));
+        }
+        self.len += 1;
+        true
+    }
+
+    /// Removes `key`; `false` (and nothing copied) if it is absent.
+    pub fn remove(&mut self, key: &RankKey) -> bool {
+        if self.pages.is_empty() {
+            return false;
+        }
+        let p = self.page_for(key);
+        let Ok(i) = self.pages[p].binary_search(key) else {
+            return false;
+        };
+        if self.pages[p].len() == 1 {
+            self.pages.remove(p);
+        } else {
+            Arc::make_mut(&mut self.pages[p]).remove(i);
+        }
+        self.len -= 1;
+        true
+    }
+
+    /// Page identities, for counting what two clones still share.
+    pub(crate) fn page_ptrs(&self) -> impl Iterator<Item = *const Vec<RankKey>> + '_ {
+        self.pages.iter().map(Arc::as_ptr)
+    }
+
+    /// How many of this run's pages `other` does not hold — the pages the
+    /// writes since the two were cloned apart have copied or created.
+    #[must_use]
+    pub fn pages_unshared_with(&self, other: &Self) -> usize {
+        let theirs: std::collections::HashSet<_> = other.page_ptrs().collect();
+        self.page_ptrs().filter(|p| !theirs.contains(p)).count()
+    }
+}
+
+/// Logical equality: the same keys in the same order, wherever the page
+/// boundaries fall.
+impl PartialEq for CowRun {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for CowRun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::{BTreeSet, HashMap};
 
     #[test]
     fn basic_operations() {
@@ -379,6 +549,151 @@ mod tests {
                 for (&k, v) in at {
                     prop_assert_eq!(snap.get(k), Some(v));
                 }
+            }
+        }
+    }
+
+    fn rk(score: u32, u: u32, v: u32) -> RankKey {
+        RankKey {
+            score,
+            edge: esd_graph::Edge::new(u, v),
+        }
+    }
+
+    #[test]
+    fn run_basic_operations() {
+        let mut run = CowRun::default();
+        assert!(run.is_empty());
+        assert!(!run.remove(&rk(1, 0, 1)));
+        assert!(run.insert(rk(1, 0, 1)));
+        assert!(run.insert(rk(4, 2, 3)));
+        assert!(run.insert(rk(1, 0, 2)));
+        assert!(!run.insert(rk(4, 2, 3)));
+        assert_eq!(run.len(), 3);
+        let top: Vec<(u32, u32)> = run.top_k(2).iter().map(|s| (s.score, s.edge.v)).collect();
+        assert_eq!(top, [(4, 3), (1, 1)]);
+        assert_eq!(run.top_k(usize::MAX).len(), 3);
+        assert!(run.top_k(0).is_empty());
+        assert!(run.remove(&rk(4, 2, 3)));
+        assert!(!run.remove(&rk(4, 2, 3)));
+        assert_eq!(run.len(), 2);
+        assert!(run.validate().is_empty());
+    }
+
+    #[test]
+    fn run_pages_split_at_twice_the_page_and_empty_pages_drop() {
+        let n = 5 * RUN_PAGE as u32;
+        let keys: Vec<RankKey> = (0..n).map(|i| rk(1, 0, i + 1)).collect();
+        let mut run = CowRun::default();
+        for &key in &keys {
+            run.insert(key);
+        }
+        // Appending fills the last page to 2 × RUN_PAGE and halves it, so
+        // n = 5 × RUN_PAGE ascending inserts leave five full pages.
+        assert_eq!(run.pages.len(), 5);
+        assert!(run.pages.iter().all(|p| p.len() == RUN_PAGE));
+        assert_eq!(run, CowRun::from_sorted(&keys));
+        for key in &keys[..RUN_PAGE] {
+            assert!(run.remove(key));
+        }
+        assert_eq!(run.pages.len(), 4, "the emptied first page is dropped");
+        assert_eq!(run.len(), keys.len() - RUN_PAGE);
+        for key in &keys[RUN_PAGE..] {
+            assert!(run.remove(key));
+        }
+        assert!(run.is_empty() && run.pages.is_empty());
+        assert!(run.validate().is_empty());
+    }
+
+    #[test]
+    fn run_clone_shares_pages_until_a_write() {
+        let n = 4 * RUN_PAGE as u32;
+        let keys: Vec<RankKey> = (0..n).map(|i| rk(n - i, 0, i + 1)).collect();
+        let mut live = CowRun::from_sorted(&keys);
+        let snap = live.clone();
+        assert_eq!(live.pages_unshared_with(&snap), 0);
+        assert!(live.remove(&keys[10]));
+        assert!(live.insert(rk(0, 7, 9))); // ranks last: the last page
+        assert_eq!(live.pages_unshared_with(&snap), 2);
+        // Misses copy nothing.
+        assert!(!live.remove(&keys[10]));
+        assert!(!live.insert(keys[11]));
+        assert_eq!(live.pages_unshared_with(&snap), 2);
+        assert_eq!(snap, CowRun::from_sorted(&keys));
+        assert_ne!(live, snap);
+    }
+
+    #[derive(Debug, Clone)]
+    enum RunOp {
+        Insert(RankKey),
+        Remove(RankKey),
+        /// Inserts every key of one score and one endpoint: a burst that
+        /// lands on few pages.
+        Burst(u32, u32),
+        Snapshot,
+    }
+
+    fn rank_key() -> impl Strategy<Value = RankKey> {
+        (0u32..6, 0u32..30, 1u32..30).prop_map(|(score, u, d)| rk(score, u, (u + d) % 30))
+    }
+
+    fn run_op() -> impl Strategy<Value = RunOp> {
+        (0u8..8, rank_key()).prop_map(|(kind, key)| match kind {
+            0..=2 => RunOp::Insert(key),
+            3..=5 => RunOp::Remove(key),
+            6 => RunOp::Burst(key.score, key.edge.u),
+            _ => RunOp::Snapshot,
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn run_matches_btreeset_and_clones_stay_frozen(
+            base in proptest::collection::vec(rank_key(), 0..2000),
+            ops in proptest::collection::vec(run_op(), 0..150),
+            k in 0usize..700,
+        ) {
+            let mut model: BTreeSet<RankKey> = base.into_iter().collect();
+            let sorted: Vec<RankKey> = model.iter().copied().collect();
+            let mut run = CowRun::from_sorted(&sorted);
+            let mut frozen: Vec<(CowRun, BTreeSet<RankKey>)> = Vec::new();
+            for op in ops {
+                match op {
+                    RunOp::Insert(key) => prop_assert_eq!(run.insert(key), model.insert(key)),
+                    RunOp::Remove(key) => prop_assert_eq!(run.remove(&key), model.remove(&key)),
+                    RunOp::Burst(score, u) => {
+                        for v in (0..30).filter(|&v| v != u) {
+                            let key = rk(score, u, v);
+                            prop_assert_eq!(run.insert(key), model.insert(key));
+                        }
+                    }
+                    RunOp::Snapshot => frozen.push((run.clone(), model.clone())),
+                }
+                prop_assert_eq!(run.len(), model.len());
+            }
+            prop_assert_eq!(run.validate(), Vec::new());
+            prop_assert!(run.iter().eq(model.iter().copied()));
+            let want: Vec<ScoredEdge> = model
+                .iter()
+                .take(k)
+                .map(|key| ScoredEdge { edge: key.edge, score: key.score })
+                .collect();
+            prop_assert_eq!(run.top_k(k), want);
+            // Bulk-built, grown by inserts from the front (which splits
+            // pages), and maintained: three page layouts, one content.
+            let sorted: Vec<RankKey> = model.iter().copied().collect();
+            let bulk = CowRun::from_sorted(&sorted);
+            let mut grown = CowRun::default();
+            for &key in sorted.iter().rev() {
+                grown.insert(key);
+            }
+            prop_assert_eq!(grown.validate(), Vec::new());
+            prop_assert_eq!(&grown, &bulk);
+            prop_assert_eq!(&run, &bulk);
+            // Writing after a clone never changed the clone.
+            for (snap, at) in &frozen {
+                prop_assert_eq!(snap.len(), at.len());
+                prop_assert!(snap.iter().eq(at.iter().copied()));
             }
         }
     }

@@ -44,14 +44,24 @@
 //! against the post-window graph, which covers every membership change
 //! because the update that caused it contributes its own incident edges).
 //!
+//! Queries read ranked [`CowRun`]s, never the profiles. Parameter-free and
+//! ego-betweenness each keep one run of their positive scores. Truss keeps
+//! one run per distinct core size `c`, under the component index's rule:
+//! an edge sits in every run `c ≤` its largest core, scored by its number
+//! of cores `≥ c`, and a query at τ reads the first run with `c ≥ τ`. A
+//! core size new to a window is seeded from its successor's run — the
+//! deviation [`crate::maintain`] documents for `H(c)` — which is a page
+//! pointer copy. A window re-ranks only the profiles it actually changed.
+//!
 //! [`MaintainedIndex`]: crate::MaintainedIndex
 
-use crate::cow::CowMap;
+use crate::cow::{CowMap, CowRun};
+use crate::index::ostree::RankKey;
 use crate::maintain::{EdgeOwnership, GraphUpdate};
 use crate::score::score_from_sizes;
 use crate::ScoredEdge;
 use esd_graph::{DynamicGraph, Edge, Graph, VertexId};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Which diversity measure a query ranks by.
 ///
@@ -143,16 +153,17 @@ pub fn tau_star(h: usize) -> u32 {
 
 /// The maintained per-edge state: one score profile per family.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct EdgeProfiles {
+pub(crate) struct EdgeProfiles {
     /// Sorted multiset of 3-truss core sizes, one entry per ego component
     /// with a non-empty core (zero-core components are dropped — they can
-    /// never reach any τ ≥ 1).
-    truss_cores: Vec<u32>,
+    /// never reach any τ ≥ 1). Boxed, so the two thirds of edges with no
+    /// core allocate nothing.
+    pub(crate) truss_cores: Box<[u32]>,
     /// The parameter-free score (component score at `τ*(e)`).
-    pf: u32,
+    pub(crate) pf: u32,
     /// Total ego-betweenness mass `Σ_{s<t connected} d(s, t)`, saturated
     /// at `u32::MAX`.
-    betweenness: u32,
+    pub(crate) betweenness: u32,
 }
 
 impl EdgeProfiles {
@@ -183,22 +194,15 @@ impl EdgeProfiles {
         sorted_sizes.sort_unstable();
         let pf = score_from_sizes(&sorted_sizes, tau_star(ego.len()));
         Self {
-            truss_cores,
+            truss_cores: truss_cores.into_boxed_slice(),
             pf,
             betweenness: ego.distance_mass(),
         }
     }
 
-    /// The profile's score under `family` at threshold `tau`.
-    fn score(&self, family: Family, tau: u32) -> u32 {
-        match family {
-            Family::Truss => score_from_sizes(&self.truss_cores, tau),
-            Family::ParameterFree => self.pf,
-            Family::EgoBetweenness => self.betweenness,
-            Family::Component => {
-                unreachable!("component queries are served by MaintainedIndex")
-            }
-        }
+    /// The distinct truss core sizes, ascending.
+    pub(crate) fn distinct_cores(&self) -> impl Iterator<Item = u32> + '_ {
+        self.truss_cores.chunk_by(|a, b| a == b).map(|run| run[0])
     }
 }
 
@@ -326,25 +330,182 @@ pub struct FamilyApplyReport {
     pub affected: usize,
     /// Owned, still-present edges whose profiles were recomputed.
     pub recomputed: usize,
+    /// Edges whose rankings moved: recomputed profiles that differ from
+    /// the stored one (new edges included) plus deleted profiles. At most
+    /// `affected`; recomputed profiles equal to the stored one are skipped.
+    pub reranked: usize,
 }
 
-/// Page count of [`FamilySuite`]'s profile map. Every family query scans
-/// all profiles, so the pages stay few and long: with 4096 pages the
-/// scattered page hops made `family_p50_us` worse by up to 81 % on the
-/// LiveJournal Small serve workload, while with 512 it stayed within
-/// noise. A window copies at most one page per profile it rewrites.
+/// Page count of [`FamilySuite`]'s profile map. A window copies at most
+/// one page per profile it rewrites, and a clone copies one pointer per
+/// page.
 const PROFILE_PAGES: usize = 512;
 
 /// Maintained score state for every non-component [`Family`], kept beside
 /// the component index: one [`EdgeProfiles`] per **owned** edge, updated
-/// per window by [`FamilySuite::apply`] and ranked by
-/// [`FamilySuite::query`]. The profiles live in a copy-on-write
-/// [`CowMap`], so a clone shares their pages until a window rewrites them.
+/// per window by [`FamilySuite::apply`], and the [`Rankings`]
+/// [`FamilySuite::query`] reads (see the module docs). The profiles live in
+/// a copy-on-write [`CowMap`] and the rankings in [`CowRun`]s, so a clone
+/// shares their pages until a window rewrites them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FamilySuite {
     ownership: EdgeOwnership,
     /// Edge key → (edge, profiles), for every owned edge of the graph.
-    profiles: CowMap<(Edge, EdgeProfiles)>,
+    pub(crate) profiles: CowMap<(Edge, EdgeProfiles)>,
+    pub(crate) rankings: Rankings,
+}
+
+/// The ranked runs of a [`FamilySuite`], derived from its profiles.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Rankings {
+    /// Truss run per distinct core size `c`: every edge whose largest core
+    /// is `≥ c`, scored by its number of cores `≥ c`.
+    pub(crate) truss: BTreeMap<u32, CowRun>,
+    /// `c` → number of edges whose core multiset contains `c`. Its keys
+    /// are exactly those of `truss`.
+    pub(crate) truss_refcounts: BTreeMap<u32, usize>,
+    /// Every positive parameter-free score.
+    pub(crate) pf: CowRun,
+    /// Every positive ego-betweenness mass.
+    pub(crate) betweenness: CowRun,
+}
+
+/// The key of `edge` in the truss run of core size `c`, scored by its
+/// number of cores `≥ c`.
+fn truss_key(edge: Edge, prof: &EdgeProfiles, c: u32) -> RankKey {
+    RankKey {
+        score: score_from_sizes(&prof.truss_cores, c),
+        edge,
+    }
+}
+
+impl Rankings {
+    /// Builds every run in one pass over `profiles` plus one sort per run.
+    fn build(profiles: &CowMap<(Edge, EdgeProfiles)>) -> Self {
+        let mut truss_refcounts: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut by_largest: BTreeMap<u32, usize> = BTreeMap::new();
+        for (_, prof) in profiles.values() {
+            for c in prof.distinct_cores() {
+                *truss_refcounts.entry(c).or_insert(0) += 1;
+            }
+            if let Some(&cmax) = prof.truss_cores.last() {
+                *by_largest.entry(cmax).or_insert(0) += 1;
+            }
+        }
+        // Run `c` holds every edge whose largest core is `≥ c`: size each
+        // key buffer exactly, so the build's peak memory stays near the
+        // runs' own.
+        let sizes: Vec<u32> = truss_refcounts.keys().copied().collect();
+        let mut held = 0;
+        let mut truss: Vec<Vec<RankKey>> = sizes
+            .iter()
+            .rev()
+            .map(|c| {
+                held += by_largest.get(c).copied().unwrap_or(0);
+                Vec::with_capacity(held)
+            })
+            .collect();
+        truss.reverse();
+        let (mut pf, mut betweenness) = (Vec::new(), Vec::new());
+        for &(edge, ref prof) in profiles.values() {
+            if let Some(&cmax) = prof.truss_cores.last() {
+                let runs = sizes.partition_point(|&c| c <= cmax);
+                for (keys, &c) in truss.iter_mut().zip(&sizes[..runs]) {
+                    keys.push(truss_key(edge, prof, c));
+                }
+            }
+            for (keys, score) in [(&mut pf, prof.pf), (&mut betweenness, prof.betweenness)] {
+                if score > 0 {
+                    keys.push(RankKey { score, edge });
+                }
+            }
+        }
+        let run = |mut keys: Vec<RankKey>| {
+            keys.sort_unstable();
+            CowRun::from_sorted(&keys)
+        };
+        Self {
+            truss: sizes.into_iter().zip(truss.into_iter().map(run)).collect(),
+            truss_refcounts,
+            pf: run(pf),
+            betweenness: run(betweenness),
+        }
+    }
+
+    /// Every run: the truss runs, then parameter-free, then
+    /// ego-betweenness.
+    fn runs(&self) -> impl Iterator<Item = &CowRun> {
+        self.truss.values().chain([&self.pf, &self.betweenness])
+    }
+
+    /// Inserts (or removes) every key `prof` gives `edge`: its positive
+    /// parameter-free and ego-betweenness scores, and one key per truss
+    /// run `c ≤` its largest core.
+    fn edit(&mut self, edge: Edge, prof: &EdgeProfiles, insert: bool) {
+        let edit = |run: &mut CowRun, key: RankKey| {
+            let done = if insert {
+                run.insert(key)
+            } else {
+                run.remove(&key)
+            };
+            debug_assert!(done, "run out of step with the profile of {edge}");
+        };
+        for (run, score) in [
+            (&mut self.pf, prof.pf),
+            (&mut self.betweenness, prof.betweenness),
+        ] {
+            if score > 0 {
+                edit(run, RankKey { score, edge });
+            }
+        }
+        if let Some(&cmax) = prof.truss_cores.last() {
+            for (&c, run) in self.truss.range_mut(..=cmax) {
+                edit(run, truss_key(edge, prof, c));
+            }
+        }
+    }
+
+    /// Moves the runs from the `retired` profiles to the `changed` ones:
+    /// retract the old keys and release their core sizes, reap sizes no
+    /// edge holds any more, seed each new size's run from its successor
+    /// (largest first), then insert the new keys.
+    fn rerank(&mut self, retired: &[(Edge, EdgeProfiles)], changed: &[&(Edge, EdgeProfiles)]) {
+        for &(edge, ref old) in retired {
+            self.edit(edge, old, false);
+            for c in old.distinct_cores() {
+                *self
+                    .truss_refcounts
+                    .get_mut(&c)
+                    .expect("refcounted core size") -= 1;
+            }
+        }
+        for (_, prof) in changed {
+            for c in prof.distinct_cores() {
+                *self.truss_refcounts.entry(c).or_insert(0) += 1;
+            }
+        }
+        self.truss_refcounts.retain(|_, n| *n > 0);
+        let counts = &self.truss_refcounts;
+        self.truss.retain(|c, _| counts.contains_key(c));
+        let fresh: Vec<u32> = counts
+            .keys()
+            .rev()
+            .copied()
+            .filter(|c| !self.truss.contains_key(c))
+            .collect();
+        for c in fresh {
+            let seeded = self
+                .truss
+                .range(c + 1..)
+                .next()
+                .map(|(_, successor)| successor.clone())
+                .unwrap_or_default();
+            self.truss.insert(c, seeded);
+        }
+        for &&(edge, ref prof) in changed {
+            self.edit(edge, prof, true);
+        }
+    }
 }
 
 impl FamilySuite {
@@ -372,10 +533,14 @@ impl FamilySuite {
             .into_iter()
             .filter(|e| ownership.owns_key(e.key()))
             .map(|e| (e.key(), (e, EdgeProfiles::compute(g, e.u, e.v))));
-        Self {
+        let profiles = CowMap::from_entries(PROFILE_PAGES, owned);
+        let suite = Self {
             ownership,
-            profiles: CowMap::from_entries(PROFILE_PAGES, owned),
-        }
+            rankings: Rankings::build(&profiles),
+            profiles,
+        };
+        suite.strict_audit();
+        suite
     }
 
     /// The edge-space slice this suite maintains.
@@ -404,6 +569,17 @@ impl FamilySuite {
         self.profiles.pages_unshared_with(&other.profiles)
     }
 
+    /// How many distinct pages of this suite's ranked runs `other` holds
+    /// nowhere — the run pages the windows since the two were cloned apart
+    /// have copied or created. A run seeded from another run's pages
+    /// shares them.
+    #[must_use]
+    pub fn ranking_pages_unshared_with(&self, other: &Self) -> usize {
+        let pages =
+            |s: &Self| -> HashSet<_> { s.rankings.runs().flat_map(CowRun::page_ptrs).collect() };
+        pages(self).difference(&pages(other)).count()
+    }
+
     /// Incorporates one applied update window. `g` must be the graph
     /// **after** the window (the component index's
     /// [`graph()`](crate::MaintainedIndex::graph) right after
@@ -413,7 +589,8 @@ impl FamilySuite {
     /// post-window graph, which covers membership changes caused by other
     /// updates in the same window because *those* updates contribute their
     /// own incident edges. Affected edges no longer present are dropped;
-    /// the rest are recomputed, fanned out over `threads` workers.
+    /// the rest are recomputed, fanned out over `threads` workers. Only the
+    /// dropped profiles and the recomputed ones that changed are re-ranked.
     pub fn apply(
         &mut self,
         g: &DynamicGraph,
@@ -457,56 +634,76 @@ impl FamilySuite {
         let (live, dead): (Vec<Edge>, Vec<Edge>) = owned
             .into_iter()
             .partition(|e| in_range(e.u) && in_range(e.v) && g.has_edge(e.u, e.v));
-        for e in &dead {
-            self.profiles.remove(e.key());
-        }
         let recomputed = live.len();
         let threads = threads.max(1).min(recomputed.max(1));
-        if threads <= 1 {
-            for e in live {
-                self.profiles
-                    .insert(e.key(), (e, EdgeProfiles::compute(g, e.u, e.v)));
-            }
+        let computed: Vec<(Edge, EdgeProfiles)> = if threads <= 1 {
+            live.iter()
+                .map(|&e| (e, EdgeProfiles::compute(g, e.u, e.v)))
+                .collect()
         } else {
             let chunk = recomputed.div_ceil(threads);
-            let batches: Vec<Vec<(Edge, EdgeProfiles)>> = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = live
                     .chunks(chunk)
                     .map(|c| {
                         scope.spawn(move || {
                             c.iter()
                                 .map(|&e| (e, EdgeProfiles::compute(g, e.u, e.v)))
-                                .collect()
+                                .collect::<Vec<_>>()
                         })
                     })
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("family recompute worker panicked"))
+                    .flat_map(|h| h.join().expect("family recompute worker panicked"))
                     .collect()
-            });
-            for batch in batches {
-                for (e, prof) in batch {
-                    self.profiles.insert(e.key(), (e, prof));
-                }
+            })
+        };
+        // Retire the dropped profiles and every stored profile a changed
+        // one replaces; an unchanged profile is neither rewritten nor
+        // re-ranked.
+        let mut retired: Vec<(Edge, EdgeProfiles)> = dead
+            .iter()
+            .filter_map(|e| self.profiles.remove(e.key()))
+            .collect();
+        let deleted = retired.len();
+        let mut changed: Vec<Edge> = Vec::new();
+        for (e, prof) in computed {
+            if self
+                .profiles
+                .get(e.key())
+                .is_some_and(|(_, old)| *old == prof)
+            {
+                continue;
             }
+            retired.extend(self.profiles.insert(e.key(), (e, prof)));
+            changed.push(e);
         }
+        let current: Vec<&(Edge, EdgeProfiles)> = changed
+            .iter()
+            .map(|e| self.profiles.get(e.key()).expect("changed profile"))
+            .collect();
+        self.rankings.rerank(&retired, &current);
+        let reranked = deleted + changed.len();
         esd_telemetry::add(
             esd_telemetry::Metric::FamilyRecomputedEdges,
             recomputed as u64,
         );
+        esd_telemetry::add(esd_telemetry::Metric::FamilyRerankedEdges, reranked as u64);
+        self.strict_audit();
         FamilyApplyReport {
             affected,
             recomputed,
+            reranked,
         }
     }
 
     /// Top-`k` owned edges under `family` at threshold `tau`, ranked by
     /// [`ScoredEdge::ranking_cmp`] (score desc, edge asc — the same total
     /// order every component-based query uses, so per-shard answers merge
-    /// byte-identically). Only positive scores are reported. Panics on
-    /// `tau == 0` or [`Family::Component`] (served by the index, not the
-    /// suite).
+    /// byte-identically). Only positive scores are reported. A walk over
+    /// the first `k` keys of one ranked run. Panics on `tau == 0` or
+    /// [`Family::Component`] (served by the index, not the suite).
     #[must_use]
     pub fn query(&self, family: Family, k: usize, tau: u32) -> Vec<ScoredEdge> {
         assert!(tau >= 1, "component size threshold must be at least 1");
@@ -515,40 +712,29 @@ impl FamilySuite {
             "component queries are served by MaintainedIndex"
         );
         let _span = esd_telemetry::span(esd_telemetry::Stage::FamilyQuery);
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<RankEntry>> =
-            std::collections::BinaryHeap::with_capacity(k.saturating_add(1).min(4096));
-        for &(edge, ref prof) in self.profiles.values() {
-            let score = prof.score(family, tau);
-            if score == 0 {
-                continue;
-            }
-            heap.push(std::cmp::Reverse(RankEntry(ScoredEdge { edge, score })));
-            if heap.len() > k {
-                heap.pop();
-            }
-        }
-        let mut out: Vec<ScoredEdge> = heap.into_iter().map(|r| r.0 .0).collect();
-        out.sort_by(ScoredEdge::ranking_cmp);
+        let rankings = &self.rankings;
+        let run = match family {
+            Family::Truss => rankings.truss.range(tau..).next().map(|(_, run)| run),
+            Family::ParameterFree => Some(&rankings.pf),
+            Family::EgoBetweenness => Some(&rankings.betweenness),
+            Family::Component => unreachable!("refused above"),
+        };
+        let out = run.map_or_else(Vec::new, |run| run.top_k(k));
         esd_telemetry::add(esd_telemetry::Metric::FamilyQueries, 1);
         out
     }
-}
 
-/// Heap adapter ordering [`ScoredEdge`] by ranking (best = greatest), so a
-/// min-heap of `Reverse<RankEntry>` keeps the k best.
-#[derive(PartialEq, Eq)]
-struct RankEntry(ScoredEdge);
-
-impl Ord for RankEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.0.ranking_cmp(&self.0)
+    /// Runs [`FamilySuite::validate`] and panics with the full report
+    /// under `strict-invariants` (or in this crate's unit tests).
+    #[cfg(any(test, feature = "strict-invariants"))]
+    fn strict_audit(&self) {
+        crate::audit::assert_clean("FamilySuite", &self.validate());
     }
-}
 
-impl PartialOrd for RankEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+    /// No-op without `strict-invariants`.
+    #[cfg(not(any(test, feature = "strict-invariants")))]
+    #[inline(always)]
+    fn strict_audit(&self) {}
 }
 
 /// Independent recompute oracles for the differential agreement harness.
@@ -767,18 +953,111 @@ mod tests {
                 dg.remove_edge(a, b);
             }
         }
+        let rebuilt = FamilySuite::rebuild(&dg, EdgeOwnership::ALL);
         for threads in [1, 3] {
             let mut maintained = suite.clone();
             let report = maintained.apply(&dg, &updates, threads);
             assert!(report.affected >= report.recomputed);
+            assert!(report.reranked > 0 && report.reranked <= report.affected);
+            // `PartialEq` compares the profiles and every ranked run.
+            assert_eq!(maintained, rebuilt, "threads={threads}");
             assert_eq!(
-                maintained,
-                FamilySuite::rebuild(&dg, EdgeOwnership::ALL),
+                maintained.rankings.truss, rebuilt.rankings.truss,
+                "threads={threads}"
+            );
+            assert_eq!(
+                maintained.rankings.pf, rebuilt.rankings.pf,
+                "threads={threads}"
+            );
+            assert_eq!(
+                maintained.rankings.betweenness, rebuilt.rankings.betweenness,
                 "threads={threads}"
             );
         }
         suite.apply(&dg, &updates, 2);
         assert_eq!(suite.len(), dg.num_edges());
+    }
+
+    /// Every edge of a clique on `vertices`.
+    fn clique(vertices: std::ops::Range<VertexId>) -> Vec<(VertexId, VertexId)> {
+        let vs: Vec<VertexId> = vertices.collect();
+        let mut out = Vec::new();
+        for (i, &a) in vs.iter().enumerate() {
+            for &b in &vs[i + 1..] {
+                out.push((a, b));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_window_seeds_one_core_size_and_reaps_another() {
+        // Each edge of a K_n has a K_{n-2} ego network whose core is all
+        // n - 2 members: K5 → core size 3, K6 → 4, K8 → 6.
+        let mut edges = clique(0..5);
+        edges.extend(clique(10..16));
+        edges.extend(clique(20..28));
+        let g = Graph::from_edges(28, &edges);
+        let mut suite = FamilySuite::new(&g);
+        assert_eq!(
+            suite.rankings.truss.keys().copied().collect::<Vec<_>>(),
+            [3, 4, 6]
+        );
+        // Growing the K5 to a K6 retires size 3; growing the K6 to a K7
+        // creates size 5, which is seeded from the untouched K8's run 6.
+        let updates: Vec<GraphUpdate> = (0..5)
+            .map(|w| GraphUpdate::Insert(w, 5))
+            .chain((10..16).map(|w| GraphUpdate::Insert(w, 16)))
+            .collect();
+        let mut dg = DynamicGraph::from_graph(&g);
+        for u in &updates {
+            let (a, b) = u.endpoints();
+            dg.insert_edge(a, b);
+        }
+        let before = suite.clone();
+        let report = suite.apply(&dg, &updates, 1);
+        assert_eq!(
+            suite.rankings.truss.keys().copied().collect::<Vec<_>>(),
+            [4, 5, 6]
+        );
+        assert_eq!(suite, FamilySuite::rebuild(&dg, EdgeOwnership::ALL));
+        // The K8 kept its profiles: only the two grown cliques re-ranked.
+        assert_eq!(report.reranked, 15 + 21);
+        let k8 = RankKey {
+            score: 1,
+            edge: Edge::new(20, 21),
+        };
+        assert!(suite.rankings.truss[&5].iter().any(|key| key == k8));
+        // The K8's own run is still the old suite's page.
+        assert_eq!(
+            suite.rankings.truss[&6].pages_unshared_with(&before.rankings.truss[&6]),
+            0
+        );
+        let g2 = dg.to_graph();
+        for tau in 1..=7 {
+            assert_eq!(
+                suite.query(Family::Truss, usize::MAX, tau),
+                oracle::topk(&g2, Family::Truss, usize::MAX, tau),
+                "tau={tau}"
+            );
+        }
+    }
+
+    #[test]
+    fn unchanged_profiles_are_not_reranked() {
+        let (mut suite, g) = suite_and_graph(13);
+        let mut dg = DynamicGraph::from_graph(&g);
+        // A pendant edge to a fresh vertex closes no triangle, so every
+        // recomputed incident profile comes back unchanged.
+        let update = GraphUpdate::Insert(0, 500);
+        dg.ensure_vertex(500);
+        dg.insert_edge(0, 500);
+        let before = suite.clone();
+        let report = suite.apply(&dg, &[update], 1);
+        assert!(report.recomputed > 1);
+        assert_eq!(report.reranked, 1, "only the new edge is ranked");
+        assert_eq!(suite.pages_unshared_with(&before), 1);
+        assert_eq!(suite, FamilySuite::rebuild(&dg, EdgeOwnership::ALL));
     }
 
     #[test]

@@ -8,15 +8,23 @@
 //! `#` comment line, so v1 clients skip it), and `quit` (or EOF) ends a
 //! connection without touching the server. [`Server::stop`] closes the
 //! accept loop; connection threads finish their current session and exit
-//! when their clients disconnect.
+//! when their clients disconnect. A request line longer than
+//! [`MAX_LINE_BYTES`] is answered `error: line too long` and ends its
+//! connection, so no client can make the server buffer an unbounded line.
 
 use crate::service::EngineHandle;
 use crate::session::{LineOutcome, Session};
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::Arc;
 use crate::IdMap;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+
+/// The longest request line a connection may send, in bytes, without its
+/// line terminator. A longer line gets `error: line too long` and the
+/// connection is closed; the server never reads more than this plus one
+/// byte into a line.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// A running TCP server.
 #[derive(Debug)]
@@ -100,15 +108,32 @@ fn accept_loop<H: EngineHandle>(
 
 /// Runs one connection to completion: write the protocol banner, then
 /// read a line, handle it, write the response, flush. Returns on `quit`,
-/// EOF, or any socket error.
+/// EOF, a line longer than [`MAX_LINE_BYTES`], or any socket error.
 fn handle_connection<H: EngineHandle>(stream: &TcpStream, session: &Session<H>) -> io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     writer.write_all(crate::protocol::hello_banner(session.handle().shards()).as_bytes())?;
     writer.flush()?;
-    for line in reader.lines() {
-        let line = line?;
-        match session.handle_line(&line) {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut buf)? == 0 {
+            break; // EOF
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_LINE_BYTES {
+            writer.write_all(b"error: line too long\n")?;
+            writer.flush()?;
+            break;
+        }
+        let line =
+            std::str::from_utf8(&buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        match session.handle_line(line) {
             LineOutcome::Respond(text) => {
                 writer.write_all(text.as_bytes())?;
                 writer.flush()?;

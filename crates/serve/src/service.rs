@@ -1356,7 +1356,7 @@ impl EngineHandle for ServiceHandle {
 mod tests {
     use super::*;
     use esd_graph::{generators, DynamicGraph, Edge, VertexId};
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, HashSet};
 
     fn test_graph() -> Graph {
         generators::clique_overlap(120, 90, 5, 42)
@@ -1655,12 +1655,36 @@ mod tests {
         }
     }
 
-    /// `(forest, profile)` pages that `next` does not share with `prev`.
-    fn unshared_pages(next: &Snapshot, prev: &Snapshot) -> (usize, usize) {
+    /// `(forest, profile, ranking)` pages that `next` does not share with
+    /// `prev`.
+    fn unshared_pages(next: &Snapshot, prev: &Snapshot) -> (usize, usize, usize) {
         (
             next.index().forest_pages_unshared_with(prev.index()),
             next.families().pages_unshared_with(prev.families()),
+            next.families().ranking_pages_unshared_with(prev.families()),
         )
+    }
+
+    /// Ranked keys that differ between two suites: the symmetric difference
+    /// of every family's full ranking, the truss one at every τ up to the
+    /// largest answered. Each truss run is read at τ = its own core size,
+    /// so every run's key edits are counted at least once.
+    fn ranking_edits(next: &FamilySuite, prev: &FamilySuite) -> usize {
+        let diff = |family: Family, tau: u32| -> Option<usize> {
+            let a: HashSet<ScoredEdge> = prev.query(family, usize::MAX, tau).into_iter().collect();
+            let b: HashSet<ScoredEdge> = next.query(family, usize::MAX, tau).into_iter().collect();
+            (!a.is_empty() || !b.is_empty()).then(|| a.symmetric_difference(&b).count())
+        };
+        let mut edits = [Family::ParameterFree, Family::EgoBetweenness]
+            .into_iter()
+            .filter_map(|f| diff(f, 1))
+            .sum();
+        let mut tau = 1;
+        while let Some(d) = diff(Family::Truss, tau) {
+            edits += d;
+            tau += 1;
+        }
+        edits
     }
 
     #[test]
@@ -1695,13 +1719,20 @@ mod tests {
             let mut radius = BTreeSet::new();
             add_blast_radius(prev.index().graph(), u, v, &mut radius);
             add_blast_radius(next.index().graph(), u, v, &mut radius);
-            let (forests, profiles) = unshared_pages(&next, &prev);
+            let (forests, profiles, rankings) = unshared_pages(&next, &prev);
             assert!(
                 forests <= radius.len() && profiles <= radius.len(),
                 "{update:?}: {forests} forest + {profiles} profile pages copied, radius {}",
                 radius.len()
             );
             assert!(profiles > 0, "{update:?} rewrote no profile");
+            // A key edit copies the one run page it lands on, plus one
+            // more when the page splits; every other run page is shared.
+            let edits = ranking_edits(next.families(), prev.families());
+            assert!(
+                0 < rankings && rankings <= 2 * edits,
+                "{update:?}: {rankings} ranking pages copied for {edits} key edits"
+            );
         }
         service.shutdown();
     }

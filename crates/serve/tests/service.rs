@@ -8,6 +8,7 @@
 use esd_core::maintain::{GraphUpdate, MutationBatch};
 use esd_core::{MaintainedIndex, ScoredEdge};
 use esd_graph::{generators, Graph};
+use esd_serve::server::MAX_LINE_BYTES;
 use esd_serve::{IdMap, QueryRequest, ServeError, Server, Service, ServiceConfig};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -216,6 +217,52 @@ fn read_query_response(reader: &mut impl BufRead) -> Vec<String> {
             return lines;
         }
     }
+}
+
+/// A request line may be `MAX_LINE_BYTES` long; one byte more is refused
+/// with `error: line too long` and the connection is closed, while other
+/// connections keep being served.
+#[test]
+fn tcp_server_refuses_over_long_lines() {
+    let g = test_graph();
+    let service = Service::start(&g, &ServiceConfig::default());
+    let ids = Arc::new(IdMap::from_original((0..250).collect()));
+    let server = Server::start("127.0.0.1:0", service.handle(), ids).unwrap();
+    let connect = || {
+        let conn = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let mut banner = String::new();
+        reader.read_line(&mut banner).unwrap();
+        assert!(banner.starts_with("# esd-protocol/2"), "{banner}");
+        (conn, reader)
+    };
+
+    // A query padded with spaces to exactly the limit is answered.
+    let (mut conn, mut reader) = connect();
+    let query = format!("? 5 {TAU}");
+    let padded = format!("{query}{}\n", " ".repeat(MAX_LINE_BYTES - query.len()));
+    conn.write_all(padded.as_bytes()).unwrap();
+    let lines = read_query_response(&mut reader);
+    assert!(lines.last().unwrap().contains("result(s)"), "{lines:?}");
+
+    // One byte more is refused and the server closes the connection. The
+    // line is sent without a terminator, so the server reads every byte
+    // sent and the close is a clean end of stream.
+    conn.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(line, "error: line too long\n");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
+
+    // The server itself is unaffected.
+    let (mut conn, mut reader) = connect();
+    writeln!(conn, "? 5 {TAU}").unwrap();
+    let lines = read_query_response(&mut reader);
+    assert!(lines.last().unwrap().contains("result(s)"), "{lines:?}");
+    writeln!(conn, "quit").unwrap();
+    server.stop();
+    service.shutdown();
 }
 
 /// Full TCP round trip: queries, updates, metrics, quit — two concurrent

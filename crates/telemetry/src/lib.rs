@@ -158,7 +158,7 @@ catalogue! {
         /// Query-family layer: one `FamilySuite::apply` window (blast-radius
         /// planning plus per-edge profile recompute for every family).
         FamilyApply => "family.apply",
-        /// Query-family layer: one `FamilySuite::query` top-k scan.
+        /// Query-family layer: one `FamilySuite::query` top-k ranked walk.
         FamilyQuery => "family.query",
     }
 }
@@ -255,7 +255,11 @@ catalogue! {
         /// Edges whose per-family score profiles `FamilySuite::apply`
         /// recomputed (owned, still-present edges in the blast radius).
         FamilyRecomputedEdges => "family.recomputed_edges",
-        /// Top-k scans served by `FamilySuite::query` (non-component
+        /// Edges whose family rankings `FamilySuite::apply` moved: changed
+        /// recomputed profiles plus deleted ones (unchanged recomputes are
+        /// skipped).
+        FamilyRerankedEdges => "family.reranked_edges",
+        /// Top-k ranked walks served by `FamilySuite::query` (non-component
         /// families only; component queries are counted by `query.topk`).
         FamilyQueries => "family.queries",
     }

@@ -222,18 +222,29 @@ fn family_counters_match_the_suite_reports() {
     ];
 
     telemetry::reset();
-    let mut recomputed = 0u64;
+    let (mut recomputed, mut reranked) = (0u64, 0u64);
     for batch in &batches {
         index.apply_batch(batch);
         let report = suite.apply(index.graph(), batch, 2);
         assert!(report.recomputed <= report.affected);
+        assert!(report.reranked <= report.affected);
         recomputed += report.recomputed as u64;
+        reranked += report.reranked as u64;
     }
     let snap = telemetry::snapshot();
-    // The counter is pinned to the reports the same windows returned, and
+    // The counters are pinned to the reports the same windows returned, and
     // each window is one `family.apply` span.
     assert!(recomputed > 0, "churn this dense must recompute profiles");
     assert_eq!(snap.counter("family.recomputed_edges"), recomputed);
+    assert!(reranked > 0, "churn this dense must move a ranking");
+    // Deleted profiles are re-ranked without a recompute, so only
+    // `affected` bounds one window; over this churn the recomputes still
+    // outnumber every re-rank.
+    assert!(
+        reranked <= recomputed,
+        "{reranked} re-ranked > {recomputed} recomputed"
+    );
+    assert_eq!(snap.counter("family.reranked_edges"), reranked);
     assert_eq!(
         snap.stage("family.apply").unwrap().count,
         batches.len() as u64
@@ -252,8 +263,9 @@ fn family_counters_match_the_suite_reports() {
         snap.stage("family.query").unwrap().count,
         Family::MAINTAINED.len() as u64
     );
-    // Queries read the suite; they must not move the apply-side counter.
+    // Queries read the suite; they must not move the apply-side counters.
     assert_eq!(snap.counter("family.recomputed_edges"), 0);
+    assert_eq!(snap.counter("family.reranked_edges"), 0);
 }
 
 #[test]
