@@ -9,8 +9,10 @@ pub enum UpperBound {
     /// `min(d(u), d(v))` — free given the degrees. The paper's `OnlineBFS`
     /// variant (§III uses the raw minimum degree, not divided by τ).
     MinDegree,
-    /// `⌊|N(u) ∩ N(v)| / τ⌋` — tighter, but costs an adjacency
-    /// intersection per edge. The paper's `OnlineBFS+` variant.
+    /// `⌊|N(u) ∩ N(v)| / τ⌋` — tighter, but the search first lists every
+    /// triangle once ([`esd_graph::triangles::edge_support`], `O(αm)` per
+    /// search) to learn all `|N(u) ∩ N(v)|`. The paper's `OnlineBFS+`
+    /// variant.
     CommonNeighbor,
 }
 
@@ -26,7 +28,9 @@ pub fn min_degree_bound(g: &Graph, u: VertexId, v: VertexId, tau: u32) -> u32 {
 }
 
 /// The common-neighbour upper bound: `⌊|N(u) ∩ N(v)| / τ⌋`. Tighter than
-/// [`min_degree_bound`] since `|N(u) ∩ N(v)| ≤ min(d(u), d(v))`.
+/// [`min_degree_bound`] since `|N(u) ∩ N(v)| ≤ min(d(u), d(v))`. One
+/// adjacency intersection for a single edge; the online search takes the
+/// bound of every edge from one triangle listing instead.
 #[inline]
 pub fn common_neighbor_bound(g: &Graph, u: VertexId, v: VertexId, tau: u32) -> u32 {
     debug_assert!(tau >= 1);

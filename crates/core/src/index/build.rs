@@ -3,7 +3,7 @@
 
 use super::{EdgeComponents, RankKey, ScoreTreap};
 use esd_dsu::ArenaDsu;
-use esd_graph::{cliques::FourCliqueEnumerator, traversal, Edge, Graph, OrientedGraph, VertexId};
+use esd_graph::{cliques::FourCliqueEnumerator, triangles, Edge, Graph, OrientedGraph, VertexId};
 use std::ops::Range;
 
 /// Work counters of the 4-clique construction, surfaced by the experiments
@@ -41,25 +41,40 @@ pub(crate) fn components_by_bfs(g: &Graph) -> EdgeComponents {
     let mut offsets = Vec::with_capacity(m + 1);
     offsets.push(0);
     let mut sizes = Vec::new();
+    let mut scratch = crate::score::ScoreScratch::new();
     for e in g.edges() {
-        let members = g.common_neighbors(e.u, e.v);
-        let comp = traversal::induced_component_sizes(g, &members);
-        sizes.extend(comp);
+        sizes.extend_from_slice(scratch.component_sizes(g, e.u, e.v));
         offsets.push(sizes.len());
     }
     EdgeComponents { offsets, sizes }
 }
 
 /// Phase 1 of Algorithm 3: materialise every common neighbourhood
-/// `N(uv) = N(u) ∩ N(v)` into one flat arena (total size `O(αm)`).
-pub(crate) fn neighborhoods(g: &Graph) -> (Vec<usize>, Vec<VertexId>) {
+/// `N(uv) = N(u) ∩ N(v)` into one flat arena (total size `O(αm)`), sorted
+/// per edge, with `m + 1` offsets.
+///
+/// Two passes of the triangle kernel over `dag`
+/// ([`esd_graph::triangles::for_each_triangle`]): the first counts `|N(uv)|`
+/// and turns the counts into exact offsets, the second scatters each
+/// triangle's third vertex into the lists of its three edges. Each list is
+/// then sorted.
+pub(crate) fn neighborhoods(g: &Graph, dag: &OrientedGraph) -> (Vec<usize>, Vec<VertexId>) {
     let m = g.num_edges();
     let mut offsets = Vec::with_capacity(m + 1);
-    offsets.push(0);
-    let mut nbrs = Vec::new();
-    for e in g.edges() {
-        esd_graph::intersect::intersect_into(g.neighbors(e.u), g.neighbors(e.v), &mut nbrs);
-        offsets.push(nbrs.len());
+    offsets.push(0usize);
+    for s in triangles::edge_support_oriented(m, dag) {
+        offsets.push(offsets.last().unwrap() + s as usize);
+    }
+    let mut cursor = offsets.clone();
+    let mut nbrs = vec![0 as VertexId; offsets[m]];
+    triangles::for_each_triangle(dag, |e_uv, e_uw, e_vw, u, v, w| {
+        for (e, x) in [(e_uv, w), (e_uw, v), (e_vw, u)] {
+            nbrs[cursor[e as usize]] = x;
+            cursor[e as usize] += 1;
+        }
+    });
+    for e in 0..m {
+        nbrs[offsets[e]..offsets[e + 1]].sort_unstable();
     }
     (offsets, nbrs)
 }
@@ -67,9 +82,11 @@ pub(crate) fn neighborhoods(g: &Graph) -> (Vec<usize>, Vec<VertexId>) {
 /// Algorithm 3, lines 1–22: builds per-edge disjoint-set forests by
 /// enumerating every 4-clique once and extracts the component sizes.
 pub(crate) fn components_by_four_cliques(g: &Graph) -> FourCliqueArtifacts {
-    let (nbr_offsets, nbrs) = {
+    let (dag, (nbr_offsets, nbrs)) = {
         let _span = esd_telemetry::span(esd_telemetry::Stage::BuildNeighborhoods);
-        neighborhoods(g)
+        let dag = OrientedGraph::by_degree(g);
+        let nbrs = neighborhoods(g, &dag);
+        (dag, nbrs)
     };
     esd_telemetry::add(esd_telemetry::Metric::BuildNbrTotal, nbrs.len() as u64);
     let mut arena = ArenaDsu::new(nbr_offsets.clone());
@@ -79,7 +96,6 @@ pub(crate) fn components_by_four_cliques(g: &Graph) -> FourCliqueArtifacts {
     };
 
     let enumerate_span = esd_telemetry::span(esd_telemetry::Stage::BuildEnumerate);
-    let dag = OrientedGraph::by_degree(g);
     let mut enumerator = FourCliqueEnumerator::new(g.num_vertices());
     // A local slot of vertex `x` inside edge `e`'s neighbourhood.
     let slot = |e: u32, x: VertexId| -> usize {
@@ -92,7 +108,7 @@ pub(crate) fn components_by_four_cliques(g: &Graph) -> FourCliqueArtifacts {
     for u in 0..dag.num_vertices() as VertexId {
         for i in 0..dag.out_degree(u) {
             let v = dag.out_neighbors(u)[i];
-            let e_uv = g.edge_id(u, v).expect("directed edge exists");
+            let e_uv = dag.out_edge_ids(u)[i];
             // The enumerator emits the pairs grouped by w1, so every
             // w1-level lookup (three edge ids, three slots) is cached and
             // recomputed only when w1 advances.
@@ -256,7 +272,7 @@ mod tests {
     #[test]
     fn neighborhood_total_is_sum_of_common_neighbors() {
         let g = generators::erdos_renyi(50, 0.2, 3);
-        let (offsets, nbrs) = neighborhoods(&g);
+        let (offsets, nbrs) = neighborhoods(&g, &OrientedGraph::by_degree(&g));
         let expect: usize = g
             .edges()
             .iter()
@@ -264,6 +280,48 @@ mod tests {
             .sum();
         assert_eq!(nbrs.len(), expect);
         assert_eq!(*offsets.last().unwrap(), expect);
+    }
+
+    /// Reference support and neighbourhoods: one adjacency intersection
+    /// per edge.
+    fn per_edge_reference(g: &Graph) -> (Vec<u32>, Vec<usize>, Vec<VertexId>) {
+        let (mut support, mut offsets, mut nbrs) = (Vec::new(), vec![0], Vec::new());
+        for e in g.edges() {
+            let (nu, nv) = (g.neighbors(e.u), g.neighbors(e.v));
+            support.push(esd_graph::intersect::intersection_size(nu, nv) as u32);
+            esd_graph::intersect::intersect_into(nu, nv, &mut nbrs);
+            offsets.push(nbrs.len());
+        }
+        (support, offsets, nbrs)
+    }
+
+    fn assert_kernel_matches_reference(g: &Graph) {
+        let (support, offsets, nbrs) = per_edge_reference(g);
+        assert_eq!(triangles::edge_support(g), support);
+        for dag in [OrientedGraph::by_degree(g), OrientedGraph::by_degeneracy(g)] {
+            assert_eq!(neighborhoods(g, &dag), (offsets.clone(), nbrs.clone()));
+        }
+    }
+
+    #[test]
+    fn triangle_kernel_matches_per_edge_reference_on_surrogates() {
+        for spec in esd_datasets::specs() {
+            let g = esd_datasets::load(spec.name, esd_datasets::Scale::Tiny);
+            assert_kernel_matches_reference(&g);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn triangle_kernel_matches_per_edge_reference(
+            seed in 0u64..40,
+            n in 2usize..60,
+            p in 0.0f64..0.5,
+            groups in 1usize..40,
+        ) {
+            assert_kernel_matches_reference(&generators::erdos_renyi(n, p, seed));
+            assert_kernel_matches_reference(&generators::clique_overlap(n, groups, 6, seed));
+        }
     }
 
     #[test]

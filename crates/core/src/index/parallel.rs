@@ -52,10 +52,13 @@ pub(crate) fn build_parallel(g: &Graph, threads: usize) -> (EsdIndex, ParallelBu
     let threads = threads.max(1);
     let m = g.num_edges();
 
-    // ---- Phase A: per-edge common neighbourhoods (parallel over edges).
-    let (nbr_offsets, nbrs) = {
+    // ---- Phase A: per-edge common neighbourhoods (the sequential
+    // triangle kernel; it is a small share of the build).
+    let (dag, (nbr_offsets, nbrs)) = {
         let _span = esd_telemetry::span(esd_telemetry::Stage::ParNeighborhoods);
-        parallel_neighborhoods(g, threads)
+        let dag = OrientedGraph::by_degree(g);
+        let nbrs = build::neighborhoods(g, &dag);
+        (dag, nbrs)
     };
     esd_telemetry::add(esd_telemetry::Metric::BuildNbrTotal, nbrs.len() as u64);
 
@@ -81,9 +84,14 @@ pub(crate) fn build_parallel(g: &Graph, threads: usize) -> (EsdIndex, ParallelBu
         .collect();
 
     // ---- Phase B: enumerate + apply, in rounds over directed-edge blocks.
-    let dag = OrientedGraph::by_degree(g);
-    let directed: Vec<(VertexId, VertexId)> = (0..g.num_vertices() as VertexId)
-        .flat_map(|u| dag.out_neighbors(u).iter().map(move |&v| (u, v)))
+    let directed: Vec<(VertexId, VertexId, u32)> = (0..g.num_vertices() as VertexId)
+        .flat_map(|u| {
+            let ids = dag.out_edge_ids(u);
+            dag.out_neighbors(u)
+                .iter()
+                .zip(ids)
+                .map(move |(&v, &e_uv)| (u, v, e_uv))
+        })
         .collect();
     let mut cliques_per_worker = vec![0u64; threads];
     let mut ops_per_shard = vec![0u64; threads];
@@ -117,8 +125,7 @@ pub(crate) fn build_parallel(g: &Graph, threads: usize) -> (EsdIndex, ParallelBu
                     let mut bins: Vec<Vec<Op>> = vec![Vec::new(); threads];
                     let mut cliques = 0u64;
                     let mut enumerator = FourCliqueEnumerator::new(g.num_vertices());
-                    for &(u, v) in part {
-                        let e_uv = g.edge_id(u, v).expect("directed edge");
+                    for &(u, v, e_uv) in part {
                         enumerator.for_edge(dag, u, v, |w1, w2| {
                             cliques += 1;
                             let e_uw1 = g.edge_id(u, w1).expect("clique edge");
@@ -259,55 +266,6 @@ pub(crate) fn build_parallel(g: &Graph, threads: usize) -> (EsdIndex, ParallelBu
             ops_per_shard,
         },
     )
-}
-
-/// Phase A: common neighbourhoods computed by parallel workers over
-/// contiguous edge ranges, then stitched.
-fn parallel_neighborhoods(g: &Graph, threads: usize) -> (Vec<usize>, Vec<VertexId>) {
-    let m = g.num_edges();
-    if threads <= 1 || m < 1024 {
-        return build::neighborhoods(g);
-    }
-    let chunk = m.div_ceil(threads);
-    let mut parts: Vec<(usize, Vec<usize>, Vec<VertexId>)> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let lo = (t * chunk).min(m);
-            let hi = ((t + 1) * chunk).min(m);
-            if lo == hi {
-                continue;
-            }
-            handles.push(scope.spawn(move || {
-                let mut lens = Vec::with_capacity(hi - lo);
-                let mut flat = Vec::new();
-                for e in &g.edges()[lo..hi] {
-                    let before = flat.len();
-                    esd_graph::intersect::intersect_into(
-                        g.neighbors(e.u),
-                        g.neighbors(e.v),
-                        &mut flat,
-                    );
-                    lens.push(flat.len() - before);
-                }
-                (lo, lens, flat)
-            }));
-        }
-        for h in handles {
-            parts.push(h.join().expect("neighbourhood worker"));
-        }
-    });
-    parts.sort_by_key(|&(lo, _, _)| lo);
-    let mut offsets = Vec::with_capacity(m + 1);
-    offsets.push(0usize);
-    let mut nbrs = Vec::new();
-    for (_, lens, flat) in parts {
-        for len in lens {
-            offsets.push(offsets.last().unwrap() + len);
-        }
-        nbrs.extend(flat);
-    }
-    (offsets, nbrs)
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! the entire point of the framework.
 
 pub use crate::bounds::UpperBound;
-use crate::{bounds, score, ScoredEdge};
-use esd_graph::{Edge, Graph};
+use crate::{bounds, score::ScoreScratch, ScoredEdge};
+use esd_graph::{triangles, Edge, Graph};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -70,20 +70,36 @@ pub fn online_topk_with_stats(
     assert!(tau >= 1, "component size threshold must be at least 1");
     let _span = esd_telemetry::span(esd_telemetry::Stage::OnlineTopk);
     let mut stats = OnlineStats::default();
-    let mut queue: BinaryHeap<Entry> = BinaryHeap::with_capacity(g.num_edges());
-    for e in g.edges() {
-        let ub = bounds::bound(g, e.u, e.v, tau, which);
-        if ub > 0 {
-            queue.push(Entry {
-                priority: ub,
-                edge: Reverse(*e),
-                exact: false,
-            });
-        }
-    }
+    let mut queue = {
+        let _span = esd_telemetry::span(esd_telemetry::Stage::OnlineBound);
+        // OnlineBFS+ takes every |N(u) ∩ N(v)| from one triangle listing,
+        // recomputed on every search.
+        let support = match which {
+            UpperBound::MinDegree => None,
+            UpperBound::CommonNeighbor => Some(triangles::edge_support(g)),
+        };
+        let entries: Vec<Entry> = g
+            .edges()
+            .iter()
+            .enumerate()
+            .filter_map(|(id, &edge)| {
+                let ub = match &support {
+                    Some(support) => support[id] / tau,
+                    None => bounds::min_degree_bound(g, edge.u, edge.v, tau),
+                };
+                (ub > 0).then_some(Entry {
+                    priority: ub,
+                    edge: Reverse(edge),
+                    exact: false,
+                })
+            })
+            .collect();
+        BinaryHeap::from(entries)
+    };
     stats.enqueued = queue.len();
 
     let mut results = Vec::with_capacity(k.min(16));
+    let mut scratch = ScoreScratch::new();
     while results.len() < k {
         let Some(entry) = queue.pop() else { break };
         stats.pops += 1;
@@ -99,7 +115,7 @@ pub fn online_topk_with_stats(
         }
         // First dequeue: replace the bound by the exact score.
         stats.exact_evaluations += 1;
-        let exact = score::edge_score(g, edge.u, edge.v, tau);
+        let exact = scratch.edge_score(g, edge.u, edge.v, tau);
         debug_assert!(exact <= entry.priority, "bound must dominate the score");
         if exact > 0 {
             queue.push(Entry {
@@ -123,7 +139,7 @@ mod tests {
     use super::*;
     use crate::fixtures::fig1;
     use crate::score::naive_topk;
-    use esd_graph::generators;
+    use esd_graph::{generators, Graph};
 
     #[test]
     fn matches_naive_on_fig1_all_parameters() {
@@ -165,6 +181,51 @@ mod tests {
             tight.exact_evaluations,
             loose.exact_evaluations
         );
+    }
+
+    /// However the bounds are computed, the pruning must stay identical:
+    /// pinned `(k, τ, bound, [evals, pops, enqueued])`, measured with
+    /// per-edge adjacency intersections as the bound pass.
+    #[test]
+    fn work_counters_are_pinned() {
+        use UpperBound::{CommonNeighbor as Cn, MinDegree as Md};
+        let (fig1, _) = fig1();
+        let overlap = generators::clique_overlap(150, 120, 6, 5);
+        let cases: [(&Graph, &[(usize, u32, UpperBound, [usize; 3])]); 2] = [
+            (
+                &fig1,
+                &[
+                    (3, 2, Md, [40, 43, 40]),
+                    (3, 2, Cn, [3, 6, 36]),
+                    (10, 1, Md, [40, 50, 40]),
+                    (10, 1, Cn, [38, 48, 40]),
+                    (40, 3, Md, [40, 55, 40]),
+                    (40, 3, Cn, [19, 34, 19]),
+                ],
+            ),
+            (
+                &overlap,
+                &[
+                    (3, 2, Md, [763, 766, 773]),
+                    (3, 2, Cn, [114, 117, 716]),
+                    (10, 1, Md, [751, 761, 773]),
+                    (10, 1, Cn, [491, 501, 761]),
+                    (50, 3, Md, [771, 821, 773]),
+                    (50, 3, Cn, [131, 181, 639]),
+                ],
+            ),
+        ];
+        for (g, pins) in cases {
+            for &(k, tau, which, [evals, pops, enqueued]) in pins {
+                let (_, stats) = online_topk_with_stats(g, k, tau, which);
+                let expect = OnlineStats {
+                    exact_evaluations: evals,
+                    pops,
+                    enqueued,
+                };
+                assert_eq!(stats, expect, "k={k} τ={tau} {which:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Exact edge structural diversity computation (Definitions 1–2).
 
 use crate::ScoredEdge;
-use esd_graph::{traversal, Graph, VertexId};
+use esd_graph::{traversal::InducedScratch, Graph, VertexId};
 
 /// Sorted multiset of connected-component sizes of the ego-network
 /// `G_{N(uv)}` — the `C_uv` of the paper.
@@ -18,14 +18,43 @@ use esd_graph::{traversal, Graph, VertexId};
 /// assert_eq!(component_sizes(&g, f, gv), vec![2, 2]); // {d,e} and {h,i}
 /// ```
 pub fn component_sizes(g: &Graph, u: VertexId, v: VertexId) -> Vec<u32> {
-    let members = g.common_neighbors(u, v);
-    traversal::induced_component_sizes(g, &members)
+    ScoreScratch::new().component_sizes(g, u, v).to_vec()
 }
 
 /// The structural diversity `score_τ(u, v)`: the number of connected
 /// components of `G_{N(uv)}` with at least `τ` vertices (Definition 2).
 pub fn edge_score(g: &Graph, u: VertexId, v: VertexId, tau: u32) -> u32 {
-    score_from_sizes(&component_sizes(g, u, v), tau)
+    ScoreScratch::new().edge_score(g, u, v, tau)
+}
+
+/// Reusable buffers for scoring many edges: the common neighbourhood
+/// `N(uv)` and the induced-BFS scratch. [`component_sizes`] and
+/// [`edge_score`] build one per call; loops over many edges (the online
+/// search, the BFS index build, [`all_scores`]) keep one, so an exact
+/// evaluation allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct ScoreScratch {
+    members: Vec<VertexId>,
+    bfs: InducedScratch,
+}
+
+impl ScoreScratch {
+    /// Empty scratch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// [`component_sizes`] on this scratch.
+    pub fn component_sizes(&mut self, g: &Graph, u: VertexId, v: VertexId) -> &[u32] {
+        self.members.clear();
+        esd_graph::intersect::intersect_into(g.neighbors(u), g.neighbors(v), &mut self.members);
+        self.bfs.component_sizes(g, &self.members)
+    }
+
+    /// [`edge_score`] on this scratch.
+    pub fn edge_score(&mut self, g: &Graph, u: VertexId, v: VertexId, tau: u32) -> u32 {
+        score_from_sizes(self.component_sizes(g, u, v), tau)
+    }
 }
 
 /// Counts entries of a sorted size multiset that are ≥ `tau`.
@@ -39,9 +68,10 @@ pub fn score_from_sizes(sorted_sizes: &[u32], tau: u32) -> u32 {
 /// This is the `O((αd_max)m)` brute-force pass that the online and
 /// index-based algorithms avoid.
 pub fn all_scores(g: &Graph, tau: u32) -> Vec<u32> {
+    let mut scratch = ScoreScratch::new();
     g.edges()
         .iter()
-        .map(|e| edge_score(g, e.u, e.v, tau))
+        .map(|e| scratch.edge_score(g, e.u, e.v, tau))
         .collect()
 }
 
@@ -75,7 +105,7 @@ pub fn batch_topk(g: &Graph, k: usize, tau: u32) -> Vec<ScoredEdge> {
     assert!(tau >= 1, "component size threshold must be at least 1");
     let comps = crate::index::EdgeComponents::by_four_cliques(g);
     let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<HeapEntry>> =
-        std::collections::BinaryHeap::with_capacity(k + 1);
+        std::collections::BinaryHeap::with_capacity(k.min(g.num_edges()) + 1);
     for (eid, &edge) in g.edges().iter().enumerate() {
         let score = comps.score_of(eid, tau);
         if score == 0 {
@@ -197,6 +227,15 @@ mod tests {
         assert!(batch_topk(&star, 5, 1).is_empty(), "no triangles");
         let (g, _) = fig1();
         assert!(batch_topk(&g, 0, 1).is_empty());
+    }
+
+    #[test]
+    fn batch_topk_unbounded_k_returns_every_scored_edge() {
+        let (g, _) = fig1();
+        let all = naive_topk(&g, g.num_edges(), 2);
+        for k in [1 << 40, usize::MAX] {
+            assert_eq!(batch_topk(&g, k, 2), all, "k = {k}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! techniques; this module provides the vertex version for comparison and
 //! for the case-study narratives (a vertex's contexts vs an edge's).
 
-use esd_graph::{traversal, Graph, VertexId};
+use esd_graph::{traversal::InducedScratch, Graph, VertexId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -22,8 +22,12 @@ pub struct ScoredVertex {
 /// Exact vertex structural diversity: components of the subgraph induced by
 /// `N(v)` with size ≥ τ.
 pub fn vertex_score(g: &Graph, v: VertexId, tau: u32) -> u32 {
-    let sizes = traversal::induced_component_sizes(g, g.neighbors(v));
-    (sizes.len() - sizes.partition_point(|&s| s < tau)) as u32
+    vertex_score_in(&mut InducedScratch::new(), g, v, tau)
+}
+
+/// [`vertex_score`] on a caller-held scratch.
+fn vertex_score_in(scratch: &mut InducedScratch, g: &Graph, v: VertexId, tau: u32) -> u32 {
+    crate::score::score_from_sizes(scratch.component_sizes(g, g.neighbors(v)), tau)
 }
 
 /// Top-k vertices by structural diversity using the same dequeue-twice
@@ -40,6 +44,7 @@ pub fn vertex_topk(g: &Graph, k: usize, tau: u32) -> Vec<ScoredVertex> {
         })
         .collect();
     let mut out = Vec::new();
+    let mut scratch = InducedScratch::new();
     while out.len() < k {
         let Some((priority, Reverse(v), exact)) = queue.pop() else {
             break;
@@ -51,7 +56,7 @@ pub fn vertex_topk(g: &Graph, k: usize, tau: u32) -> Vec<ScoredVertex> {
             });
             continue;
         }
-        let s = vertex_score(g, v, tau);
+        let s = vertex_score_in(&mut scratch, g, v, tau);
         if s > 0 {
             queue.push((s, Reverse(v), true));
         }

@@ -111,9 +111,13 @@ pub fn count_four_cliques(g: &Graph) -> u64 {
 /// Lists each k-clique of `g` exactly once (vertices passed in DAG order).
 ///
 /// Generic Chiba–Nishizeki-style recursion on the degree-ordered DAG; runs in
-/// `O(k · m · α^(k-2))`. `k` must be at least 1.
+/// `O(k · m · α^(k-2))`. `k` must be at least 1; a `k` above the vertex
+/// count lists nothing and allocates nothing.
 pub fn list_k_cliques(g: &Graph, k: usize, mut f: impl FnMut(&[VertexId])) {
     assert!(k >= 1, "clique size must be positive");
+    if k > g.num_vertices() {
+        return;
+    }
     if k == 1 {
         for v in g.vertices() {
             f(&[v]);
@@ -272,6 +276,16 @@ mod tests {
             es += 1;
         });
         assert_eq!(es, 2);
+    }
+
+    #[test]
+    fn k_clique_size_above_n_lists_nothing() {
+        let g = generators::complete(6);
+        for k in [7, 1 << 40, usize::MAX] {
+            let mut listed = 0;
+            list_k_cliques(&g, k, |_| listed += 1);
+            assert_eq!(listed, 0, "k = {k}");
+        }
     }
 
     proptest! {

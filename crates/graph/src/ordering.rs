@@ -7,7 +7,7 @@
 //! provided: it yields the graph's degeneracy `δ` (Table I) and an
 //! alternative orientation with out-degrees bounded by `δ`.
 
-use crate::{Graph, VertexId};
+use crate::{EdgeId, Graph, VertexId};
 
 /// The paper's total order `≺` on vertices: `u ≺ v` iff
 /// `d(u) < d(v)`, or `d(u) == d(v)` and `u < v`.
@@ -125,11 +125,16 @@ impl DegeneracyOrder {
 ///
 /// Out-neighbour lists are sorted by vertex id, so common out-neighbourhoods
 /// can be computed with the [`crate::intersect`] kernels — the inner kernel
-/// of the 4-clique enumerator.
+/// of the 4-clique enumerator. Every arc also carries the [`EdgeId`] of its
+/// undirected edge ([`Self::out_edge_ids`], parallel to
+/// [`Self::out_neighbors`]), so the triangle kernel
+/// ([`crate::triangles::for_each_triangle`]) names the edges it finds
+/// without an `edge_id` lookup.
 #[derive(Debug, Clone)]
 pub struct OrientedGraph {
     offsets: Vec<usize>,
     targets: Vec<VertexId>,
+    edge_ids: Vec<EdgeId>,
 }
 
 impl OrientedGraph {
@@ -163,20 +168,25 @@ impl OrientedGraph {
             offsets.push(offsets.last().unwrap() + d);
         }
         let mut cursor = offsets.clone();
-        let mut targets = vec![0 as VertexId; g.num_edges()];
-        for e in g.edges() {
+        let mut arcs = vec![(0 as VertexId, 0 as EdgeId); g.num_edges()];
+        for (id, e) in g.edges().iter().enumerate() {
             let (src, dst) = if rank(e.u) < rank(e.v) {
                 (e.u, e.v)
             } else {
                 (e.v, e.u)
             };
-            targets[cursor[src as usize]] = dst;
+            arcs[cursor[src as usize]] = (dst, id as EdgeId);
             cursor[src as usize] += 1;
         }
         for u in 0..n {
-            targets[offsets[u]..offsets[u + 1]].sort_unstable();
+            arcs[offsets[u]..offsets[u + 1]].sort_unstable();
         }
-        Self { offsets, targets }
+        let (targets, edge_ids) = arcs.into_iter().unzip();
+        Self {
+            offsets,
+            targets,
+            edge_ids,
+        }
     }
 
     /// Number of vertices.
@@ -193,6 +203,13 @@ impl OrientedGraph {
     #[inline]
     pub fn out_neighbors(&self, u: VertexId) -> &[VertexId] {
         &self.targets[self.offsets[u as usize]..self.offsets[u as usize + 1]]
+    }
+
+    /// Edge ids of `u`'s out-arcs: entry `i` is the id of the edge
+    /// `(u, out_neighbors(u)[i])`.
+    #[inline]
+    pub fn out_edge_ids(&self, u: VertexId) -> &[EdgeId] {
+        &self.edge_ids[self.offsets[u as usize]..self.offsets[u as usize + 1]]
     }
 
     /// Out-degree `d⁺(u)`.
@@ -214,7 +231,8 @@ impl OrientedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::{generators, Edge};
+    use proptest::prelude::*;
 
     #[test]
     fn degree_order_matches_paper_rule() {
@@ -279,5 +297,25 @@ mod tests {
         let ord = DegeneracyOrder::new(&g);
         assert_eq!(ord.core, vec![2, 2, 2, 1]);
         assert_eq!(ord.degeneracy, 2);
+    }
+
+    proptest! {
+        #[test]
+        fn arcs_carry_their_edge_ids(seed in 0u64..60, n in 2usize..50, p in 0.0f64..0.5) {
+            let g = generators::erdos_renyi(n, p, seed);
+            for dag in [OrientedGraph::by_degree(&g), OrientedGraph::by_degeneracy(&g)] {
+                let mut seen = vec![false; g.num_edges()];
+                for u in g.vertices() {
+                    let (targets, ids) = (dag.out_neighbors(u), dag.out_edge_ids(u));
+                    prop_assert_eq!(targets.len(), ids.len());
+                    for (&v, &id) in targets.iter().zip(ids) {
+                        prop_assert_eq!(g.edge(id), Edge::new(u, v));
+                        prop_assert!(!seen[id as usize], "edge {} oriented twice", id);
+                        seen[id as usize] = true;
+                    }
+                }
+                prop_assert!(seen.iter().all(|&s| s), "every edge oriented");
+            }
+        }
     }
 }

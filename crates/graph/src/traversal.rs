@@ -53,49 +53,92 @@ pub fn bfs_distances(g: &Graph, source: VertexId) -> Vec<u32> {
 /// the paper's `BFS(G_{N(uv)}, τ)` procedure (Algorithm 1, lines 16–21).
 ///
 /// `members` must be sorted. Returns the sorted multiset of component sizes.
-/// Adjacency inside the induced subgraph is tested by intersecting each
-/// member's neighbour list with `members`, so the cost is
-/// `O(Σ_{w ∈ members} min(d(w), |members|))` — the bound used by Theorem 2.
+/// A one-shot call allocates its scratch; loops that evaluate many
+/// neighbourhoods hold one [`InducedScratch`] instead.
 pub fn induced_component_sizes(g: &Graph, members: &[VertexId]) -> Vec<u32> {
-    debug_assert!(
-        members.windows(2).all(|w| w[0] < w[1]),
-        "members must be sorted+unique"
-    );
-    let k = members.len();
-    if k == 0 {
-        return Vec::new();
+    InducedScratch::new().component_sizes(g, members).to_vec()
+}
+
+/// A member's neighbour list longer than `HUB_FACTOR × |members|` is
+/// intersected with `members` by the galloping kernel instead of scanned.
+const HUB_FACTOR: usize = 16;
+
+/// Reusable buffers for [`induced_component_sizes`]: a vertex-indexed
+/// "unvisited member" flag array plus the BFS queue, an intersection buffer
+/// and the size list. A call raises the flags of `members` and the BFS
+/// lowers each one as it visits that member, so every flag is down again
+/// when the call returns; nothing is cleared between calls and nothing is
+/// allocated once the buffers have grown.
+#[derive(Debug, Clone, Default)]
+pub struct InducedScratch {
+    pending: Vec<bool>,
+    queue: Vec<VertexId>,
+    buf: Vec<VertexId>,
+    sizes: Vec<u32>,
+}
+
+impl InducedScratch {
+    /// Empty scratch; the flag array grows to `g.num_vertices()` on first
+    /// use.
+    pub fn new() -> Self {
+        Self::default()
     }
-    // Local ids via binary search in `members`.
-    let mut visited = vec![false; k];
-    let mut sizes = Vec::new();
-    let mut queue = Vec::new();
-    let mut buf = Vec::new();
-    for start in 0..k {
-        if visited[start] {
-            continue;
+
+    /// [`induced_component_sizes`] on this scratch: the sorted component
+    /// sizes of the subgraph induced by the sorted `members`.
+    ///
+    /// Each BFS step scans the visited member's neighbour list against the
+    /// flags, except that a hub — a neighbour list longer than
+    /// 16 × `|members|` — is galloped against `members`
+    /// ([`crate::intersect::intersect_into`]). The cost is therefore
+    /// `O(Σ_{w ∈ members} min(d(w), |members| log d(w)))`, within a
+    /// logarithm of the `O(Σ min(d(w), |members|))` bound used by Theorem 2.
+    pub fn component_sizes(&mut self, g: &Graph, members: &[VertexId]) -> &[u32] {
+        debug_assert!(
+            members.windows(2).all(|w| w[0] < w[1]),
+            "members must be sorted+unique"
+        );
+        let Self {
+            pending,
+            queue,
+            buf,
+            sizes,
+        } = self;
+        sizes.clear();
+        if pending.len() < g.num_vertices() {
+            pending.resize(g.num_vertices(), false);
         }
-        visited[start] = true;
-        queue.push(start);
-        let mut size = 0u32;
-        while let Some(local) = queue.pop() {
-            size += 1;
-            let w = members[local];
-            buf.clear();
-            crate::intersect::intersect_into(g.neighbors(w), members, &mut buf);
-            for &x in &buf {
-                let lx = members
-                    .binary_search(&x)
-                    .expect("member of the induced set");
-                if !visited[lx] {
-                    visited[lx] = true;
-                    queue.push(lx);
+        for &x in members {
+            pending[x as usize] = true;
+        }
+        let hub = HUB_FACTOR.saturating_mul(members.len());
+        for &start in members {
+            if !pending[start as usize] {
+                continue;
+            }
+            pending[start as usize] = false;
+            queue.push(start);
+            let mut size = 0u32;
+            while let Some(w) = queue.pop() {
+                size += 1;
+                let mut adjacent = g.neighbors(w);
+                if adjacent.len() > hub {
+                    buf.clear();
+                    crate::intersect::intersect_into(adjacent, members, buf);
+                    adjacent = buf;
+                }
+                for &x in adjacent {
+                    if pending[x as usize] {
+                        pending[x as usize] = false;
+                        queue.push(x);
+                    }
                 }
             }
+            sizes.push(size);
         }
-        sizes.push(size);
+        sizes.sort_unstable();
+        sizes
     }
-    sizes.sort_unstable();
-    sizes
 }
 
 /// Connected components of the subgraph induced by `members`, as sorted
@@ -146,6 +189,36 @@ pub fn induced_components(g: &Graph, members: &[VertexId]) -> Vec<Vec<VertexId>>
 mod tests {
     use super::*;
     use crate::generators;
+    use proptest::prelude::*;
+
+    /// Union–find over every adjacent member pair: the reference for the
+    /// induced BFS.
+    fn brute_force_sizes(g: &Graph, members: &[VertexId]) -> Vec<u32> {
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        let mut parent: Vec<usize> = (0..members.len()).collect();
+        for i in 0..members.len() {
+            for j in i + 1..members.len() {
+                if g.has_edge(members[i], members[j]) {
+                    let (a, b) = (find(&mut parent, i), find(&mut parent, j));
+                    parent[a] = b;
+                }
+            }
+        }
+        let mut sizes = vec![0u32; members.len()];
+        for i in 0..members.len() {
+            let root = find(&mut parent, i);
+            sizes[root] += 1;
+        }
+        sizes.retain(|&s| s > 0);
+        sizes.sort_unstable();
+        sizes
+    }
 
     #[test]
     fn components_of_two_triangles() {
@@ -219,5 +292,43 @@ mod tests {
         induced.sort_unstable();
         global.sort_unstable();
         assert_eq!(induced, global);
+    }
+
+    #[test]
+    fn hub_members_take_the_intersection_path() {
+        // Vertex 0 is adjacent to all 199 others, far above 16 × |members|;
+        // 1–2 is the only other edge.
+        let mut edges: Vec<(VertexId, VertexId)> = (1..200).map(|v| (0, v)).collect();
+        edges.push((1, 2));
+        let g = Graph::from_edges(200, &edges);
+        let mut scratch = InducedScratch::new();
+        assert_eq!(scratch.component_sizes(&g, &[0, 7, 150]), &[3]);
+        assert_eq!(scratch.component_sizes(&g, &[1, 2, 150]), &[1, 2]);
+        assert_eq!(scratch.component_sizes(&g, &[0]), &[1]);
+    }
+
+    proptest! {
+        #[test]
+        fn induced_sizes_match_union_find(
+            seed in 0u64..200,
+            n in 1usize..70,
+            p in 0.0f64..0.6,
+            masks in proptest::collection::vec(any::<u64>(), 1..6),
+        ) {
+            let g = generators::erdos_renyi(n, p, seed);
+            // Repeated calls on one scratch: no state may leak between them.
+            let mut scratch = InducedScratch::new();
+            for mask in masks {
+                // Keep each vertex with probability 2^-(mask & 7), so some
+                // sets are small enough for the hub path.
+                let keep = 64 >> (mask & 7);
+                let members: Vec<VertexId> = (0..n as VertexId)
+                    .filter(|&v| (mask ^ u64::from(v)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58 < keep)
+                    .collect();
+                let expect = brute_force_sizes(&g, &members);
+                prop_assert_eq!(scratch.component_sizes(&g, &members), expect.as_slice());
+                prop_assert_eq!(induced_component_sizes(&g, &members), expect);
+            }
+        }
     }
 }

@@ -104,7 +104,8 @@ catalogue! {
         GraphOrient => "graph.orient",
         /// Per-edge BFS over ego-networks (`EsdIndex::build_basic`).
         BuildBfs => "build.bfs",
-        /// Common-neighbourhood materialisation (sequential build).
+        /// DAG orientation plus common-neighbourhood materialisation by the
+        /// triangle kernel (sequential build).
         BuildNeighborhoods => "build.neighborhoods",
         /// 4-clique enumeration + union–find (sequential build).
         BuildEnumerate => "build.enumerate",
@@ -112,7 +113,8 @@ catalogue! {
         BuildExtract => "build.extract",
         /// `H(c)` list filling (sequential build).
         BuildFill => "build.fill",
-        /// Phase A of the parallel build: sharded neighbourhoods.
+        /// Phase A of the parallel build: DAG orientation plus common
+        /// neighbourhoods (the sequential triangle kernel).
         ParNeighborhoods => "pbuild.neighborhoods",
         /// Phase B enumerate side: workers binning DSU ops by shard.
         ParEnumerate => "pbuild.enumerate",
@@ -137,6 +139,10 @@ catalogue! {
         PbatchCommit => "pbatch.commit",
         /// One dequeue-twice online top-k search.
         OnlineTopk => "online.topk",
+        /// The bound pass of one online search: every edge's upper bound
+        /// (OnlineBFS+: one triangle listing for all `|N(u) ∩ N(v)|`) and
+        /// the heapify of the bounded entries. Nested in `online.topk`.
+        OnlineBound => "online.bound",
         /// One index top-k query (`EsdIndex` or `MaintainedIndex`).
         QueryTopk => "query.topk",
         /// Serve engine: one query executed against a snapshot.

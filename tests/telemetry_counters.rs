@@ -284,6 +284,8 @@ fn online_counters_equal_the_search_stats() {
     assert_eq!(snap.counter("online.enqueued"), stats.enqueued as u64);
     let span = snap.stage("online.topk").expect("online span");
     assert_eq!(span.count, 1);
+    let bound = snap.stage("online.bound").expect("bound-pass span");
+    assert_eq!(bound.count, 1, "one bound pass per search");
 }
 
 #[test]
