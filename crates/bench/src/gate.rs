@@ -334,14 +334,14 @@ mod tests {
         // query_topk vanished; a new benchmark appeared.
         let fresh = report_with(&[
             ("build_seq", "Youtube/tiny", 1000),
-            ("intersect_hub_bitset", "synthetic/hub", 200),
+            ("intersect_hub_gallop", "synthetic/hub", 200),
         ]);
         let outcome = compare(&fresh, &baseline, None).unwrap();
         assert!(!outcome.passed());
         assert_eq!(outcome.missing.len(), 1);
         assert!(outcome.missing[0].contains("query_topk"));
         assert_eq!(outcome.unbaselined.len(), 1);
-        assert!(outcome.unbaselined[0].contains("intersect_hub_bitset"));
+        assert!(outcome.unbaselined[0].contains("intersect_hub_gallop"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Shared helpers for the benchmark harness and criterion benches.
+//! Shared helpers for the benchmark harness.
 //!
 //! The `experiments` binary (see `src/bin/experiments.rs`) regenerates every
-//! table and figure of the paper's evaluation; the criterion benches under
-//! `benches/` provide statistically solid timings of the individual kernels.
+//! table and figure of the paper's evaluation; [`suite`] and [`gate`] back
+//! `esd bench`, the pinned micro-benchmark suite and its regression gate.
 
 #![warn(missing_docs)]
 

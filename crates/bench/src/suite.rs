@@ -281,12 +281,12 @@ fn sweep_kernel(
 
 /// The intersection-kernel benchmarks on a synthetic high-degree "hub"
 /// workload: pairs of ~4k-element pseudorandom neighbour lists sharing a
-/// 32k-id span (≈16 combined members per 64-id word — squarely in the
-/// bitset kernel's regime; see `docs/kernels.md`). Each repetition sweeps
-/// several distinct pairs so branch predictors see fresh data on every
-/// call, as they do inside a real build. The same sweep runs through each
-/// kernel directly and once through the adaptive dispatcher, so a report
-/// shows the dispatch overhead and which kernel won on this machine.
+/// 32k-id span (balanced lengths, so the dispatcher picks merge; see
+/// `docs/kernels.md`). Each repetition sweeps several distinct pairs so
+/// branch predictors see fresh data on every call, as they do inside a
+/// real build. The same sweep runs through each kernel directly and once
+/// through the adaptive dispatcher, so a report shows the dispatch
+/// overhead and what the other kernel would have cost.
 fn run_kernels(out: &mut Vec<Json>, reps: usize) {
     use esd_graph::intersect;
 
@@ -302,10 +302,9 @@ fn run_kernels(out: &mut Vec<Json>, reps: usize) {
         .collect();
     let mut scratch: Vec<VertexId> = Vec::new();
     type KernelFn = fn(&[VertexId], &[VertexId], &mut Vec<VertexId>);
-    let kernels: [(&str, KernelFn); 4] = [
+    let kernels: [(&str, KernelFn); 3] = [
         ("intersect_hub_merge", intersect::intersect_merge),
         ("intersect_hub_gallop", intersect::intersect_gallop),
-        ("intersect_hub_bitset", intersect::intersect_bitset),
         ("intersect_hub_adaptive", intersect::intersect_into),
     ];
     for (name, kernel) in kernels {
@@ -321,10 +320,6 @@ fn run_kernels(out: &mut Vec<Json>, reps: usize) {
 pub fn run(cfg: &SuiteConfig) -> Json {
     assert!(cfg.reps > 0, "reps must be at least 1");
     assert!(cfg.threads > 0, "threads must be at least 1");
-    // Measure the intersection-kernel crossovers on this machine before any
-    // timed work, so the adaptive dispatcher runs with calibrated thresholds
-    // rather than the dev-machine defaults baked into esd-graph.
-    let _ = esd_graph::intersect::calibrate();
     let mut benchmarks = Vec::new();
     for (name, scale) in cfg.suite.datasets() {
         let g = load(name, scale);
@@ -390,7 +385,6 @@ mod tests {
                 "serve_window",
                 "intersect_hub_merge",
                 "intersect_hub_gallop",
-                "intersect_hub_bitset",
                 "intersect_hub_adaptive"
             ]
         );

@@ -9,8 +9,8 @@
 //!   maintenance algorithms (edge insertion / deletion).
 //! * [`ordering`] — the paper's degree ordering `≺`, degeneracy ordering,
 //!   and DAG orientation.
-//! * [`intersect`] — sorted-set intersection kernels (merge / galloping /
-//!   blocked-bitset SWAR), adaptively dispatched with calibrated crossovers.
+//! * [`intersect`] — sorted-set intersection kernels (merge / galloping),
+//!   dispatched on the ratio of the two list lengths.
 //! * [`traversal`] — BFS and connected components.
 //! * [`triangles`] / [`cliques`] — oriented triangle listing and
 //!   Chiba–Nishizeki-style k-clique enumeration (the 4-clique enumerator at

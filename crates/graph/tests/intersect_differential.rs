@@ -1,27 +1,18 @@
-//! Differential suite for the intersection kernels: every kernel — and the
-//! adaptive dispatcher under every threshold configuration — must agree
-//! exactly with `intersect_merge`, which is the reference the
-//! `strict-invariants` build also verifies against inline. The clique tests
-//! pin the downstream consumer: the `WordTiles`-based 4-clique enumerator
-//! must count exactly what the generic k-clique lister counts on generator
+//! Differential suite for the intersection kernels: gallop, the fixed
+//! dispatcher and the counting entry point must agree exactly with
+//! `intersect_merge`, which is the reference the `strict-invariants` build
+//! also verifies every gallop dispatch against inline. The clique tests pin
+//! the downstream consumer: the `WordTiles`-based 4-clique enumerator must
+//! count exactly what the generic k-clique lister counts on generator
 //! graphs across densities.
 
 use esd_graph::cliques::{count_four_cliques, list_k_cliques};
 use esd_graph::intersect::{
-    choose_kernel, intersect_adaptive, intersect_bitset, intersect_gallop, intersect_into,
-    intersect_merge, intersection_size, kernel_config, set_kernel_config, KernelConfig, WordTiles,
+    choose_kernel, intersect_adaptive, intersect_gallop, intersect_into, intersect_merge,
+    intersection_size, Kernel, WordTiles, GALLOP_RATIO,
 };
 use esd_graph::{generators, VertexId};
 use proptest::prelude::*;
-
-/// Runs `f` with the dispatcher forced to the given thresholds, restoring
-/// the previous configuration afterwards (the config is process-global).
-fn with_config(cfg: KernelConfig, f: impl FnOnce()) {
-    let prev = kernel_config();
-    set_kernel_config(cfg);
-    f();
-    set_kernel_config(prev);
-}
 
 fn merge(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
     let mut out = Vec::new();
@@ -29,34 +20,27 @@ fn merge(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
     out
 }
 
-/// Asserts that every kernel, both argument orders, agrees with the merge
-/// reference on `(a, b)` — including the counting twins.
+/// Asserts that gallop, the dispatcher and the counting entry point, in
+/// both argument orders, agree with the merge reference on `(a, b)`.
 fn assert_all_kernels_agree(a: &[VertexId], b: &[VertexId]) {
     let expected = merge(a, b);
-    for (name, kernel) in [
-        (
-            "bitset",
-            intersect_bitset as fn(&[VertexId], &[VertexId], &mut Vec<VertexId>),
-        ),
-        ("adaptive", intersect_into),
-    ] {
-        for (x, y) in [(a, b), (b, a)] {
-            let mut got = Vec::new();
-            kernel(x, y, &mut got);
-            assert_eq!(got, expected, "{name} disagrees with merge");
-            assert_eq!(
-                intersection_size(x, y),
-                expected.len(),
-                "intersection_size disagrees with merge"
-            );
-        }
+    for (x, y) in [(a, b), (b, a)] {
+        assert_eq!(merge(x, y), expected, "merge is not symmetric");
+        let mut got = Vec::new();
+        intersect_into(x, y, &mut got);
+        assert_eq!(got, expected, "adaptive dispatch disagrees with merge");
+        assert_eq!(
+            intersection_size(x, y),
+            expected.len(),
+            "intersection_size disagrees with merge"
+        );
+        assert_eq!(intersect_adaptive(x, y), expected);
     }
     // Gallop's contract requires the shorter list first.
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     let mut got = Vec::new();
     intersect_gallop(short, long, &mut got);
     assert_eq!(got, expected, "gallop disagrees with merge");
-    assert_eq!(intersect_adaptive(a, b), expected);
 }
 
 #[test]
@@ -66,9 +50,8 @@ fn adversarial_cases() {
     let identical: Vec<VertexId> = (0..200).map(|x| x * 3).collect();
     let disjoint_a: Vec<VertexId> = (0..200).map(|x| x * 2).collect();
     let disjoint_b: Vec<VertexId> = (0..200).map(|x| x * 2 + 1).collect();
-    // A high-degree hub packed densely into few words against a sparse
-    // list spread over many words — the case the bitset word-grouping and
-    // the gallop jumps both have to get right at word boundaries.
+    // A high-degree hub packed densely into few ids against a sparse list
+    // spread over a wide range — the gallop jumps have to land exactly.
     let dense: Vec<VertexId> = (0..512).collect();
     let sparse: Vec<VertexId> = (0..512).map(|x| x * 67).collect();
     let near_max: Vec<VertexId> = (0..64).map(|x| u32::MAX - 63 + x).collect();
@@ -90,45 +73,24 @@ fn adversarial_cases() {
 }
 
 #[test]
-fn agreement_holds_under_every_dispatch_configuration() {
+fn agreement_holds_on_both_dispatch_arms() {
+    // One balanced pair (merge) and one pair skewed exactly to the gallop
+    // ratio (gallop): the result must not depend on which kernel computed
+    // it (choose_kernel is pure, so we can check which one fires without
+    // touching the telemetry registry).
     let a: Vec<VertexId> = (0..300).map(|x| x * 5).collect();
     let b: Vec<VertexId> = (0..900).map(|x| x * 2).collect();
-    let expected = merge(&a, &b);
-    // Force each corner of the dispatch space: always-merge, always-gallop,
-    // always-bitset, and the defaults. The result must never change — only
-    // which kernel computed it (choose_kernel is pure, so we can check
-    // which one fired without touching the telemetry registry).
-    for cfg in [
-        KernelConfig {
-            gallop_ratio: usize::MAX,
-            bitset_min_len: usize::MAX,
-            ..KernelConfig::default()
-        },
-        KernelConfig {
-            gallop_ratio: 1,
-            bitset_min_len: usize::MAX,
-            ..KernelConfig::default()
-        },
-        KernelConfig {
-            gallop_ratio: usize::MAX,
-            bitset_min_len: 1,
-            bitset_min_per_word: 0,
-        },
-        KernelConfig::default(),
-    ] {
-        with_config(cfg, || {
-            let _ = choose_kernel(&a, &b);
-            let mut got = Vec::new();
-            intersect_into(&a, &b, &mut got);
-            assert_eq!(got, expected, "dispatcher broke under {cfg:?}");
-            assert_eq!(intersection_size(&a, &b), expected.len());
-        });
+    let hub: Vec<VertexId> = (0..(300 * GALLOP_RATIO) as u32).collect();
+    for (x, y, kernel) in [(&a, &b, Kernel::Merge), (&a, &hub, Kernel::Gallop)] {
+        assert_eq!(choose_kernel(x, y), kernel);
+        assert_eq!(choose_kernel(y, x), kernel);
+        assert_all_kernels_agree(x, y);
     }
 }
 
 proptest! {
-    /// Narrow dense ranges: many ids share a 64-id word, so the bitset
-    /// kernel's mask build/drain path does real multi-bit work.
+    /// Narrow dense ranges: long runs of consecutive ids, so most probes
+    /// hit and the merge and gallop frontiers advance in lockstep.
     #[test]
     fn kernels_agree_on_dense_ranges(
         mut a in proptest::collection::btree_set(0u32..256, 0..128),
@@ -139,8 +101,8 @@ proptest! {
         assert_all_kernels_agree(&a, &b);
     }
 
-    /// Wide sparse ranges up to `u32::MAX`: word indices themselves span
-    /// the full 26-bit range, pinning the `(w << 6) | bit` reconstruction.
+    /// Wide sparse ranges up to `u32::MAX`: ids at the top of the range
+    /// must compare and emit without overflow.
     #[test]
     fn kernels_agree_on_sparse_ranges(
         mut a in proptest::collection::btree_set(0u32..=u32::MAX, 0..64),

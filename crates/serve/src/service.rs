@@ -1192,44 +1192,6 @@ impl ServiceHandle {
         }
     }
 
-    /// Persists the currently published snapshot as an ESDX file at
-    /// `path`, atomically *and durably*: the index is frozen and written
-    /// to a temporary sibling, the tmp file is fsynced, it is renamed into
-    /// place, and the parent directory is fsynced — so a failed persist
-    /// (real or injected at the `persist_io` fault point) leaves no
-    /// partial file behind, and a power cut after return cannot roll the
-    /// rename back or leave a half-written file under the final name.
-    /// Panics are contained. Returns the persisted epoch.
-    pub fn persist_snapshot(&self, path: &std::path::Path) -> std::io::Result<u64> {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let snapshot = self.engine.snapshot.load();
-            self.engine.fault(FaultPoint::PersistIo)?;
-            let frozen =
-                esd_core::index::FrozenEsdIndex::build(&snapshot.index().graph().to_graph());
-            let tmp = path.with_extension("esdx.tmp");
-            frozen.save(&tmp)?;
-            // The write-then-rename dance is only atomic if the tmp file's
-            // *contents* are on disk before the rename commits the name,
-            // and the rename itself is only durable once the directory
-            // entry is.
-            std::fs::File::open(&tmp)?.sync_all()?;
-            std::fs::rename(&tmp, path)?;
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                esd_durability::sync_dir(parent)?;
-            }
-            Ok(snapshot.epoch())
-        }));
-        match result {
-            Ok(outcome) => outcome,
-            Err(_) => {
-                self.engine.note_contained_panic();
-                Err(std::io::Error::other(
-                    "snapshot persist panicked; no file written",
-                ))
-            }
-        }
-    }
-
     /// The current published snapshot (stable for as long as you hold it).
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.engine.snapshot.load()
@@ -1963,38 +1925,6 @@ mod tests {
         assert!(
             !snapshot.index().graph().has_edge(3, 203),
             "the torn (never-acked) record must not resurrect"
-        );
-        service.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn persist_snapshot_survives_roundtrip() {
-        let g = test_graph();
-        let dir = temp_dir("persist");
-        std::fs::create_dir_all(&dir).unwrap();
-        let service = Service::start(
-            &g,
-            &ServiceConfig {
-                workers: 0,
-                ..ServiceConfig::default()
-            },
-        );
-        let path = dir.join("snapshot.esdx");
-        let epoch = service.handle().persist_snapshot(&path).unwrap();
-        assert_eq!(epoch, 0);
-        let loaded = esd_core::index::FrozenEsdIndex::load(&path).unwrap();
-        assert_eq!(
-            loaded.query(10, 2),
-            *service
-                .handle()
-                .execute(QueryRequest::new(10, 2))
-                .unwrap()
-                .results
-        );
-        assert!(
-            !dir.join("snapshot.esdx.tmp").exists(),
-            "no tmp residue after a successful persist"
         );
         service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

@@ -178,14 +178,11 @@ catalogue! {
     Metric {
         /// Adaptive intersections resolved to the two-pointer merge kernel
         /// (recorded by the `esd-graph::intersect` dispatcher only; the
-        /// three `intersect.*` counters sum to the total dispatch count).
+        /// two `intersect.*` counters sum to the total dispatch count).
         IntersectMerge => "intersect.merge",
         /// Adaptive intersections resolved to the galloping kernel
         /// (skewed length ratios — low-degree vertex against a hub).
         IntersectGallop => "intersect.gallop",
-        /// Adaptive intersections resolved to the blocked-bitset SWAR
-        /// kernel (dense, clustered neighbourhoods).
-        IntersectBitset => "intersect.bitset",
         /// 4-cliques emitted by `FourCliqueEnumerator` (counted in
         /// `esd-graph::cliques` only, so sequential and parallel builds —
         /// and `count_four_cliques` itself — share one definition).

@@ -291,8 +291,8 @@ fn online_counters_equal_the_search_stats() {
 #[test]
 fn intersect_dispatch_counters_sum_to_the_call_count() {
     let _guard = registry_guard();
-    // Skewed degrees plus dense overlap groups, so merge, gallop, and
-    // bitset each have realistic inputs to claim.
+    // Skewed degrees plus dense overlap groups, so merge and gallop each
+    // have realistic inputs to claim.
     let g = generators::clique_overlap(150, 110, 6, 7);
 
     telemetry::reset();
@@ -304,13 +304,11 @@ fn intersect_dispatch_counters_sum_to_the_call_count() {
         calls += 1;
     }
     let snap = telemetry::snapshot();
-    let dispatched = snap.counter("intersect.merge")
-        + snap.counter("intersect.gallop")
-        + snap.counter("intersect.bitset");
+    let dispatched = snap.counter("intersect.merge") + snap.counter("intersect.gallop");
     assert!(calls > 0, "generator produced an empty graph");
     assert_eq!(
         dispatched, calls,
-        "the three intersect.* counters partition the adaptive dispatches"
+        "the two intersect.* counters partition the adaptive dispatches"
     );
 }
 
