@@ -668,9 +668,10 @@ fn ablation(scale: Scale) {
     for name in ["DBLP", "LiveJournal"] {
         let g = load(name, scale);
         let count_with = |dag: &esd_graph::OrientedGraph| {
-            let mut e = esd_graph::cliques::FourCliqueEnumerator::new(g.num_vertices());
             let mut count = 0u64;
-            e.enumerate(dag, |_, _, _, _| count += 1);
+            esd_graph::cliques::for_each_four_clique(dag, 0..dag.num_edges(), |_, _, _, _, _| {
+                count += 1;
+            });
             count
         };
         let dag_deg = esd_graph::OrientedGraph::by_degree(&g);

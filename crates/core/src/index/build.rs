@@ -3,7 +3,7 @@
 
 use super::{EdgeComponents, RankKey, ScoreTreap};
 use esd_dsu::ArenaDsu;
-use esd_graph::{cliques::FourCliqueEnumerator, triangles, Edge, Graph, OrientedGraph, VertexId};
+use esd_graph::{cliques, triangles, Edge, EdgeId, Graph, OrientedGraph, VertexId};
 use std::ops::Range;
 
 /// Work counters of the 4-clique construction, surfaced by the experiments
@@ -96,51 +96,14 @@ pub(crate) fn components_by_four_cliques(g: &Graph) -> FourCliqueArtifacts {
     };
 
     let enumerate_span = esd_telemetry::span(esd_telemetry::Stage::BuildEnumerate);
-    let mut enumerator = FourCliqueEnumerator::new(g.num_vertices());
-    // A local slot of vertex `x` inside edge `e`'s neighbourhood.
-    let slot = |e: u32, x: VertexId| -> usize {
-        let range = &nbrs[nbr_offsets[e as usize]..nbr_offsets[e as usize + 1]];
-        range
-            .binary_search(&x)
-            .expect("vertex in common neighbourhood")
-    };
-
-    for u in 0..dag.num_vertices() as VertexId {
-        for i in 0..dag.out_degree(u) {
-            let v = dag.out_neighbors(u)[i];
-            let e_uv = dag.out_edge_ids(u)[i];
-            // The enumerator emits the pairs grouped by w1, so every
-            // w1-level lookup (three edge ids, three slots) is cached and
-            // recomputed only when w1 advances.
-            let mut cached_w1 = VertexId::MAX;
-            let (mut e_uw1, mut e_vw1) = (0u32, 0u32);
-            let (mut s_w1_uv, mut s_v_uw1, mut s_u_vw1) = (0usize, 0usize, 0usize);
-            enumerator.for_edge(&dag, u, v, |w1, w2| {
-                // The 4-clique {u, v, w1, w2}: six member edges, six unions
-                // (Algorithm 3 lines 10–15).
-                if w1 != cached_w1 {
-                    cached_w1 = w1;
-                    e_uw1 = g.edge_id(u, w1).expect("clique edge");
-                    e_vw1 = g.edge_id(v, w1).expect("clique edge");
-                    s_w1_uv = slot(e_uv, w1);
-                    s_v_uw1 = slot(e_uw1, v);
-                    s_u_vw1 = slot(e_vw1, u);
-                }
-                let e_uw2 = g.edge_id(u, w2).expect("clique edge");
-                let e_vw2 = g.edge_id(v, w2).expect("clique edge");
-                let e_w1w2 = g.edge_id(w1, w2).expect("clique edge");
-                arena.union(e_uv as usize, s_w1_uv, slot(e_uv, w2));
-                arena.union(e_uw1 as usize, s_v_uw1, slot(e_uw1, w2));
-                arena.union(e_uw2 as usize, slot(e_uw2, v), slot(e_uw2, w1));
-                arena.union(e_vw1 as usize, s_u_vw1, slot(e_vw1, w2));
-                arena.union(e_vw2 as usize, slot(e_vw2, u), slot(e_vw2, w1));
-                arena.union(e_w1w2 as usize, slot(e_w1w2, u), slot(e_w1w2, v));
-                stats.four_cliques += 1;
-                stats.union_ops += 6;
-            });
+    cliques::for_each_four_clique(&dag, 0..dag.num_edges(), |ids, u, v, w1, w2| {
+        for (e, x, y) in ego_edges(ids, u, v, w1, w2) {
+            let slot = |x| slot_of(&nbr_offsets, &nbrs, e, x);
+            arena.union(e as usize, slot(x), slot(y));
         }
-    }
-
+        stats.four_cliques += 1;
+        stats.union_ops += 6;
+    });
     drop(enumerate_span);
     esd_telemetry::add(esd_telemetry::Metric::BuildUnionOps, stats.union_ops);
 
@@ -155,6 +118,39 @@ pub(crate) fn components_by_four_cliques(g: &Graph) -> FourCliqueArtifacts {
         arena,
         stats,
     }
+}
+
+/// Observation 1 (Algorithm 3 lines 10–15): each edge of the 4-clique
+/// `{u, v, w1, w2}` gains the ego-network edge between the clique's other
+/// two vertices. Takes the six edge ids in
+/// [`cliques::for_each_four_clique`]'s order and returns one
+/// `(edge, x, y)` union per clique edge.
+pub(crate) fn ego_edges(
+    ids: [EdgeId; 6],
+    u: VertexId,
+    v: VertexId,
+    w1: VertexId,
+    w2: VertexId,
+) -> [(EdgeId, VertexId, VertexId); 6] {
+    let [e_uv, e_uw1, e_uw2, e_vw1, e_vw2, e_w1w2] = ids;
+    [
+        (e_uv, w1, w2),
+        (e_uw1, v, w2),
+        (e_uw2, v, w1),
+        (e_vw1, u, w2),
+        (e_vw2, u, w1),
+        (e_w1w2, u, v),
+    ]
+}
+
+/// The local slot of vertex `x` inside edge `e`'s sorted common
+/// neighbourhood: a binary search of `N(e)`, in place of the paper's hash
+/// map `M_uv[w]`.
+pub(crate) fn slot_of(nbr_offsets: &[usize], nbrs: &[VertexId], e: EdgeId, x: VertexId) -> usize {
+    let range = &nbrs[nbr_offsets[e as usize]..nbr_offsets[e as usize + 1]];
+    range
+        .binary_search(&x)
+        .expect("vertex in common neighbourhood")
 }
 
 /// Algorithm 3 lines 16–22: reads the sorted component-size multiset of each
@@ -250,7 +246,10 @@ mod tests {
     fn fig1_component_multisets() {
         let (g, n) = fig1();
         let comps = components_by_four_cliques(&g).components;
-        let eid = |a: &str, b: &str| g.edge_id(n[a], n[b]).unwrap() as usize;
+        let eid = |a: &str, b: &str| {
+            let e = Edge::new(n[a], n[b]);
+            g.edges().iter().position(|&x| x == e).unwrap()
+        };
         assert_eq!(comps.sizes_of(eid("f", "g")), &[2, 2]);
         assert_eq!(comps.sizes_of(eid("j", "k")), &[2, 4]);
         assert_eq!(comps.sizes_of(eid("u", "p")), &[5]);

@@ -66,7 +66,10 @@ impl EdgeComponents {
     /// Component sizes of every edge ego-network by 4-clique enumeration +
     /// union–find (Algorithm 3 lines 1–22).
     pub fn by_four_cliques(g: &Graph) -> Self {
-        build::components_by_four_cliques(g).components
+        let comps = build::components_by_four_cliques(g).components;
+        #[cfg(any(test, feature = "strict-invariants"))]
+        crate::audit::assert_clean("EdgeComponents (by_four_cliques)", &comps.validate());
+        comps
     }
 
     /// Edge `e`'s sorted component sizes (the paper's `C_uv`).

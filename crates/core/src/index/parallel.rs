@@ -5,9 +5,11 @@
 //! shared, which would race. This implementation keeps the edge-parallel
 //! enumeration and makes the updates sound with a two-phase scheme:
 //!
-//! 1. **Enumerate** (parallel): workers sweep disjoint blocks of directed
-//!    edges, turning each 4-clique into six `(edge, slot, slot)` union ops,
-//!    binned by the *shard* owning the target edge.
+//! 1. **Enumerate** (parallel): workers sweep disjoint ranges of arcs (the
+//!    DAG's directed edges, in CSR order) with
+//!    [`esd_graph::cliques::for_each_four_clique`], turning each 4-clique
+//!    into six `(edge, slot, slot)` union ops, binned by the *shard* owning
+//!    the target edge.
 //! 2. **Apply** (parallel): shard `s` owns a contiguous range of edge ids
 //!    (cut so every shard owns roughly the same total neighbourhood size)
 //!    and its own [`ArenaDsu`]; it applies every op binned to it. Shards
@@ -24,7 +26,7 @@
 
 use super::{build, EdgeComponents, EsdIndex, ScoreTreap};
 use esd_dsu::ArenaDsu;
-use esd_graph::{cliques::FourCliqueEnumerator, Graph, OrientedGraph, VertexId};
+use esd_graph::{cliques, EdgeId, Graph, OrientedGraph};
 
 /// One union operation destined for a specific edge's forest.
 #[derive(Debug, Clone, Copy)]
@@ -83,81 +85,56 @@ pub(crate) fn build_parallel(g: &Graph, threads: usize) -> (EsdIndex, ParallelBu
         })
         .collect();
 
-    // ---- Phase B: enumerate + apply, in rounds over directed-edge blocks.
-    let directed: Vec<(VertexId, VertexId, u32)> = (0..g.num_vertices() as VertexId)
-        .flat_map(|u| {
-            let ids = dag.out_edge_ids(u);
-            dag.out_neighbors(u)
-                .iter()
-                .zip(ids)
-                .map(move |(&v, &e_uv)| (u, v, e_uv))
-        })
-        .collect();
+    // ---- Phase B: enumerate + apply, in rounds over blocks of arcs (the
+    // DAG's directed edges, by CSR position).
     let mut cliques_per_worker = vec![0u64; threads];
     let mut ops_per_shard = vec![0u64; threads];
 
-    let slot = |edge: u32, x: VertexId| -> u32 {
-        let range = &nbrs[nbr_offsets[edge as usize]..nbr_offsets[edge as usize + 1]];
-        range.binary_search(&x).expect("vertex in neighbourhood") as u32
-    };
     let shard_of =
-        |edge: u32| -> usize { shard_bounds.partition_point(|&b| b <= edge as usize) - 1 };
+        |edge: EdgeId| -> usize { shard_bounds.partition_point(|&b| b <= edge as usize) - 1 };
 
     // Block size chosen so a round's op buffers stay modest while still
     // amortising the thread joins.
-    let block = (directed.len() / (4 * threads)).max(4096);
+    let block = (m / (4 * threads)).max(4096);
     let mut cursor = 0;
-    while cursor < directed.len() {
-        let round = &directed[cursor..(cursor + threads * block).min(directed.len())];
-        cursor += round.len();
+    while cursor < m {
+        let round = cursor..(cursor + threads * block).min(m);
+        cursor = round.end;
 
-        // Enumerate in parallel: each worker bins ops by target shard.
+        // Enumerate in parallel: each worker takes one arc range of the
+        // round and bins its ops by target shard.
         let _enum_span = esd_telemetry::span(esd_telemetry::Stage::ParEnumerate);
         let chunk = round.len().div_ceil(threads);
         let mut all_bins: Vec<(usize, Vec<Vec<Op>>, u64)> = Vec::with_capacity(threads);
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            for (w, part) in round.chunks(chunk.max(1)).enumerate() {
-                let dag = &dag;
-                let slot = &slot;
+            for (w, lo) in round.clone().step_by(chunk).enumerate() {
+                let arcs = lo..(lo + chunk).min(round.end);
+                let (dag, nbr_offsets, nbrs) = (&dag, &nbr_offsets, &nbrs);
                 let shard_of = &shard_of;
                 handles.push(scope.spawn(move || {
                     let mut bins: Vec<Vec<Op>> = vec![Vec::new(); threads];
-                    let mut cliques = 0u64;
-                    let mut enumerator = FourCliqueEnumerator::new(g.num_vertices());
-                    for &(u, v, e_uv) in part {
-                        enumerator.for_edge(dag, u, v, |w1, w2| {
-                            cliques += 1;
-                            let e_uw1 = g.edge_id(u, w1).expect("clique edge");
-                            let e_uw2 = g.edge_id(u, w2).expect("clique edge");
-                            let e_vw1 = g.edge_id(v, w1).expect("clique edge");
-                            let e_vw2 = g.edge_id(v, w2).expect("clique edge");
-                            let e_w1w2 = g.edge_id(w1, w2).expect("clique edge");
-                            for (e, x, y) in [
-                                (e_uv, w1, w2),
-                                (e_uw1, v, w2),
-                                (e_uw2, v, w1),
-                                (e_vw1, u, w2),
-                                (e_vw2, u, w1),
-                                (e_w1w2, u, v),
-                            ] {
-                                bins[shard_of(e)].push(Op {
-                                    edge: e,
-                                    a: slot(e, x),
-                                    b: slot(e, y),
-                                });
-                            }
-                        });
-                    }
-                    (w, bins, cliques)
+                    let mut found = 0u64;
+                    cliques::for_each_four_clique(dag, arcs, |ids, u, v, w1, w2| {
+                        found += 1;
+                        for (e, x, y) in build::ego_edges(ids, u, v, w1, w2) {
+                            let slot = |x| build::slot_of(nbr_offsets, nbrs, e, x) as u32;
+                            bins[shard_of(e)].push(Op {
+                                edge: e,
+                                a: slot(x),
+                                b: slot(y),
+                            });
+                        }
+                    });
+                    (w, bins, found)
                 }));
             }
             for h in handles {
                 all_bins.push(h.join().expect("enumeration worker"));
             }
         });
-        for &(w, _, cliques) in &all_bins {
-            cliques_per_worker[w] += cliques;
+        for &(w, _, found) in &all_bins {
+            cliques_per_worker[w] += found;
         }
         drop(_enum_span);
 
@@ -274,22 +251,33 @@ mod tests {
     use crate::fixtures::fig1;
     use esd_graph::generators;
 
+    /// Every `H(c)` list entry for entry, the clique total and the op
+    /// balance, against the sequential builder at several thread counts.
+    fn assert_parallel_equals_sequential(g: &Graph) {
+        let sequential = EsdIndex::build_fast(g);
+        let cliques = esd_graph::cliques::count_four_cliques(g);
+        for threads in [1, 2, 3, 4, 7] {
+            let (parallel, report) = build_parallel(g, threads);
+            assert_eq!(parallel.component_sizes(), sequential.component_sizes());
+            for &c in parallel.component_sizes() {
+                assert_eq!(
+                    parallel.query(usize::MAX, c),
+                    sequential.query(usize::MAX, c)
+                );
+            }
+            assert_eq!(report.cliques_per_worker.iter().sum::<u64>(), cliques);
+            let total_ops: u64 = report.ops_per_shard.iter().sum();
+            assert_eq!(total_ops, cliques * 6);
+        }
+    }
+
     #[test]
     fn parallel_equals_sequential_for_all_thread_counts() {
-        let g = generators::clique_overlap(120, 100, 6, 7);
-        let sequential = EsdIndex::build_fast(&g);
-        for threads in [1, 2, 3, 4, 7] {
-            let (parallel, report) = build_parallel(&g, threads);
-            assert_eq!(parallel.component_sizes(), sequential.component_sizes());
-            assert_eq!(parallel.num_lists(), sequential.num_lists());
-            for c in parallel.component_sizes() {
-                assert_eq!(parallel.list_len(*c), sequential.list_len(*c));
-            }
-            for tau in [1, 2, 3] {
-                assert_eq!(parallel.query(20, tau), sequential.query(20, tau));
-            }
-            let total_ops: u64 = report.ops_per_shard.iter().sum();
-            assert_eq!(total_ops, report.cliques_per_worker.iter().sum::<u64>() * 6);
+        assert_parallel_equals_sequential(&generators::clique_overlap(120, 100, 6, 7));
+        // At this size one round's arc chunks split vertices' out-arcs.
+        for spec in esd_datasets::specs() {
+            let g = esd_datasets::load(spec.name, esd_datasets::Scale::Tiny);
+            assert_parallel_equals_sequential(&g);
         }
     }
 

@@ -2,109 +2,104 @@
 //!
 //! The improved index construction (Algorithm 3) is powered by Observation 1
 //! of the paper: `{u, v, w1, w2}` is a 4-clique iff `(w1, w2)` is an edge of
-//! the ego-network `G_{N(uv)}`. [`FourCliqueEnumerator`] lists each 4-clique
-//! of the graph exactly once on a degree-ordered DAG in `O(α²m)`
-//! (Chiba–Nishizeki). A generic recursive k-clique lister
-//! ([`list_k_cliques`]) is provided as well; the 4-clique path is a
-//! specialised, allocation-free version of it.
+//! the ego-network `G_{N(uv)}`. [`for_each_four_clique`] lists each 4-clique
+//! of the graph exactly once on a DAG orientation in `O(α²m)`
+//! (Chiba–Nishizeki), together with the edge ids of its six edges. A
+//! generic recursive k-clique lister ([`list_k_cliques`]) is provided as
+//! well; it is the reference the 4-clique kernel is tested against.
 
-use crate::intersect::WordTiles;
-use crate::{Graph, OrientedGraph, VertexId};
+use crate::{EdgeId, Graph, OrientedGraph, VertexId};
+use std::ops::Range;
 
-/// Reusable state for 4-clique enumeration over one oriented graph.
+/// Lists every 4-clique whose first arc `u → v` lies in `arcs` exactly once
+/// as `f([e_uv, e_uw1, e_uw2, e_vw1, e_vw2, e_w1w2], u, v, w1, w2)`, where
+/// `u → v`, `u → w1`, `u → w2`, `v → w1`, `v → w2` and `w1 → w2` are arcs of
+/// the DAG and each `e_xy` is the id of the undirected edge `{x, y}`.
 ///
-/// The enumerator visits each 4-clique `{u, v, w1, w2}` exactly once with
-/// `u ≺ v ≺ w1' , w2'` in DAG order; within the callback, `u → v` is a
-/// directed edge and `w1, w2` are common out-neighbours of both with
-/// `w1 → w2` directed. The membership test "is `w2` a common out-neighbour"
-/// walks a [`WordTiles`] tiling of the common neighbourhood — a compact
-/// sorted array of `(word, 64-bit mask)` tiles rebuilt per edge — against
-/// each sorted `N⁺(w1)` CSR slice, so every probe is a sequential scan of
-/// two small contiguous arrays rather than a random access into a
-/// size-`n` stamp array (the previous layout, whose cache misses dominated
-/// on large graphs). Allocations are reused across edges.
-#[derive(Debug)]
-pub struct FourCliqueEnumerator {
-    tiles: WordTiles,
-    common: Vec<VertexId>,
-}
-
-impl FourCliqueEnumerator {
-    /// Creates scratch state for graphs with up to `n` vertices (`n` sizes
-    /// the tile capacity: a common neighbourhood can span at most
-    /// `n / 64 + 1` words).
-    pub fn new(n: usize) -> Self {
-        Self {
-            tiles: WordTiles::with_capacity(n / 64 + 1),
-            common: Vec::new(),
-        }
+/// `arcs` is a range of arc positions in CSR order (the out-arcs of vertex
+/// 0, then of vertex 1, …), so `0..dag.num_edges()` is a whole pass and
+/// consecutive ranges split one pass between workers — a cut may fall
+/// inside a vertex's out-arcs.
+///
+/// This is [`crate::triangles::for_each_triangle`] one level deeper, with
+/// two vertex-indexed mark arrays. For each `u`, the out-arcs of `u` are
+/// marked with their edge ids. For each arc `u → v`, the walk of `N⁺(v)`
+/// collects `C = N⁺(u) ∩ N⁺(v)` as `(w, e_uw, e_vw)` triples, and each
+/// member of `C` is marked with its position in `C`. Then for each
+/// `w1 ∈ C` the walk of `N⁺(w1)` finds every `w2 ∈ C` with one probe,
+/// and the two marks name all six edges. The walks make
+/// `Σ_{u→v} d⁺(v) + Σ_{w1∈C} d⁺(w1)` probes and no intersection.
+/// Cliques are emitted grouped by `u` ascending, then `v` in `N⁺(u)`
+/// order, then `w1` ascending, then `w2` ascending.
+///
+/// The `cliques.enumerated` counter is recorded here and nowhere else, so
+/// every consumer shares one definition of it.
+pub fn for_each_four_clique(
+    dag: &OrientedGraph,
+    arcs: Range<usize>,
+    mut f: impl FnMut([EdgeId; 6], VertexId, VertexId, VertexId, VertexId),
+) {
+    assert!(arcs.end <= dag.num_edges(), "arc range out of bounds");
+    if arcs.is_empty() {
+        return;
     }
-
-    /// Enumerates the 4-cliques hanging off the single directed edge
-    /// `(u, v)`: all pairs `w1, w2 ∈ N⁺(u) ∩ N⁺(v)` with `w1 → w2`.
-    ///
-    /// This per-edge granularity is what both the sequential builder and the
-    /// edge-parallel builder (PESDIndex+) iterate over.
-    #[inline]
-    pub fn for_edge(
-        &mut self,
-        dag: &OrientedGraph,
-        u: VertexId,
-        v: VertexId,
-        mut f: impl FnMut(VertexId, VertexId),
-    ) {
-        self.common.clear();
-        crate::intersect::intersect_into(
-            dag.out_neighbors(u),
-            dag.out_neighbors(v),
-            &mut self.common,
-        );
-        if self.common.len() < 2 {
-            return;
+    const UNMARKED: u32 = u32::MAX;
+    // `edge_to_u[w]` = `e_uw` for `w ∈ N⁺(u)`; `in_common[w]` = the
+    // position of `w` in `common`.
+    let mut edge_to_u = vec![UNMARKED; dag.num_vertices()];
+    let mut in_common = vec![UNMARKED; dag.num_vertices()];
+    let mut common: Vec<(VertexId, EdgeId, EdgeId)> = Vec::new();
+    let mut emitted = 0u64;
+    let offsets = dag.arc_offsets();
+    // The tail of the first arc, then each later vertex in turn.
+    let mut u = (offsets.partition_point(|&o| o <= arcs.start) - 1) as VertexId;
+    let mut arc = arcs.start;
+    while arc < arcs.end {
+        let (start, end) = (offsets[u as usize], offsets[u as usize + 1].min(arcs.end));
+        let (out_u, ids_u) = (dag.out_neighbors(u), dag.out_edge_ids(u));
+        // This vertex's arcs inside the range, as local positions.
+        let (first, last) = (arc - start, end - start);
+        arc = end;
+        for (&w, &e_uw) in out_u.iter().zip(ids_u) {
+            edge_to_u[w as usize] = e_uw;
         }
-        self.tiles.build(&self.common);
-        // The clique counter is owned by this loop — and only this loop — so
-        // every caller (sequential build, parallel workers, plain counting)
-        // shares one definition. Counted locally, recorded in one add.
-        //
-        // Emission order matters: pairs grouped by `w1` (in `common` order)
-        // with `w2` ascending within each group — the sequential builder
-        // caches per-`w1` state on exactly that grouping.
-        let mut emitted = 0u64;
-        for &w1 in &self.common {
-            self.tiles.intersect_sorted(dag.out_neighbors(w1), |w2| {
-                emitted += 1;
-                f(w1, w2);
-            });
-        }
-        esd_telemetry::add(esd_telemetry::Metric::CliquesEnumerated, emitted);
-    }
-
-    /// Enumerates every 4-clique of the graph exactly once as
-    /// `(u, v, w1, w2)`.
-    pub fn enumerate(
-        &mut self,
-        dag: &OrientedGraph,
-        mut f: impl FnMut(VertexId, VertexId, VertexId, VertexId),
-    ) {
-        for u in 0..dag.num_vertices() as VertexId {
-            // The borrow checker dislikes `self.for_edge` capturing `f` while
-            // iterating `dag`; out-neighbour slices are copied per edge head.
-            let out_u: &[VertexId] = dag.out_neighbors(u);
-            for idx in 0..out_u.len() {
-                let v = dag.out_neighbors(u)[idx];
-                self.for_edge(dag, u, v, |w1, w2| f(u, v, w1, w2));
+        for (&v, &e_uv) in out_u[first..last].iter().zip(&ids_u[first..last]) {
+            common.clear();
+            for (&w, &e_vw) in dag.out_neighbors(v).iter().zip(dag.out_edge_ids(v)) {
+                let e_uw = edge_to_u[w as usize];
+                if e_uw != UNMARKED {
+                    in_common[w as usize] = common.len() as u32;
+                    common.push((w, e_uw, e_vw));
+                }
+            }
+            for &(w1, e_uw1, e_vw1) in &common {
+                let out_w1 = dag.out_neighbors(w1).iter();
+                for (&w2, &e_w1w2) in out_w1.zip(dag.out_edge_ids(w1)) {
+                    let at = in_common[w2 as usize];
+                    if at != UNMARKED {
+                        let (_, e_uw2, e_vw2) = common[at as usize];
+                        emitted += 1;
+                        f([e_uv, e_uw1, e_uw2, e_vw1, e_vw2, e_w1w2], u, v, w1, w2);
+                    }
+                }
+            }
+            for &(w, _, _) in &common {
+                in_common[w as usize] = UNMARKED;
             }
         }
+        for &w in out_u {
+            edge_to_u[w as usize] = UNMARKED;
+        }
+        u += 1;
     }
+    esd_telemetry::add(esd_telemetry::Metric::CliquesEnumerated, emitted);
 }
 
 /// Counts all 4-cliques of `g`.
 pub fn count_four_cliques(g: &Graph) -> u64 {
     let dag = OrientedGraph::by_degree(g);
-    let mut enumerator = FourCliqueEnumerator::new(g.num_vertices());
     let mut count = 0u64;
-    enumerator.enumerate(&dag, |_, _, _, _| count += 1);
+    for_each_four_clique(&dag, 0..dag.num_edges(), |_, _, _, _, _| count += 1);
     count
 }
 
@@ -236,24 +231,40 @@ mod tests {
         assert_eq!(sixes, 1);
     }
 
-    #[test]
-    fn four_cliques_are_actual_cliques_and_unique() {
-        let g = generators::erdos_renyi(40, 0.25, 17);
-        let dag = OrientedGraph::by_degree(&g);
-        let mut seen = BTreeSet::new();
-        let mut e = FourCliqueEnumerator::new(g.num_vertices());
-        e.enumerate(&dag, |u, v, w1, w2| {
-            let mut verts = [u, v, w1, w2];
-            for i in 0..4 {
-                for j in i + 1..4 {
-                    assert!(g.has_edge(verts[i], verts[j]), "not a clique");
-                }
+    /// Every 4-clique of one pass, as sorted vertex quadruples, after
+    /// checking that each of the six ids names the right edge.
+    fn checked_pass(g: &Graph, dag: &OrientedGraph, arcs: Range<usize>) -> Vec<[VertexId; 4]> {
+        let mut listed = Vec::new();
+        for_each_four_clique(dag, arcs, |ids, u, v, w1, w2| {
+            let pairs = [(u, v), (u, w1), (u, w2), (v, w1), (v, w2), (w1, w2)];
+            for (id, (a, b)) in ids.into_iter().zip(pairs) {
+                assert_eq!(g.edge(id), crate::Edge::new(a, b));
             }
+            let mut verts = [u, v, w1, w2];
             verts.sort_unstable();
-            assert!(seen.insert(verts), "4-clique emitted twice: {verts:?}");
+            listed.push(verts);
         });
-        let brute = brute_force_k_cliques(&g, 4);
-        assert_eq!(seen.len(), brute.len());
+        listed
+    }
+
+    #[test]
+    fn kernel_names_each_clique_edge_once() {
+        for g in [
+            generators::erdos_renyi(40, 0.25, 17),
+            generators::clique_overlap(80, 40, 6, 3),
+        ] {
+            let brute = brute_force_k_cliques(&g, 4);
+            assert!(!brute.is_empty());
+            for dag in [
+                OrientedGraph::by_degree(&g),
+                OrientedGraph::by_degeneracy(&g),
+            ] {
+                let listed = checked_pass(&g, &dag, 0..dag.num_edges());
+                let unique: BTreeSet<Vec<VertexId>> = listed.iter().map(|c| c.to_vec()).collect();
+                assert_eq!(unique.len(), listed.len(), "a 4-clique emitted twice");
+                assert_eq!(unique, brute);
+            }
+        }
     }
 
     #[test]
@@ -289,6 +300,32 @@ mod tests {
     }
 
     proptest! {
+        /// Any split of `0..m` into consecutive arc ranges, cuts inside a
+        /// vertex's out-arcs included, emits exactly the cliques of one
+        /// whole pass, in the same order.
+        #[test]
+        fn consecutive_arc_ranges_make_one_pass(
+            seed in 0u64..40,
+            groups in 1usize..30,
+            cuts in prop::collection::vec(0.0f64..1.0, 0..8),
+        ) {
+            let g = generators::clique_overlap(40, groups, 6, seed);
+            let dag = OrientedGraph::by_degree(&g);
+            let m = dag.num_edges();
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| (c * m as f64) as usize).collect();
+            bounds.extend([0, m]);
+            bounds.sort_unstable();
+            let whole = checked_pass(&g, &dag, 0..m);
+            let mut split = Vec::new();
+            for w in bounds.windows(2) {
+                split.extend(checked_pass(&g, &dag, w[0]..w[1]));
+            }
+            prop_assert_eq!(&split, &whole);
+            // One arc per range cuts inside every vertex's out-arcs.
+            let one_by_one: Vec<_> = (0..m).flat_map(|a| checked_pass(&g, &dag, a..a + 1)).collect();
+            prop_assert_eq!(&one_by_one, &whole);
+        }
+
         #[test]
         fn k_cliques_match_brute_force(seed in 0u64..30, n in 4usize..16, p in 0.2f64..0.8, k in 3usize..6) {
             let g = generators::erdos_renyi(n, p, seed);

@@ -1,10 +1,10 @@
 //! Sorted-set intersection kernels.
 //!
 //! Every hot loop of the ESD algorithms intersects sorted adjacency lists:
-//! common neighbourhoods `N(u) ∩ N(v)` (Definition 1), common out-neighbours
-//! `N⁺(u) ∩ N⁺(v)` in the 4-clique enumerator, and the exact ego-network
-//! BFS of the online search. Two strategies are provided and a fixed
-//! dispatcher picks between them:
+//! common neighbourhoods `N(u) ∩ N(v)` (Definition 1), the candidate sets of
+//! the generic k-clique lister, and the exact ego-network BFS of the online
+//! search. Two strategies are provided and a fixed dispatcher picks between
+//! them:
 //!
 //! * [`intersect_merge`] — linear two-pointer merge, best when the lists have
 //!   comparable lengths. It is the reference implementation.
@@ -25,10 +25,6 @@
 //! [`intersect_merge`] on the same inputs and asserts identical output, so
 //! any workload run with the feature armed *proves* kernel agreement on the
 //! exact slices it intersected.
-//!
-//! [`WordTiles`] is a word-blocked (`id >> 6`, `u64` mask) membership
-//! structure; the 4-clique enumerator builds one per edge neighbourhood and
-//! streams candidate lists through it (see [`crate::cliques`]).
 
 use crate::VertexId;
 
@@ -203,97 +199,6 @@ pub fn intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
     count
 }
 
-/// A word-blocked membership set over sorted vertex ids, reusable across
-/// many probes.
-///
-/// Each *tile* is a `(id >> 6, u64 mask)` pair; tiles are stored sorted and
-/// contiguously (two parallel arrays), so probing a sorted candidate list
-/// walks both sequentially — the cache-conscious replacement for the old
-/// size-`n` generation-stamped scratch array in the 4-clique enumerator,
-/// whose probes were random accesses into an array as large as the graph.
-#[derive(Debug, Default)]
-pub struct WordTiles {
-    words: Vec<u32>,
-    masks: Vec<u64>,
-}
-
-impl WordTiles {
-    /// An empty tile set.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty tile set with room for `words` tiles.
-    #[must_use]
-    pub fn with_capacity(words: usize) -> Self {
-        Self {
-            words: Vec::with_capacity(words),
-            masks: Vec::with_capacity(words),
-        }
-    }
-
-    /// Rebuilds the tiles from a sorted id slice, reusing the allocations.
-    pub fn build(&mut self, sorted: &[VertexId]) {
-        self.words.clear();
-        self.masks.clear();
-        for &x in sorted {
-            let w = x >> 6;
-            let bit = 1u64 << (x & 63);
-            match self.words.last() {
-                Some(&last) if last == w => {
-                    *self.masks.last_mut().expect("parallel arrays") |= bit;
-                }
-                _ => {
-                    self.words.push(w);
-                    self.masks.push(bit);
-                }
-            }
-        }
-    }
-
-    /// Number of (non-empty) tiles.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Whether the set holds no ids at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// Membership test for one id (binary search over the tiles).
-    #[must_use]
-    pub fn contains(&self, x: VertexId) -> bool {
-        self.words
-            .binary_search(&(x >> 6))
-            .is_ok_and(|t| self.masks[t] & (1u64 << (x & 63)) != 0)
-    }
-
-    /// Streams the members of `sorted ∩ self` to `f` in ascending order.
-    ///
-    /// Sequential two-pointer walk over the candidate list and the tile
-    /// array; with both sides sorted the per-candidate cost is amortised
-    /// `O(1)` with contiguous memory traffic only.
-    pub fn intersect_sorted(&self, sorted: &[VertexId], mut f: impl FnMut(VertexId)) {
-        let mut t = 0usize;
-        for &x in sorted {
-            let w = x >> 6;
-            while t < self.words.len() && self.words[t] < w {
-                t += 1;
-            }
-            if t == self.words.len() {
-                return;
-            }
-            if self.words[t] == w && self.masks[t] & (1u64 << (x & 63)) != 0 {
-                f(x);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,27 +274,6 @@ mod tests {
         assert_eq!(kernel_config().gallop_ratio, GALLOP_RATIO);
     }
 
-    #[test]
-    fn word_tiles_membership_and_streaming() {
-        let members = vec![3u32, 64, 65, 120, 500];
-        let mut tiles = WordTiles::new();
-        assert!(tiles.is_empty());
-        tiles.build(&members);
-        assert_eq!(tiles.len(), 3, "3, {{64,65,120}}, 500 span three words");
-        for &m in &members {
-            assert!(tiles.contains(m));
-        }
-        assert!(!tiles.contains(4));
-        assert!(!tiles.contains(501));
-        let mut seen = Vec::new();
-        tiles.intersect_sorted(&[0, 3, 64, 66, 120, 499, 500, 501], |x| seen.push(x));
-        assert_eq!(seen, vec![3, 64, 120, 500]);
-        // Rebuilding reuses the allocation and replaces the contents.
-        tiles.build(&[7]);
-        assert_eq!(tiles.len(), 1);
-        assert!(!tiles.contains(3));
-    }
-
     fn sorted_set() -> impl Strategy<Value = Vec<u32>> {
         prop::collection::btree_set(0u32..500, 0..120).prop_map(|s| s.into_iter().collect())
     }
@@ -412,12 +296,6 @@ mod tests {
 
             prop_assert_eq!(&intersect_adaptive(&a, &b), &expect);
             prop_assert_eq!(intersection_size(&a, &b), expect.len());
-
-            let mut tiles = WordTiles::new();
-            tiles.build(&a);
-            let mut streamed = Vec::new();
-            tiles.intersect_sorted(&b, |x| streamed.push(x));
-            prop_assert_eq!(&streamed, &expect);
         }
     }
 }

@@ -13,8 +13,8 @@
 //!   dispatched on the ratio of the two list lengths.
 //! * [`traversal`] — BFS and connected components.
 //! * [`triangles`] / [`cliques`] — oriented triangle listing and
-//!   Chiba–Nishizeki-style k-clique enumeration (the 4-clique enumerator at
-//!   the heart of Algorithm 3).
+//!   Chiba–Nishizeki-style k-clique enumeration (the edge-id 4-clique
+//!   kernel at the heart of Algorithm 3).
 //! * [`betweenness`] — Brandes edge betweenness (the `BT` case-study baseline).
 //! * [`generators`] — deterministic synthetic graph models (ER, BA, RMAT,
 //!   clique-overlap collaboration graphs, planted partitions, word networks).

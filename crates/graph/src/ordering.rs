@@ -123,12 +123,11 @@ impl DegeneracyOrder {
 /// A DAG orientation of an undirected graph: each edge points from the
 /// lower-ranked to the higher-ranked endpoint of a total vertex order.
 ///
-/// Out-neighbour lists are sorted by vertex id, so common out-neighbourhoods
-/// can be computed with the [`crate::intersect`] kernels — the inner kernel
-/// of the 4-clique enumerator. Every arc also carries the [`EdgeId`] of its
-/// undirected edge ([`Self::out_edge_ids`], parallel to
-/// [`Self::out_neighbors`]), so the triangle kernel
-/// ([`crate::triangles::for_each_triangle`]) names the edges it finds
+/// Out-neighbour lists are sorted by vertex id. Every arc also carries the
+/// [`EdgeId`] of its undirected edge ([`Self::out_edge_ids`], parallel to
+/// [`Self::out_neighbors`]), so the triangle and 4-clique kernels
+/// ([`crate::triangles::for_each_triangle`],
+/// [`crate::cliques::for_each_four_clique`]) name the edges they find
 /// without an `edge_id` lookup.
 #[derive(Debug, Clone)]
 pub struct OrientedGraph {
@@ -216,6 +215,12 @@ impl OrientedGraph {
     #[inline]
     pub fn out_degree(&self, u: VertexId) -> usize {
         self.offsets[u as usize + 1] - self.offsets[u as usize]
+    }
+
+    /// The CSR offsets (`n + 1` entries): `u`'s out-arcs sit at positions
+    /// `offsets[u]..offsets[u + 1]`, so all arcs are `0..num_edges()`.
+    pub(crate) fn arc_offsets(&self) -> &[usize] {
+        &self.offsets
     }
 
     /// Maximum out-degree (bounded by `2α - 1` for the degree ordering and by

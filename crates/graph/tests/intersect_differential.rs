@@ -2,14 +2,13 @@
 //! dispatcher and the counting entry point must agree exactly with
 //! `intersect_merge`, which is the reference the `strict-invariants` build
 //! also verifies every gallop dispatch against inline. The clique tests pin
-//! the downstream consumer: the `WordTiles`-based 4-clique enumerator must
-//! count exactly what the generic k-clique lister counts on generator
-//! graphs across densities.
+//! the 4-clique kernel, which marks instead of intersecting, to the generic
+//! k-clique lister, which intersects, on generator graphs across densities.
 
 use esd_graph::cliques::{count_four_cliques, list_k_cliques};
 use esd_graph::intersect::{
     choose_kernel, intersect_adaptive, intersect_gallop, intersect_into, intersect_merge,
-    intersection_size, Kernel, WordTiles, GALLOP_RATIO,
+    intersection_size, Kernel, GALLOP_RATIO,
 };
 use esd_graph::{generators, VertexId};
 use proptest::prelude::*;
@@ -112,37 +111,11 @@ proptest! {
         let b: Vec<VertexId> = std::mem::take(&mut b).into_iter().collect();
         assert_all_kernels_agree(&a, &b);
     }
-
-    /// `WordTiles` streaming must behave exactly like membership in the
-    /// built set, in input order.
-    #[test]
-    fn word_tiles_stream_matches_membership(
-        mut base in proptest::collection::btree_set(0u32..2048, 0..256),
-        probe in proptest::collection::vec(0u32..2048, 0..256),
-    ) {
-        let base: Vec<VertexId> = std::mem::take(&mut base).into_iter().collect();
-        let mut sorted_probe = probe.clone();
-        sorted_probe.sort_unstable();
-        sorted_probe.dedup();
-        let mut tiles = WordTiles::new();
-        tiles.build(&base);
-        let mut streamed = Vec::new();
-        tiles.intersect_sorted(&sorted_probe, |x| streamed.push(x));
-        let expected: Vec<VertexId> = sorted_probe
-            .iter()
-            .copied()
-            .filter(|&x| base.binary_search(&x).is_ok())
-            .collect();
-        prop_assert_eq!(streamed, expected);
-        for &x in &probe {
-            prop_assert_eq!(tiles.contains(x), base.binary_search(&x).is_ok());
-        }
-    }
 }
 
-/// The 4-clique enumerator (WordTiles tiling) against the generic k-clique
-/// lister (adaptive intersections) — two independent code paths whose
-/// counts must match on every graph.
+/// The edge-id 4-clique kernel (two mark arrays) against the generic
+/// k-clique lister (adaptive intersections) — two independent code paths
+/// whose counts must match on every graph.
 fn assert_clique_counts_agree(g: &esd_graph::Graph) {
     let mut generic = 0u64;
     list_k_cliques(g, 4, |_| generic += 1);
@@ -156,11 +129,11 @@ fn clique_counts_agree_across_densities() {
             assert_clique_counts_agree(&generators::erdos_renyi(n, p, seed));
         }
     }
-    // Clique-overlap graphs are the worst case for the tiling: large fully
-    // dense common neighbourhoods.
+    // Clique-overlap graphs have large, fully dense common
+    // neighbourhoods.
     for seed in 0..3 {
         assert_clique_counts_agree(&generators::clique_overlap(80, 8, 12, seed));
     }
-    // Skewed degrees exercise the gallop arm inside the enumerator.
+    // Skewed degrees exercise the gallop arm inside the generic lister.
     assert_clique_counts_agree(&generators::barabasi_albert(120, 4, 7));
 }

@@ -183,9 +183,10 @@ catalogue! {
         /// Adaptive intersections resolved to the galloping kernel
         /// (skewed length ratios — low-degree vertex against a hub).
         IntersectGallop => "intersect.gallop",
-        /// 4-cliques emitted by `FourCliqueEnumerator` (counted in
-        /// `esd-graph::cliques` only, so sequential and parallel builds —
-        /// and `count_four_cliques` itself — share one definition).
+        /// 4-cliques emitted by `esd-graph::cliques::for_each_four_clique`
+        /// (counted there only, so sequential and parallel builds,
+        /// `MaintainedIndex::new` and `count_four_cliques` share one
+        /// definition).
         CliquesEnumerated => "cliques.enumerated",
         /// Union–find operations performed by the sequential index build
         /// (6 per 4-clique).

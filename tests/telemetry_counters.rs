@@ -2,7 +2,7 @@
 //!
 //! Every counter in the [`esd_telemetry::Metric`] catalogue has exactly one
 //! owning call site; these tests pin each one to an independently
-//! recomputed total — the 4-clique counter to the enumerator's own count,
+//! recomputed total — the 4-clique counter to the generic k-clique lister,
 //! the build union counter to 6× the clique count, the parallel apply
 //! counter to the sequential op count, the maintenance treap counters to
 //! each other across a remove/insert round trip, and the online counters to
@@ -43,17 +43,35 @@ fn registry_is_armed_for_integration_tests() {
 fn clique_counter_matches_enumerator_ground_truth() {
     let _guard = registry_guard();
     let g = generators::clique_overlap(150, 110, 6, 7);
-    let expected = {
-        // count_four_cliques itself goes through the instrumented
-        // enumerator; measure it in its own window so the expected value
-        // does not contaminate the build measurement below.
+    // The generic k-clique lister is an independent path that does not
+    // touch the clique counter.
+    let mut expected = 0u64;
+    cliques::list_k_cliques(&g, 4, |_| expected += 1);
+    assert!(expected > 0);
+
+    // Every consumer of the 4-clique kernel records exactly the cliques
+    // it enumerated, in one counter with one owner.
+    let counted = |run: &dyn Fn()| {
         telemetry::reset();
-        cliques::count_four_cliques(&g)
+        run();
+        telemetry::snapshot().counter("cliques.enumerated")
     };
     assert_eq!(
-        telemetry::snapshot().counter("cliques.enumerated"),
+        counted(&|| assert_eq!(cliques::count_four_cliques(&g), expected)),
+        expected
+    );
+    for threads in [1, 2, 3] {
+        let run = || drop(EsdIndex::build_parallel_with_report(&g, threads));
+        assert_eq!(
+            counted(&run),
+            expected,
+            "build_parallel at {threads} threads"
+        );
+    }
+    assert_eq!(
+        counted(&|| drop(MaintainedIndex::new(&g))),
         expected,
-        "count_four_cliques is itself span-counted"
+        "MaintainedIndex::new"
     );
 
     telemetry::reset();
