@@ -86,7 +86,7 @@ fn main() {
             "serve",
         ]
         .iter()
-        .map(|s| s.to_string())
+        .map(ToString::to_string)
         .collect();
     }
     CSV_DIR.set(csv_dir).expect("csv dir set once");
@@ -278,7 +278,7 @@ fn fig7(scale: Scale) {
         "note: this machine exposes {} CPU core(s); wall-clock speedup is\n\
          hardware-capped, so per-worker balance is reported alongside.\n",
         std::thread::available_parallelism()
-            .map(|p| p.get())
+            .map(std::num::NonZero::get)
             .unwrap_or(1)
     );
     for name in ["Pokec", "LiveJournal"] {
@@ -359,7 +359,7 @@ fn fig9(scale: Scale) {
             let sub = if pct == 100 {
                 g.clone()
             } else {
-                sample(&g, pct as f64 / 100.0, 0x5CA1E)
+                sample(&g, f64::from(pct) / 100.0, 0x5CA1E)
             };
             let (_, _, d_on) = run_online(&sub, DEFAULT_K, DEFAULT_TAU, UpperBound::CommonNeighbor);
             let (index, d_build) = time(|| EsdIndex::build_fast(&sub));
@@ -389,7 +389,7 @@ fn fig10(scale: Scale) {
         let sub = if pct == 100 {
             g.clone()
         } else {
-            subgraph::sample_edges(&g, pct as f64 / 100.0, 0x5CA1E)
+            subgraph::sample_edges(&g, f64::from(pct) / 100.0, 0x5CA1E)
         };
         let (_, d1) = time(|| EsdIndex::build_parallel(&sub, 1));
         let (_, d20) = time(|| EsdIndex::build_parallel(&sub, 20));
@@ -566,64 +566,36 @@ fn case_words() {
     );
 }
 
-/// Ablations over the design choices DESIGN.md calls out: list
-/// representation (treap vs frozen), on-disk persistence, intersection
-/// kernel, and DAG orientation for the 4-clique enumerator.
+/// Ablations over the design choices DESIGN.md calls out: on-disk
+/// persistence, intersection kernel, and DAG orientation for the 4-clique
+/// enumerator.
 fn ablation(scale: Scale) {
     println!("## Ablations\n");
 
-    // (a) Treap lists vs frozen flat lists: query latency and memory.
-    let mut ta = TextTable::new(&[
-        "Dataset",
-        "treap query k=100",
-        "frozen query k=100",
-        "treap bytes",
-        "frozen bytes",
-    ]);
-    // (b) Persistence: save/load round-trip of the frozen index.
-    let mut tb = TextTable::new(&["Dataset", "file size", "save", "load"]);
+    // (a) Persistence: save/load round-trip of the index.
+    let mut ta = TextTable::new(&["Dataset", "file size", "save", "load"]);
     for spec in specs() {
         let g = load(spec.name, scale);
         let index = EsdIndex::build_fast(&g);
-        let frozen = index.freeze();
-        let d_treap = esd_bench::time_avg(200, || {
-            std::hint::black_box(index.query(100, DEFAULT_TAU));
-        });
-        let d_frozen = esd_bench::time_avg(200, || {
-            std::hint::black_box(frozen.query(100, DEFAULT_TAU));
-        });
-        ta.row(vec![
-            spec.name.into(),
-            fmt_duration(d_treap),
-            fmt_duration(d_frozen),
-            fmt_bytes(index.byte_size()),
-            fmt_bytes(frozen.byte_size()),
-        ]);
-
         let mut buf = Vec::new();
-        let (_, d_save) = time(|| frozen.write_to(&mut buf).expect("serialise"));
-        let (loaded, d_load) =
-            time(|| esd_core::index::FrozenEsdIndex::read_from(buf.as_slice()).expect("load"));
-        assert_eq!(
-            loaded.query(100, DEFAULT_TAU),
-            frozen.query(100, DEFAULT_TAU)
-        );
-        tb.row(vec![
+        let (_, d_save) = time(|| index.write_to(&mut buf).expect("serialise"));
+        let (loaded, d_load) = time(|| EsdIndex::read_from(buf.as_slice()).expect("load"));
+        assert_eq!(loaded, index);
+        ta.row(vec![
             spec.name.into(),
             fmt_bytes(buf.len()),
             fmt_duration(d_save),
             fmt_duration(d_load),
         ]);
     }
-    emit("ablation_lists", "### (a) H(c) list representation", &ta);
     emit(
         "ablation_persist",
-        "### (b) frozen-index persistence (ESDX format)",
-        &tb,
+        "### (a) index persistence (ESDX format)",
+        &ta,
     );
 
-    // (c) Intersection kernel for the neighbourhood phase.
-    let mut tc = TextTable::new(&["Dataset", "merge only", "adaptive (merge+gallop)"]);
+    // (b) Intersection kernel for the neighbourhood phase.
+    let mut tb = TextTable::new(&["Dataset", "merge only", "adaptive (merge+gallop)"]);
     for name in ["WikiTalk", "Pokec"] {
         let g = load(name, scale);
         let (_, d_merge) = time(|| {
@@ -646,7 +618,7 @@ fn ablation(scale: Scale) {
             }
             total
         });
-        tc.row(vec![
+        tb.row(vec![
             name.into(),
             fmt_duration(d_merge),
             fmt_duration(d_adaptive),
@@ -654,12 +626,12 @@ fn ablation(scale: Scale) {
     }
     emit(
         "ablation_intersect",
-        "### (c) common-neighbourhood intersection kernel",
-        &tc,
+        "### (b) common-neighbourhood intersection kernel",
+        &tb,
     );
 
-    // (d) DAG orientation for 4-clique enumeration.
-    let mut td = TextTable::new(&[
+    // (c) DAG orientation for 4-clique enumeration.
+    let mut tc = TextTable::new(&[
         "Dataset",
         "degree ordering",
         "degeneracy ordering",
@@ -679,7 +651,7 @@ fn ablation(scale: Scale) {
         let (c1, d_deg) = time(|| count_with(&dag_deg));
         let (c2, d_degen) = time(|| count_with(&dag_degen));
         assert_eq!(c1, c2, "orientation must not change the clique count");
-        td.row(vec![
+        tc.row(vec![
             name.into(),
             fmt_duration(d_deg),
             fmt_duration(d_degen),
@@ -692,12 +664,12 @@ fn ablation(scale: Scale) {
     }
     emit(
         "ablation_orientation",
-        "### (d) orientation for the 4-clique enumerator",
-        &td,
+        "### (c) orientation for the 4-clique enumerator",
+        &tc,
     );
 }
 
-/// Ablation (e): one-shot top-k strategy — dequeue-twice pruning vs scoring
+/// Ablation (d): one-shot top-k strategy — dequeue-twice pruning vs scoring
 /// everything with the 4-clique pass. Appended to the `ablation` output by
 /// `main` when requested via `ablation_topk`.
 fn ablation_topk(scale: Scale) {
@@ -723,7 +695,7 @@ fn ablation_topk(scale: Scale) {
             ]);
         }
     }
-    emit("ablation_topk", "### (e) one-shot top-k strategy", &t);
+    emit("ablation_topk", "### (d) one-shot top-k strategy", &t);
 }
 
 /// Extended maintenance experiment (beyond Fig 11): replay a realistic
@@ -833,18 +805,18 @@ fn serve(scale: Scale) {
             }
         });
 
-        // Strategy B: frozen index, rebuilt on every write. One rebuild is
+        // Strategy B: static index, rebuilt on every write. One rebuild is
         // timed and amortised analytically to keep the experiment short.
-        let frozen = EsdIndex::build_fast(&g).freeze();
+        let index = EsdIndex::build_fast(&g);
         let mut rng = StdRng::seed_from_u64(0x5EED);
         let (_, d_reads) = time(|| {
             for _ in 0..total_ops {
                 let k = 1 + rng.gen_range(0..100);
                 let tau = 1 + rng.gen_range(0..4);
-                std::hint::black_box(frozen.query(k, tau));
+                std::hint::black_box(index.query(k, tau));
             }
         });
-        let (_, d_rebuild) = time(|| EsdIndex::build_fast(&g).freeze());
+        let (_, d_rebuild) = time(|| EsdIndex::build_fast(&g));
         let writes_done = write_cursor.max(1) as u32;
         let d_static = d_reads + d_rebuild * writes_done;
 

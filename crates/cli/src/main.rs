@@ -3,7 +3,7 @@
 //! ```text
 //! esd stats  <graph.txt>                         graph statistics (Table I columns)
 //! esd topk   <graph.txt> [-k N] [--tau T] [--family F] [--algo online|online+|index]
-//! esd build  <graph.txt> -o <index.esdx>         build + persist a frozen index
+//! esd build  <graph.txt> -o <index.esdx>         build + persist the index
 //! esd query  <index.esdx> [-k N] [--tau T]       query a persisted index
 //! esd stream <graph.txt>                         read updates/queries from stdin:
 //!                                                  + u v | - u v | ? k tau | family [F] | quit
@@ -47,8 +47,8 @@
 //! (by default) fsynced before the ack; incremental ESDX delta checkpoints
 //! bound replay time. Restarting `esd serve` with the same `--wal-dir`
 //! recovers the pre-crash published state; `esd recover` inspects a
-//! durable directory offline and can export the recovered index as a
-//! frozen ESDX file. See `docs/durability.md`.
+//! durable directory offline and can export the recovered index as an
+//! ESDX file. See `docs/durability.md`.
 //!
 //! Graphs are SNAP-style edge lists (`u<ws>v` per line, `#` comments).
 //! `topk`/`stream` print the file's original vertex ids; a persisted index
@@ -260,20 +260,20 @@ fn audit(opts: &Options) -> Result<ExitCode, Error> {
         .positional
         .first()
         .ok_or("missing index file argument")?;
-    let frozen = esd_core::index::FrozenEsdIndex::load(path)
-        .map_err(|e| Error::from(e).context(format!("cannot load {path}")))?;
+    let index =
+        EsdIndex::load(path).map_err(|e| Error::from(e).context(format!("cannot load {path}")))?;
     let violations = match opts.positional.get(1) {
         Some(gpath) => {
             let (g, _) = io::load_edge_list(gpath)
                 .map_err(|e| Error::from(e).context(format!("cannot load {gpath}")))?;
-            frozen.validate_against(&g)
+            index.validate_against(&g)
         }
-        None => frozen.validate(),
+        None => index.validate(),
     };
     println!(
         "audit {path}: {} lists, {} entries{}",
-        frozen.num_lists(),
-        frozen.total_entries(),
+        index.num_lists(),
+        index.total_entries(),
         if opts.positional.len() > 1 {
             " (checked against graph)"
         } else {
@@ -558,8 +558,8 @@ fn build(opts: &Options) -> Result<(), Error> {
         .output
         .as_ref()
         .ok_or("build requires -o <index.esdx>")?;
-    let frozen = EsdIndex::build_fast(&g).freeze();
-    frozen
+    let index = EsdIndex::build_fast(&g);
+    index
         .save(out)
         .map_err(|e| Error::from(e).context(format!("cannot write {out}")))?;
     // Sidecar with the dense -> original id mapping, one id per line.
@@ -574,8 +574,8 @@ fn build(opts: &Options) -> Result<(), Error> {
     w.flush()?;
     println!(
         "wrote {out} ({} lists, {} entries) and {ids_path}",
-        frozen.num_lists(),
-        frozen.total_entries()
+        index.num_lists(),
+        index.total_entries()
     );
     Ok(())
 }
@@ -593,8 +593,8 @@ fn query(opts: &Options) -> Result<(), Error> {
         .positional
         .first()
         .ok_or("missing index file argument")?;
-    let frozen = esd_core::index::FrozenEsdIndex::load(path)
-        .map_err(|e| Error::from(e).context(format!("cannot load {path}")))?;
+    let index =
+        EsdIndex::load(path).map_err(|e| Error::from(e).context(format!("cannot load {path}")))?;
     // Optional sidecar mapping; identity if absent.
     let original: Vec<u64> = match std::fs::read_to_string(format!("{path}.ids")) {
         Ok(text) => text
@@ -610,10 +610,10 @@ fn query(opts: &Options) -> Result<(), Error> {
                 "warning: {path}.ids not found; printing dense vertex ids \
                  (rebuild with `esd build` to restore original ids)"
             );
-            let max_vertex = frozen
+            let max_vertex = index
                 .component_sizes()
                 .iter()
-                .filter_map(|&c| frozen.list(c))
+                .filter_map(|&c| index.list(c))
                 .flatten()
                 .map(|s| u64::from(s.edge.v))
                 .max()
@@ -621,7 +621,7 @@ fn query(opts: &Options) -> Result<(), Error> {
             (0..=max_vertex).collect()
         }
     };
-    let results = frozen.query(opts.k, opts.tau);
+    let results = index.query(opts.k, opts.tau);
     println!(
         "top-{} edges by structural diversity (τ = {}):",
         opts.k, opts.tau
@@ -843,7 +843,7 @@ fn durability_config(opts: &Options) -> Result<Option<DurabilityConfig>, Error> 
 
 /// Offline recovery: loads the newest valid checkpoint chain from a
 /// durable directory, replays the WAL tail, prints the report, and — with
-/// `-o` — exports the recovered state as a frozen ESDX index.
+/// `-o` — exports the recovered state as an ESDX index.
 fn recover(opts: &Options) -> Result<(), Error> {
     let dir = opts
         .positional
@@ -884,14 +884,14 @@ fn recover(opts: &Options) -> Result<(), Error> {
         g.num_edges()
     );
     if let Some(out) = &opts.output {
-        let frozen = esd_core::index::FrozenEsdIndex::build(&g.to_graph());
-        frozen
+        let index = EsdIndex::build_fast(&g.to_graph());
+        index
             .save(out)
             .map_err(|e| Error::from(e).context(format!("cannot write {out}")))?;
         println!(
             "wrote {out} ({} lists, {} entries)",
-            frozen.num_lists(),
-            frozen.total_entries()
+            index.num_lists(),
+            index.total_entries()
         );
     }
     Ok(())

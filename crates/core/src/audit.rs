@@ -9,11 +9,9 @@
 //!
 //! | structure | validator | invariants |
 //! |---|---|---|
-//! | [`ScoreTreap`] | [`ScoreTreap::validate`] | arena bounds, acyclicity, heap order on priorities, strict BST rank order, subtree sizes, free-list/slot accounting, deterministic priorities |
 //! | [`EdgeComponents`] | [`EdgeComponents::validate`] | monotone offsets, ascending positive size multisets |
-//! | [`EsdIndex`] | [`EsdIndex::validate`], [`EsdIndex::validate_against`] | ascending `C`, per-list treap soundness, list nesting `H(c') ⊆ H(c)`, score monotonicity; vs-graph: exact contents + Theorem 3 |
-//! | [`FrozenEsdIndex`] | [`FrozenEsdIndex::validate`], [`FrozenEsdIndex::validate_against`] | same invariants on the flat layout |
-//! | [`MaintainedIndex`] | [`MaintainedIndex::validate`], [`MaintainedIndex::validate_deep`] | graph soundness, forest well-formedness and coverage, refcounts, list/forest agreement; deep: forests vs true ego-network partitions |
+//! | [`EsdIndex`] | [`EsdIndex::validate`], [`EsdIndex::validate_against`] | ascending `C`, list offsets, canonical positively-scored entries in strict rank order, no edge twice in a list, list nesting `H(c') ⊆ H(c)`, score monotonicity; vs-graph: exact contents + Theorem 3 |
+//! | [`MaintainedIndex`] | [`MaintainedIndex::validate`], [`MaintainedIndex::validate_deep`] | graph soundness, forest well-formedness and coverage, refcounts, sound list runs, list/forest agreement; deep: forests vs true ego-network partitions |
 //! | [`CowRun`] | [`CowRun::validate`] | non-empty pages, strict rank order within and across pages, `len` |
 //! | [`FamilySuite`] | [`FamilySuite::validate`] | every run sound and equal to the ranking a scan of the profiles derives; truss refcounts equal the core-size multiset, and the run keys equal the refcount keys |
 //!
@@ -21,9 +19,8 @@
 //! tests) re-runs these validators at construction and maintenance
 //! boundaries, panicking via [`assert_clean`] with the full report.
 
-use crate::cow::CowRun;
-use crate::index::ostree::{priority_of, RankKey, ScoreTreap, NIL};
-use crate::index::{EdgeComponents, EsdIndex, FrozenEsdIndex};
+use crate::cow::{CowRun, RankKey};
+use crate::index::{EdgeComponents, EsdIndex};
 use crate::maintain::{ego_edges, EdgeDsu, MaintainedIndex};
 use crate::score::score_from_sizes;
 use crate::FamilySuite;
@@ -33,268 +30,6 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 
 pub use esd_graph::audit::assert_clean;
-
-// ---------------------------------------------------------------------------
-// ScoreTreap
-// ---------------------------------------------------------------------------
-
-/// One violated invariant of a [`ScoreTreap`], located by arena slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TreapViolation {
-    /// The root index is neither `NIL` nor a valid arena slot.
-    RootOutOfBounds {
-        /// The stored root index.
-        root: u32,
-    },
-    /// A child pointer leaves the arena.
-    ChildOutOfBounds {
-        /// Parent slot holding the pointer.
-        node: u32,
-        /// The out-of-range child index.
-        child: u32,
-    },
-    /// A slot is reachable through two paths (shared subtree or cycle).
-    NodeRevisited {
-        /// The slot reached twice.
-        node: u32,
-    },
-    /// A child's priority exceeds its parent's (heap property broken).
-    HeapOrder {
-        /// Parent slot.
-        parent: u32,
-        /// Child slot with the larger priority.
-        child: u32,
-    },
-    /// In-order traversal is not strictly rank-ascending at this node.
-    BstOrder {
-        /// The slot whose key does not follow its in-order predecessor.
-        node: u32,
-    },
-    /// A cached subtree size disagrees with the recomputed count.
-    SubtreeSizeMismatch {
-        /// The slot with the stale size.
-        node: u32,
-        /// Cached size.
-        stored: u32,
-        /// Recomputed size.
-        actual: u32,
-    },
-    /// `len` disagrees with the number of reachable nodes.
-    LenMismatch {
-        /// Cached length.
-        stored: usize,
-        /// Reachable node count.
-        actual: usize,
-    },
-    /// A free-list entry is outside the arena.
-    FreeSlotOutOfBounds {
-        /// The out-of-range free-list entry.
-        slot: u32,
-    },
-    /// A slot is simultaneously reachable and on the free list.
-    FreeSlotReachable {
-        /// The doubly-owned slot.
-        slot: u32,
-    },
-    /// A slot appears twice on the free list.
-    FreeSlotDuplicate {
-        /// The repeated slot.
-        slot: u32,
-    },
-    /// A slot is neither reachable nor free (leaked).
-    SlotLeak {
-        /// The orphaned slot.
-        slot: u32,
-    },
-    /// A node's stored priority differs from the deterministic hash of its
-    /// key.
-    PriorityMismatch {
-        /// The slot with the non-canonical priority.
-        node: u32,
-    },
-}
-
-impl std::fmt::Display for TreapViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::RootOutOfBounds { root } => write!(f, "root index {root} out of bounds"),
-            Self::ChildOutOfBounds { node, child } => {
-                write!(f, "node {node} has out-of-bounds child {child}")
-            }
-            Self::NodeRevisited { node } => {
-                write!(
-                    f,
-                    "node {node} is reachable twice (cycle or shared subtree)"
-                )
-            }
-            Self::HeapOrder { parent, child } => {
-                write!(
-                    f,
-                    "heap order broken: child {child} outranks parent {parent}"
-                )
-            }
-            Self::BstOrder { node } => write!(f, "in-order rank sequence breaks at node {node}"),
-            Self::SubtreeSizeMismatch {
-                node,
-                stored,
-                actual,
-            } => {
-                write!(
-                    f,
-                    "node {node} caches subtree size {stored}, recount gives {actual}"
-                )
-            }
-            Self::LenMismatch { stored, actual } => {
-                write!(f, "len is {stored} but {actual} nodes are reachable")
-            }
-            Self::FreeSlotOutOfBounds { slot } => {
-                write!(f, "free-list entry {slot} out of bounds")
-            }
-            Self::FreeSlotReachable { slot } => {
-                write!(f, "slot {slot} is both reachable and free")
-            }
-            Self::FreeSlotDuplicate { slot } => write!(f, "slot {slot} freed twice"),
-            Self::SlotLeak { slot } => write!(f, "slot {slot} neither reachable nor free"),
-            Self::PriorityMismatch { node } => {
-                write!(f, "node {node} priority differs from the hash of its key")
-            }
-        }
-    }
-}
-
-impl ScoreTreap {
-    /// Audits every structural invariant of the treap arena; returns all
-    /// violations found (empty = sound). `O(n)`.
-    pub fn validate(&self) -> Vec<TreapViolation> {
-        let mut out = Vec::new();
-        let n = self.nodes.len();
-        // 0 = unseen, 1 = reachable, 2 = free.
-        let mut state = vec![0u8; n];
-
-        if self.root != NIL && self.root as usize >= n {
-            out.push(TreapViolation::RootOutOfBounds { root: self.root });
-            return out;
-        }
-
-        // Reachability sweep: child bounds, revisits, heap order.
-        let mut reachable = 0usize;
-        let mut tree_sound = true;
-        if self.root != NIL {
-            state[self.root as usize] = 1;
-            reachable = 1;
-            let mut stack = vec![self.root];
-            while let Some(t) = stack.pop() {
-                let node = self.nodes[t as usize];
-                for child in [node.left, node.right] {
-                    if child == NIL {
-                        continue;
-                    }
-                    if child as usize >= n {
-                        out.push(TreapViolation::ChildOutOfBounds { node: t, child });
-                        tree_sound = false;
-                        continue;
-                    }
-                    if state[child as usize] == 1 {
-                        out.push(TreapViolation::NodeRevisited { node: child });
-                        tree_sound = false;
-                        continue;
-                    }
-                    if self.nodes[child as usize].prio > node.prio {
-                        out.push(TreapViolation::HeapOrder { parent: t, child });
-                    }
-                    state[child as usize] = 1;
-                    reachable += 1;
-                    stack.push(child);
-                }
-            }
-        }
-        if self.len != reachable {
-            out.push(TreapViolation::LenMismatch {
-                stored: self.len,
-                actual: reachable,
-            });
-        }
-
-        // Deterministic priorities on every live node.
-        for (t, node) in self.nodes.iter().enumerate() {
-            if state[t] == 1 && node.prio != priority_of(&node.key) {
-                out.push(TreapViolation::PriorityMismatch { node: t as u32 });
-            }
-        }
-
-        // Order checks need an actual tree; a cyclic or out-of-bounds shape
-        // is already reported above.
-        if tree_sound && self.root != NIL {
-            // In-order walk: keys strictly rank-ascending.
-            let mut stack = Vec::new();
-            let mut t = self.root;
-            let mut prev: Option<RankKey> = None;
-            while t != NIL || !stack.is_empty() {
-                while t != NIL {
-                    stack.push(t);
-                    t = self.nodes[t as usize].left;
-                }
-                let cur = stack.pop().expect("non-empty stack");
-                let key = self.nodes[cur as usize].key;
-                if let Some(p) = prev {
-                    if p.cmp(&key) != Ordering::Less {
-                        out.push(TreapViolation::BstOrder { node: cur });
-                    }
-                }
-                prev = Some(key);
-                t = self.nodes[cur as usize].right;
-            }
-
-            // Post-order recount of every cached subtree size.
-            let mut actual = vec![0u32; n];
-            let size_of = |t: u32, actual: &[u32]| if t == NIL { 0 } else { actual[t as usize] };
-            let mut stack = vec![(self.root, false)];
-            while let Some((node, expanded)) = stack.pop() {
-                let nd = self.nodes[node as usize];
-                if expanded {
-                    let count = 1 + size_of(nd.left, &actual) + size_of(nd.right, &actual);
-                    actual[node as usize] = count;
-                    if nd.size != count {
-                        out.push(TreapViolation::SubtreeSizeMismatch {
-                            node,
-                            stored: nd.size,
-                            actual: count,
-                        });
-                    }
-                } else {
-                    stack.push((node, true));
-                    if nd.left != NIL {
-                        stack.push((nd.left, false));
-                    }
-                    if nd.right != NIL {
-                        stack.push((nd.right, false));
-                    }
-                }
-            }
-        }
-
-        // Free-list accounting: in-bounds, disjoint from the tree, no
-        // duplicates, and together with the tree covering every slot.
-        for &slot in &self.free {
-            if slot as usize >= n {
-                out.push(TreapViolation::FreeSlotOutOfBounds { slot });
-                continue;
-            }
-            match state[slot as usize] {
-                1 => out.push(TreapViolation::FreeSlotReachable { slot }),
-                2 => out.push(TreapViolation::FreeSlotDuplicate { slot }),
-                _ => state[slot as usize] = 2,
-            }
-        }
-        for (slot, &s) in state.iter().enumerate() {
-            if s == 0 {
-                out.push(TreapViolation::SlotLeak { slot: slot as u32 });
-            }
-        }
-        out
-    }
-}
 
 // ---------------------------------------------------------------------------
 // EdgeComponents
@@ -445,34 +180,6 @@ fn diff_entries(expected: &EntryMap, actual: &EntryMap) -> EntryDiff {
     diff
 }
 
-/// Checks the nesting chain over `(threshold, entry-map)` pairs ordered by
-/// ascending threshold: each list must be a sub-multiset of its predecessor
-/// with monotonically non-increasing scores. Violations are reported through
-/// the `nested` / `monotone` constructors so each index flavour keeps its own
-/// typed violation.
-fn nesting_violations<V>(
-    lists: &[(u32, EntryMap)],
-    mut not_nested: impl FnMut(u32, Edge) -> V,
-    mut not_monotone: impl FnMut(u32, Edge, u32, u32) -> V,
-    out: &mut Vec<V>,
-) {
-    for pair in lists.windows(2) {
-        let (_, ref lower) = pair[0];
-        let (c_hi, ref higher) = pair[1];
-        let mut entries: Vec<(&Edge, &u32)> = higher.iter().collect();
-        entries.sort_unstable();
-        for (&e, &score_hi) in entries {
-            match lower.get(&e) {
-                None => out.push(not_nested(c_hi, e)),
-                Some(&score_lo) if score_lo < score_hi => {
-                    out.push(not_monotone(c_hi, e, score_hi, score_lo));
-                }
-                Some(_) => {}
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // EsdIndex
 // ---------------------------------------------------------------------------
@@ -491,19 +198,35 @@ pub enum IndexViolation {
         /// Index into `C`.
         position: usize,
     },
-    /// The list array length differs from `|C|`.
+    /// The list offsets do not bound `|C|` lists over the entry array
+    /// (wrong count, not starting at 0, decreasing, or not ending at the
+    /// entry count).
     ListArityMismatch {
         /// `|C|`.
         sizes: usize,
-        /// Number of lists stored.
+        /// Number of lists the offsets bound.
         lists: usize,
     },
-    /// A list's backing treap fails its own audit.
-    Treap {
+    /// An entry does not rank strictly after its predecessor in the list.
+    OutOfOrder {
         /// The list's threshold `c`.
         threshold: u32,
-        /// The underlying treap violation.
-        inner: TreapViolation,
+        /// The entry's position within the list.
+        position: usize,
+    },
+    /// An entry's edge is not in canonical `u < v` orientation.
+    NonCanonicalEdge {
+        /// The list's threshold `c`.
+        threshold: u32,
+        /// The offending edge, as stored.
+        edge: Edge,
+    },
+    /// An edge appears more than once in one list.
+    DuplicateEdge {
+        /// The list's threshold `c`.
+        threshold: u32,
+        /// The repeated edge.
+        edge: Edge,
     },
     /// A stored entry carries score 0 (never indexed per the paper).
     ZeroScore {
@@ -585,7 +308,15 @@ impl std::fmt::Display for IndexViolation {
             Self::ListArityMismatch { sizes, lists } => {
                 write!(f, "|C| = {sizes} but {lists} lists stored")
             }
-            Self::Treap { threshold, inner } => write!(f, "H({threshold}): {inner}"),
+            Self::OutOfOrder { threshold, position } => {
+                write!(f, "H({threshold}): rank order breaks at position {position}")
+            }
+            Self::NonCanonicalEdge { threshold, edge } => {
+                write!(f, "H({threshold}): edge {edge} is not in u < v orientation")
+            }
+            Self::DuplicateEdge { threshold, edge } => {
+                write!(f, "H({threshold}): {edge} is listed more than once")
+            }
             Self::ZeroScore { threshold, edge } => {
                 write!(f, "H({threshold}): entry {edge} has score 0")
             }
@@ -615,153 +346,24 @@ impl std::fmt::Display for IndexViolation {
     }
 }
 
-/// Shared `C`-array checks for both index flavours.
-fn sizes_violations<V>(
-    sizes: &[u32],
-    mut not_ascending: impl FnMut(usize) -> V,
-    mut zero: impl FnMut(usize) -> V,
-    out: &mut Vec<V>,
-) {
-    for (i, &c) in sizes.iter().enumerate() {
-        if c == 0 {
-            out.push(zero(i));
-        }
-        if i > 0 && sizes[i - 1] >= c {
-            out.push(not_ascending(i));
-        }
-    }
-}
-
 impl EsdIndex {
-    /// Audits the structural invariants of the index: ascending `C`, sound
-    /// treaps, positive scores, list nesting and score monotonicity across
-    /// thresholds. Returns all violations found (empty = sound).
+    /// Audits the flat layout: ascending `C`, list offsets that bound `|C|`
+    /// lists, canonical positively-scored entries in strict rank order, no
+    /// edge twice in a list, and list nesting with score monotonicity
+    /// across thresholds. Returns all violations found (empty = sound).
+    ///
+    /// Nesting is checked by a merge walk over edge-sorted copies of
+    /// adjacent lists, so an audit costs one sort per list.
     pub fn validate(&self) -> Vec<IndexViolation> {
         let mut out = Vec::new();
-        sizes_violations(
-            &self.sizes,
-            |position| IndexViolation::SizesNotAscending { position },
-            |position| IndexViolation::ZeroThreshold { position },
-            &mut out,
-        );
-        if self.sizes.len() != self.lists.len() {
-            out.push(IndexViolation::ListArityMismatch {
-                sizes: self.sizes.len(),
-                lists: self.lists.len(),
-            });
-            return out;
-        }
-        let mut maps: Vec<(u32, EntryMap)> = Vec::with_capacity(self.lists.len());
-        for (&c, list) in self.sizes.iter().zip(&self.lists) {
-            for v in list.validate() {
-                out.push(IndexViolation::Treap {
-                    threshold: c,
-                    inner: v,
-                });
+        for (position, &c) in self.sizes.iter().enumerate() {
+            if c == 0 {
+                out.push(IndexViolation::ZeroThreshold { position });
             }
-            let mut map = EntryMap::with_capacity(list.len());
-            for s in list.iter_ranked() {
-                if s.score == 0 {
-                    out.push(IndexViolation::ZeroScore {
-                        threshold: c,
-                        edge: s.edge,
-                    });
-                }
-                map.insert(s.edge, s.score);
-            }
-            maps.push((c, map));
-        }
-        nesting_violations(
-            &maps,
-            |threshold, edge| IndexViolation::NotNested { threshold, edge },
-            |threshold, edge, score, lower_score| IndexViolation::ScoreNotMonotone {
-                threshold,
-                edge,
-                score,
-                lower_score,
-            },
-            &mut out,
-        );
-        out
-    }
-
-    /// [`EsdIndex::validate`] plus a full semantic audit against ground truth
-    /// recomputed from `g` by per-edge BFS: exact `C`, exact list contents
-    /// and scores, and the Theorem 3 space bound.
-    pub fn validate_against(&self, g: &Graph) -> Vec<IndexViolation> {
-        let mut out = self.validate();
-        let comps = crate::index::build::components_by_bfs(g);
-        let expected_sizes = crate::index::build::distinct_sizes(&comps);
-        if expected_sizes != self.sizes {
-            out.push(IndexViolation::DivergedSizes {
-                expected: expected_sizes,
-                actual: self.sizes.clone(),
-            });
-            return out;
-        }
-        for (&c, list) in self.sizes.iter().zip(&self.lists) {
-            let mut expected = EntryMap::new();
-            for (eid, e) in g.edges().iter().enumerate() {
-                let score = comps.score_of(eid, c);
-                if score > 0 {
-                    expected.insert(*e, score);
-                }
-            }
-            let actual: EntryMap = list
-                .iter_ranked()
-                .into_iter()
-                .map(|s| (s.edge, s.score))
-                .collect();
-            let diff = diff_entries(&expected, &actual);
-            for (edge, score) in diff.missing {
-                out.push(IndexViolation::MissingEntry {
-                    threshold: c,
-                    edge,
-                    score,
-                });
-            }
-            for (edge, score) in diff.unexpected {
-                out.push(IndexViolation::UnexpectedEntry {
-                    threshold: c,
-                    edge,
-                    score,
-                });
-            }
-            for (edge, expected, actual) in diff.wrong {
-                out.push(IndexViolation::WrongScore {
-                    threshold: c,
-                    edge,
-                    expected,
-                    actual,
-                });
+            if position > 0 && self.sizes[position - 1] >= c {
+                out.push(IndexViolation::SizesNotAscending { position });
             }
         }
-        let bound = esd_graph::metrics::sum_min_degree(g);
-        if self.total_entries() as u64 > bound {
-            out.push(IndexViolation::SpaceBoundExceeded {
-                entries: self.total_entries(),
-                bound,
-            });
-        }
-        out
-    }
-}
-
-impl FrozenEsdIndex {
-    /// Audits the flat layout: ascending `C`, monotone list offsets,
-    /// canonical positively-scored entries, rank order within each list,
-    /// nesting and score monotonicity across lists. Returns all violations
-    /// found (empty = sound).
-    pub fn validate(&self) -> Vec<IndexViolation> {
-        let mut out = Vec::new();
-        sizes_violations(
-            &self.sizes,
-            |position| IndexViolation::SizesNotAscending { position },
-            |position| IndexViolation::ZeroThreshold { position },
-            &mut out,
-        );
-        // Offsets: arity, start, monotone, terminal — reported through the
-        // arity variant when the shape makes the lists unaddressable.
         let shape_ok = self.list_offsets.len() == self.sizes.len() + 1
             && self.list_offsets.first() == Some(&0)
             && self.list_offsets.windows(2).all(|w| w[0] <= w[1])
@@ -773,19 +375,17 @@ impl FrozenEsdIndex {
             });
             return out;
         }
-        let mut maps: Vec<(u32, EntryMap)> = Vec::with_capacity(self.sizes.len());
+        // Nesting violations go after every per-list one.
+        let mut nesting = Vec::new();
+        let mut lower: Vec<(Edge, u32)> = Vec::new();
         for (i, &c) in self.sizes.iter().enumerate() {
-            let list = &self.entries[self.list_offsets[i]..self.list_offsets[i + 1]];
-            let mut map = EntryMap::with_capacity(list.len());
-            for (j, s) in list.iter().enumerate() {
+            let list = self.list_at(i);
+            let mut by_edge = Vec::with_capacity(list.len());
+            for (position, s) in list.iter().enumerate() {
                 if s.edge.u >= s.edge.v {
-                    // Located by treap-style slot: reuse ZeroScore shape via a
-                    // dedicated variant would be clearer; report as NotNested
-                    // is wrong — use WrongScore? Report as UnexpectedEntry.
-                    out.push(IndexViolation::UnexpectedEntry {
+                    out.push(IndexViolation::NonCanonicalEdge {
                         threshold: c,
                         edge: s.edge,
-                        score: s.score,
                     });
                     continue;
                 }
@@ -795,40 +395,57 @@ impl FrozenEsdIndex {
                         edge: s.edge,
                     });
                 }
-                if j > 0 {
-                    let prev = list[j - 1];
-                    let ranked =
-                        prev.score > s.score || (prev.score == s.score && prev.edge < s.edge);
-                    if !ranked {
-                        out.push(IndexViolation::Treap {
-                            threshold: c,
-                            inner: TreapViolation::BstOrder {
-                                node: (self.list_offsets[i] + j) as u32,
-                            },
-                        });
+                if position > 0 && list[position - 1].ranking_cmp(s) != Ordering::Less {
+                    out.push(IndexViolation::OutOfOrder {
+                        threshold: c,
+                        position,
+                    });
+                }
+                by_edge.push((s.edge, s.score));
+            }
+            // Edge-sorted, each edge kept once with its smallest score.
+            by_edge.sort_unstable();
+            by_edge.dedup_by(|later, kept| {
+                let dup = later.0 == kept.0;
+                if dup {
+                    out.push(IndexViolation::DuplicateEdge {
+                        threshold: c,
+                        edge: kept.0,
+                    });
+                }
+                dup
+            });
+            if i > 0 {
+                // `H(c) ⊆ H(c_prev)`, scores never rising with the threshold.
+                let mut j = 0;
+                for &(edge, score) in &by_edge {
+                    while lower.get(j).is_some_and(|&(e, _)| e < edge) {
+                        j += 1;
+                    }
+                    match lower.get(j) {
+                        Some(&(e, lower_score)) if e == edge => {
+                            if lower_score < score {
+                                nesting.push(IndexViolation::ScoreNotMonotone {
+                                    threshold: c,
+                                    edge,
+                                    score,
+                                    lower_score,
+                                });
+                            }
+                        }
+                        _ => nesting.push(IndexViolation::NotNested { threshold: c, edge }),
                     }
                 }
-                map.insert(s.edge, s.score);
             }
-            maps.push((c, map));
+            lower = by_edge;
         }
-        nesting_violations(
-            &maps,
-            |threshold, edge| IndexViolation::NotNested { threshold, edge },
-            |threshold, edge, score, lower_score| IndexViolation::ScoreNotMonotone {
-                threshold,
-                edge,
-                score,
-                lower_score,
-            },
-            &mut out,
-        );
+        out.extend(nesting);
         out
     }
 
-    /// [`FrozenEsdIndex::validate`] plus a full semantic audit against
-    /// ground truth recomputed from `g`: exact `C`, exact list contents and
-    /// scores, and the Theorem 3 space bound.
+    /// [`EsdIndex::validate`] plus a full semantic audit against ground
+    /// truth recomputed from `g` by per-edge BFS: exact `C`, exact list
+    /// contents and scores, and the Theorem 3 space bound.
     pub fn validate_against(&self, g: &Graph) -> Vec<IndexViolation> {
         let mut out = self.validate();
         let comps = crate::index::build::components_by_bfs(g);
@@ -848,7 +465,7 @@ impl FrozenEsdIndex {
                     expected.insert(*e, score);
                 }
             }
-            let list = &self.entries[self.list_offsets[i]..self.list_offsets[i + 1]];
+            let list = self.list_at(i);
             let actual: EntryMap = list.iter().map(|s| (s.edge, s.score)).collect();
             let diff = diff_entries(&expected, &actual);
             for (edge, score) in diff.missing {
@@ -955,12 +572,12 @@ pub enum MaintViolation {
         /// The edge whose forest merged or split the wrong components.
         edge: Edge,
     },
-    /// A list's backing treap fails its own audit.
-    Treap {
+    /// A list's run fails its own audit.
+    Run {
         /// The list's threshold `c`.
         threshold: u32,
-        /// The underlying treap violation.
-        inner: TreapViolation,
+        /// The underlying run violation.
+        inner: RunViolation,
     },
     /// A refcount disagrees with the count recomputed from the forests.
     RefcountMismatch {
@@ -1054,7 +671,7 @@ impl std::fmt::Display for MaintViolation {
                     "forest of {edge} diverges from the true ego-network partition"
                 )
             }
-            Self::Treap { threshold, inner } => write!(f, "H({threshold}): {inner}"),
+            Self::Run { threshold, inner } => write!(f, "H({threshold}): {inner}"),
             Self::RefcountMismatch {
                 threshold,
                 stored,
@@ -1261,10 +878,10 @@ impl MaintainedIndex {
             }
         }
 
-        // List contents vs forest-derived scores, plus treap soundness.
+        // List contents vs forest-derived scores, plus run soundness.
         for (&c, list) in &self.lists {
             for v in list.validate() {
-                out.push(MaintViolation::Treap {
+                out.push(MaintViolation::Run {
                     threshold: c,
                     inner: v,
                 });
@@ -1276,11 +893,7 @@ impl MaintainedIndex {
                     expected.insert(*e, score);
                 }
             }
-            let actual: EntryMap = list
-                .iter_ranked()
-                .into_iter()
-                .map(|s| (s.edge, s.score))
-                .collect();
+            let actual: EntryMap = list.iter().map(|k| (k.edge, k.score)).collect();
             let diff = diff_entries(&expected, &actual);
             for (edge, score) in diff.missing {
                 out.push(MaintViolation::MissingEntry {
@@ -1628,183 +1241,32 @@ impl FamilySuite {
 mod tests {
     use super::*;
     use crate::fixtures::fig1;
-    use crate::index::ostree::Node;
+    use crate::ScoredEdge;
     use esd_graph::generators;
 
-    fn key(score: u32, a: u32, b: u32) -> RankKey {
-        RankKey {
-            score,
-            edge: Edge::new(a, b),
+    /// The index's lists, each in stored order.
+    fn lists_of(index: &EsdIndex) -> Vec<Vec<ScoredEdge>> {
+        index
+            .list_offsets
+            .windows(2)
+            .map(|w| index.entries[w[0]..w[1]].to_vec())
+            .collect()
+    }
+
+    /// An index over `sizes` holding `lists` as given — no audit, so tests
+    /// can assemble corrupt ones.
+    fn assemble(sizes: Vec<u32>, lists: Vec<Vec<ScoredEdge>>) -> EsdIndex {
+        let mut list_offsets = vec![0];
+        let mut entries = Vec::new();
+        for list in lists {
+            entries.extend(list);
+            list_offsets.push(entries.len());
         }
-    }
-
-    fn sample_treap() -> ScoreTreap {
-        let mut t = ScoreTreap::new();
-        for i in 0..30u32 {
-            t.insert(key(i % 5 + 1, i, i + 1));
+        EsdIndex {
+            sizes,
+            list_offsets,
+            entries,
         }
-        t.remove(&key(3, 2, 3));
-        t
-    }
-
-    #[test]
-    fn clean_treap_has_no_violations() {
-        assert_eq!(ScoreTreap::new().validate(), Vec::new());
-        assert_eq!(sample_treap().validate(), Vec::new());
-    }
-
-    #[test]
-    fn treap_detects_size_corruption() {
-        let mut t = sample_treap();
-        let root = t.root as usize;
-        t.nodes[root].size += 1;
-        let v = t.validate();
-        assert!(
-            v.iter().any(|x| matches!(
-                x,
-                TreapViolation::SubtreeSizeMismatch { node, .. } if *node as usize == root
-            )),
-            "got {v:?}"
-        );
-    }
-
-    #[test]
-    fn treap_detects_len_corruption() {
-        let mut t = sample_treap();
-        t.len += 2;
-        let v = t.validate();
-        assert!(
-            v.iter()
-                .any(|x| matches!(x, TreapViolation::LenMismatch { .. })),
-            "got {v:?}"
-        );
-    }
-
-    #[test]
-    fn treap_detects_priority_and_heap_corruption() {
-        let mut t = sample_treap();
-        // Find a non-root reachable node and inflate its priority past its
-        // parent's: both the heap check and the determinism check fire.
-        let root = t.root;
-        let child = {
-            let r = &t.nodes[root as usize];
-            if r.left != NIL {
-                r.left
-            } else {
-                r.right
-            }
-        };
-        t.nodes[child as usize].prio = u64::MAX;
-        let v = t.validate();
-        assert!(
-            v.contains(&TreapViolation::HeapOrder {
-                parent: root,
-                child
-            }),
-            "got {v:?}"
-        );
-        assert!(
-            v.contains(&TreapViolation::PriorityMismatch { node: child }),
-            "got {v:?}"
-        );
-    }
-
-    #[test]
-    fn treap_detects_bst_corruption() {
-        let mut t = sample_treap();
-        let root = t.root as usize;
-        t.nodes[root].key = key(u32::MAX, 100, 101); // best possible rank, mid-tree
-        let v = t.validate();
-        assert!(
-            v.iter()
-                .any(|x| matches!(x, TreapViolation::BstOrder { .. })),
-            "got {v:?}"
-        );
-    }
-
-    #[test]
-    fn treap_detects_cycle_and_arena_faults() {
-        let mut t = sample_treap();
-        let root = t.root;
-        t.nodes[root as usize].right = root; // self-cycle
-        let v = t.validate();
-        assert!(
-            v.contains(&TreapViolation::NodeRevisited { node: root }),
-            "got {v:?}"
-        );
-
-        let mut t = sample_treap();
-        let root = t.root;
-        t.nodes[root as usize].left = 9999;
-        let v = t.validate();
-        assert!(
-            v.contains(&TreapViolation::ChildOutOfBounds {
-                node: root,
-                child: 9999
-            }),
-            "got {v:?}"
-        );
-
-        let mut t = sample_treap();
-        t.root = 9999;
-        assert_eq!(
-            t.validate(),
-            vec![TreapViolation::RootOutOfBounds { root: 9999 }]
-        );
-    }
-
-    #[test]
-    fn treap_detects_free_list_faults() {
-        let mut t = sample_treap();
-        t.free.push(t.root);
-        let v = t.validate();
-        assert!(
-            v.contains(&TreapViolation::FreeSlotReachable { slot: t.root }),
-            "got {v:?}"
-        );
-
-        let mut t = sample_treap();
-        let freed = t.free[0];
-        t.free.push(freed);
-        let v = t.validate();
-        assert!(
-            v.contains(&TreapViolation::FreeSlotDuplicate { slot: freed }),
-            "got {v:?}"
-        );
-
-        let mut t = sample_treap();
-        t.free.clear(); // the removed node's slot is now orphaned
-        let v = t.validate();
-        assert!(
-            v.iter()
-                .any(|x| matches!(x, TreapViolation::SlotLeak { .. })),
-            "got {v:?}"
-        );
-
-        let mut t = sample_treap();
-        t.free.push(40000);
-        let v = t.validate();
-        assert!(
-            v.contains(&TreapViolation::FreeSlotOutOfBounds { slot: 40000 }),
-            "got {v:?}"
-        );
-
-        // Dangling node beyond the free list (leak without a removal).
-        let mut t = sample_treap();
-        t.nodes.push(Node {
-            key: key(1, 200, 201),
-            prio: 0,
-            left: NIL,
-            right: NIL,
-            size: 1,
-        });
-        let v = t.validate();
-        assert!(
-            v.contains(&TreapViolation::SlotLeak {
-                slot: (t.nodes.len() - 1) as u32
-            }),
-            "got {v:?}"
-        );
     }
 
     #[test]
@@ -1855,15 +1317,11 @@ mod tests {
         let index = EsdIndex::build_fast(&g);
         assert_eq!(index.validate(), Vec::new());
         assert_eq!(index.validate_against(&g), Vec::new());
-        let frozen = index.freeze();
-        assert_eq!(frozen.validate(), Vec::new());
-        assert_eq!(frozen.validate_against(&g), Vec::new());
 
         for seed in 0..3 {
             let g = generators::clique_overlap(60, 50, 5, seed);
             let index = EsdIndex::build_fast(&g);
             assert_eq!(index.validate_against(&g), Vec::new());
-            assert_eq!(index.freeze().validate_against(&g), Vec::new());
         }
     }
 
@@ -1880,7 +1338,16 @@ mod tests {
         );
 
         let mut index = EsdIndex::build_fast(&g);
-        index.lists.pop();
+        index.list_offsets.pop();
+        let v = index.validate();
+        assert!(
+            v.iter()
+                .any(|x| matches!(x, IndexViolation::ListArityMismatch { .. })),
+            "got {v:?}"
+        );
+
+        let mut index = EsdIndex::build_fast(&g);
+        index.list_offsets[1] = index.entries.len() + 7;
         let v = index.validate();
         assert!(
             v.iter()
@@ -1892,31 +1359,21 @@ mod tests {
     #[test]
     fn index_detects_broken_nesting() {
         let (g, _) = fig1();
-        let mut index = EsdIndex::build_fast(&g);
+        let index = EsdIndex::build_fast(&g);
         // Remove one H(5) edge from every smaller list: H(5) ⊄ H(4).
-        let victim = index.lists.last().unwrap().iter_ranked()[0];
-        for (i, &c) in index.sizes.clone().iter().enumerate().rev().skip(1) {
-            let score = (0..victim.score + 10)
-                .find(|&s| {
-                    index.lists[i].contains(&RankKey {
-                        score: s,
-                        edge: victim.edge,
-                    })
-                })
-                .expect("edge present in smaller lists");
-            index.lists[i].remove(&RankKey {
-                score,
-                edge: victim.edge,
-            });
-            let _ = c;
+        let mut lists = lists_of(&index);
+        let victim = lists.last().unwrap()[0];
+        let last = lists.len() - 1;
+        for list in &mut lists[..last] {
+            list.retain(|s| s.edge != victim.edge);
         }
-        let v = index.validate();
-        assert!(
-            v.iter().any(|x| matches!(
-                x,
-                IndexViolation::NotNested { edge, .. } if *edge == victim.edge
-            )),
-            "got {v:?}"
+        let v = assemble(index.sizes.clone(), lists).validate();
+        assert_eq!(
+            v,
+            [IndexViolation::NotNested {
+                threshold: *index.sizes.last().unwrap(),
+                edge: victim.edge
+            }]
         );
     }
 
@@ -1924,17 +1381,10 @@ mod tests {
     fn index_validate_against_detects_score_drift() {
         let (g, _) = fig1();
         let mut index = EsdIndex::build_fast(&g);
-        // Bump one entry's score in the last list.
-        let victim = index.lists.last().unwrap().iter_ranked()[0];
-        let last = index.lists.last_mut().unwrap();
-        last.remove(&RankKey {
-            score: victim.score,
-            edge: victim.edge,
-        });
-        last.insert(RankKey {
-            score: victim.score + 1,
-            edge: victim.edge,
-        });
+        // Bump the top entry of the last list: rank order still holds.
+        let top = index.list_offsets[index.sizes.len() - 1];
+        index.entries[top].score += 1;
+        let victim = index.entries[top];
         // Even the structural pass notices: the bumped score now exceeds the
         // edge's score at the next smaller threshold.
         let v = index.validate();
@@ -1956,19 +1406,23 @@ mod tests {
     }
 
     #[test]
-    fn frozen_detects_corruption() {
+    fn flat_layout_detects_corruption() {
         let (g, _) = fig1();
-        let frozen = FrozenEsdIndex::build(&g);
+        let index = EsdIndex::build_fast(&g);
+        let c_min = index.sizes[0];
 
-        let mut bad = frozen.clone();
+        let mut bad = index.clone();
         bad.entries.swap(0, 1); // rank order within H(min C) breaks
         let v = bad.validate();
         assert!(
-            v.iter().any(|x| matches!(x, IndexViolation::Treap { .. })),
+            v.contains(&IndexViolation::OutOfOrder {
+                threshold: c_min,
+                position: 1
+            }),
             "got {v:?}"
         );
 
-        let mut bad = frozen.clone();
+        let mut bad = index.clone();
         bad.entries[0].score = 0;
         let v = bad.validate();
         assert!(
@@ -1977,22 +1431,40 @@ mod tests {
             "got {v:?}"
         );
 
-        let mut bad = frozen.clone();
-        bad.list_offsets[1] = bad.entries.len() + 7;
+        let mut bad = index.clone();
+        let e = bad.entries[0].edge;
+        bad.entries[0].edge = Edge { u: e.v, v: e.u };
         let v = bad.validate();
         assert!(
-            v.iter()
-                .any(|x| matches!(x, IndexViolation::ListArityMismatch { .. })),
+            v.contains(&IndexViolation::NonCanonicalEdge {
+                threshold: c_min,
+                edge: Edge { u: e.v, v: e.u }
+            }),
             "got {v:?}"
         );
 
-        let mut bad = frozen.clone();
-        let last = *bad.list_offsets.last().unwrap();
-        let prev = bad.list_offsets[bad.list_offsets.len() - 2];
+        // The same edge twice in one list, at two scores: rank order holds.
+        let mut lists = lists_of(&index);
+        let first = lists[0][0];
+        let twin = ScoredEdge {
+            edge: first.edge,
+            score: first.score + 1,
+        };
+        lists[0].insert(0, twin);
+        let v = assemble(index.sizes.clone(), lists).validate();
+        assert_eq!(
+            v,
+            [IndexViolation::DuplicateEdge {
+                threshold: c_min,
+                edge: first.edge
+            }]
+        );
+
         // Drop the last list's entries without shrinking C: contents diverge.
+        let mut bad = index.clone();
+        let prev = bad.list_offsets[bad.list_offsets.len() - 2];
         bad.entries.truncate(prev);
         *bad.list_offsets.last_mut().unwrap() = prev;
-        let _ = last;
         let v = bad.validate_against(&g);
         assert!(
             v.iter()
@@ -2030,8 +1502,8 @@ mod tests {
     fn maintained_detects_list_key_divergence() {
         let (g, _) = fig1();
         let mut index = MaintainedIndex::new(&g);
-        let treap = index.lists.remove(&4).unwrap();
-        index.lists.insert(3, treap);
+        let run = index.lists.remove(&4).unwrap();
+        index.lists.insert(3, run);
         let v = index.validate();
         assert!(
             v.contains(&MaintViolation::ListWithoutRefcount { threshold: 3 }),
@@ -2120,11 +1592,8 @@ mod tests {
         let (g, _) = fig1();
         let mut index = MaintainedIndex::new(&g);
         let (&c, list) = index.lists.iter_mut().next().unwrap();
-        let victim = list.iter_ranked()[0];
-        list.remove(&RankKey {
-            score: victim.score,
-            edge: victim.edge,
-        });
+        let victim = list.iter().next().unwrap();
+        list.remove(&victim);
         let v = index.validate();
         assert!(
             v.contains(&MaintViolation::MissingEntry {
@@ -2134,6 +1603,31 @@ mod tests {
             }),
             "got {v:?}"
         );
+    }
+
+    #[test]
+    fn maintained_detects_unsound_list_runs() {
+        let (g, _) = fig1();
+        let mut index = MaintainedIndex::new(&g);
+        let (&c, run) = index.lists.iter_mut().next().unwrap();
+        std::sync::Arc::make_mut(&mut run.pages[0]).swap(0, 1);
+        run.len += 1;
+        let v = index.validate();
+        for want in [
+            MaintViolation::Run {
+                threshold: c,
+                inner: RunViolation::OutOfOrder { page: 0, offset: 1 },
+            },
+            MaintViolation::Run {
+                threshold: c,
+                inner: RunViolation::LenMismatch {
+                    stored: index.lists[&c].len(),
+                    actual: index.lists[&c].len() - 1,
+                },
+            },
+        ] {
+            assert!(v.contains(&want), "missing {want}: got {v:?}");
+        }
     }
 
     #[test]

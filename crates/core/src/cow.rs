@@ -16,8 +16,10 @@
 //! a top-k read is a walk over the first pages and a re-ranked edge copies
 //! the one or two pages its old and new keys sit on.
 
-use crate::index::ostree::RankKey;
 use crate::ScoredEdge;
+use esd_graph::Edge;
+use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 type Page<V> = Arc<Vec<(u64, V)>>;
@@ -243,6 +245,40 @@ impl<V: std::fmt::Debug> std::fmt::Debug for CowMap<V> {
     }
 }
 
+/// A ranked key: score-descending, then edge-ascending — the
+/// [`ScoredEdge::ranking_cmp`] order as an `Ord`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RankKey {
+    /// The score the key is ranked by.
+    pub score: u32,
+    /// The edge.
+    pub edge: Edge,
+}
+
+impl Ord for RankKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .score
+            .cmp(&self.score)
+            .then_with(|| self.edge.cmp(&other.edge))
+    }
+}
+
+impl PartialOrd for RankKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl From<RankKey> for ScoredEdge {
+    fn from(key: RankKey) -> Self {
+        ScoredEdge {
+            edge: key.edge,
+            score: key.score,
+        }
+    }
+}
+
 /// Target key count of a [`CowRun`] page; a page splits in two once an
 /// insert brings it to twice this size. A re-ranked key copies its page,
 /// so the page bounds the bytes one key edit costs a shared run (256 keys
@@ -264,8 +300,7 @@ type RunPage = Arc<Vec<RankKey>>;
 /// # Examples
 ///
 /// ```
-/// use esd_core::cow::CowRun;
-/// use esd_core::index::ostree::RankKey;
+/// use esd_core::cow::{CowRun, RankKey};
 /// use esd_graph::Edge;
 ///
 /// let key = |score, u, v| RankKey { score, edge: Edge::new(u, v) };
@@ -323,10 +358,7 @@ impl CowRun {
     #[must_use]
     pub fn top_k(&self, k: usize) -> Vec<ScoredEdge> {
         let mut out = Vec::with_capacity(k.min(self.len));
-        out.extend(self.iter().take(k).map(|key| ScoredEdge {
-            edge: key.edge,
-            score: key.score,
-        }));
+        out.extend(self.iter().take(k).map(ScoredEdge::from));
         out
     }
 
@@ -379,7 +411,7 @@ impl CowRun {
     }
 
     /// Page identities, for counting what two clones still share.
-    pub(crate) fn page_ptrs(&self) -> impl Iterator<Item = *const Vec<RankKey>> + '_ {
+    fn page_ptrs(&self) -> impl Iterator<Item = *const Vec<RankKey>> + '_ {
         self.pages.iter().map(Arc::as_ptr)
     }
 
@@ -387,9 +419,21 @@ impl CowRun {
     /// writes since the two were cloned apart have copied or created.
     #[must_use]
     pub fn pages_unshared_with(&self, other: &Self) -> usize {
-        let theirs: std::collections::HashSet<_> = other.page_ptrs().collect();
-        self.page_ptrs().filter(|p| !theirs.contains(p)).count()
+        run_pages_unshared([self], [other])
     }
+}
+
+/// How many distinct pages of the runs `mine` the runs `theirs` hold
+/// nowhere — for two families of runs cloned apart, the pages the writes
+/// since then have copied or created. A run seeded from another run's
+/// pages shares them.
+pub(crate) fn run_pages_unshared<'a>(
+    mine: impl IntoIterator<Item = &'a CowRun>,
+    theirs: impl IntoIterator<Item = &'a CowRun>,
+) -> usize {
+    let theirs: HashSet<_> = theirs.into_iter().flat_map(CowRun::page_ptrs).collect();
+    let mine: HashSet<_> = mine.into_iter().flat_map(CowRun::page_ptrs).collect();
+    mine.difference(&theirs).count()
 }
 
 /// Logical equality: the same keys in the same order, wherever the page
@@ -673,11 +717,7 @@ mod tests {
             }
             prop_assert_eq!(run.validate(), Vec::new());
             prop_assert!(run.iter().eq(model.iter().copied()));
-            let want: Vec<ScoredEdge> = model
-                .iter()
-                .take(k)
-                .map(|key| ScoredEdge { edge: key.edge, score: key.score })
-                .collect();
+            let want: Vec<ScoredEdge> = model.iter().take(k).map(|&key| key.into()).collect();
             prop_assert_eq!(run.top_k(k), want);
             // Bulk-built, grown by inserts from the front (which splits
             // pages), and maintained: three page layouts, one content.

@@ -55,13 +55,12 @@
 //!
 //! [`MaintainedIndex`]: crate::MaintainedIndex
 
-use crate::cow::{CowMap, CowRun};
-use crate::index::ostree::RankKey;
+use crate::cow::{CowMap, CowRun, RankKey};
 use crate::maintain::{EdgeOwnership, GraphUpdate};
 use crate::score::score_from_sizes;
 use crate::ScoredEdge;
 use esd_graph::{DynamicGraph, Edge, Graph, VertexId};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which diversity measure a query ranks by.
 ///
@@ -575,9 +574,7 @@ impl FamilySuite {
     /// shares them.
     #[must_use]
     pub fn ranking_pages_unshared_with(&self, other: &Self) -> usize {
-        let pages =
-            |s: &Self| -> HashSet<_> { s.rankings.runs().flat_map(CowRun::page_ptrs).collect() };
-        pages(self).difference(&pages(other)).count()
+        crate::cow::run_pages_unshared(self.rankings.runs(), other.rankings.runs())
     }
 
     /// Incorporates one applied update window. `g` must be the graph

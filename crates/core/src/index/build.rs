@@ -1,7 +1,9 @@
 //! Sequential index construction: Algorithm 2 (BFS) and Algorithm 3
 //! (4-clique enumeration + union–find).
 
-use super::{EdgeComponents, RankKey, ScoreTreap};
+use super::EdgeComponents;
+use crate::cow::RankKey;
+use crate::maintain::EdgeOwnership;
 use esd_dsu::ArenaDsu;
 use esd_graph::{cliques, triangles, Edge, EdgeId, Graph, OrientedGraph, VertexId};
 use std::ops::Range;
@@ -178,51 +180,44 @@ pub(crate) fn distinct_sizes(comps: &EdgeComponents) -> Vec<u32> {
     (1..=max as u32).filter(|&c| present[c as usize]).collect()
 }
 
-/// Algorithm 2 lines 6–15: inserts each edge into every applicable list
-/// `H(c)` with its score at threshold `c`.
+/// Algorithm 2 lines 6–15: the lists `H(c)` for `c ∈ csizes[c_range]`,
+/// each a rank-sorted buffer holding every edge `ownership` owns that has a
+/// component of size `≥ c`, scored at threshold `c`.
 ///
-/// `lists` holds fresh treaps for `csizes[c_range]` (so the parallel builder
-/// can fill disjoint list ranges independently). Entries are buffered,
-/// sorted and bulk-built (`ScoreTreap::from_sorted`, O(L) per list) — the
-/// result is identical to per-entry insertion but substantially faster,
-/// since this phase dominates static construction.
+/// Disjoint `c_range`s fill independently, which is how the parallel
+/// builder splits the work. Every builder assembles its lists here: the
+/// static index concatenates the buffers and the maintained index pages
+/// them into runs.
 pub(crate) fn fill_lists(
     edges: &[Edge],
     comps: &EdgeComponents,
     csizes: &[u32],
-    lists: &mut [ScoreTreap],
     c_range: Range<usize>,
-) {
-    debug_assert_eq!(lists.len(), c_range.len());
-    debug_assert!(
-        lists.iter().all(super::ostree::ScoreTreap::is_empty),
-        "fill expects fresh lists"
-    );
-    if c_range.is_empty() {
-        return;
-    }
-    let c_min = csizes[c_range.start];
-    let mut buffers: Vec<Vec<RankKey>> = vec![Vec::new(); c_range.len()];
+    ownership: EdgeOwnership,
+) -> Vec<Vec<RankKey>> {
+    let mut lists: Vec<Vec<RankKey>> = vec![Vec::new(); c_range.len()];
+    let Some(&c_min) = csizes.get(c_range.start) else {
+        return lists;
+    };
     for (eid, &edge) in edges.iter().enumerate() {
         let s = comps.sizes_of(eid);
         let Some(&cmax) = s.last() else { continue };
-        if cmax < c_min {
+        if cmax < c_min || !ownership.owns_key(edge.key()) {
             continue;
         }
-        for (li, ci) in c_range.clone().enumerate() {
-            let c = csizes[ci];
+        for (list, &c) in lists.iter_mut().zip(&csizes[c_range.clone()]) {
             if c > cmax {
                 break;
             }
             let score = (s.len() - s.partition_point(|&x| x < c)) as u32;
             debug_assert!(score > 0);
-            buffers[li].push(RankKey { score, edge });
+            list.push(RankKey { score, edge });
         }
     }
-    for (li, mut buf) in buffers.into_iter().enumerate() {
-        buf.sort_unstable();
-        lists[li] = ScoreTreap::from_sorted(&buf);
+    for list in &mut lists {
+        list.sort_unstable();
     }
+    lists
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! ESDX delta encode/decode: the checkpoint payload codec of the
 //! durability subsystem.
 //!
-//! A frozen ESDX file (see [`super::persist`]) is not enough to *recover*
+//! An ESDX file (see [`super::persist`]) is not enough to *recover*
 //! a serving process: the index only stores edges with a positive score,
 //! while maintenance needs the complete graph. Checkpoints therefore
 //! persist the **edge set** — a full [`EdgeSetSnapshot`], or an

@@ -4,8 +4,17 @@
 //! ego-network, the index keeps a list `H(c)` of all edges having at least
 //! one component of size ≥ c, ranked by their structural diversity at
 //! threshold `c`. A query `(k, τ)` binary-searches `C` for the smallest
-//! `c* ≥ τ` and reads the top `k` of `H(c*)` — `O(k log m + log n)` total
-//! (Theorems 4–5). Total space is `O(αm)` (Theorem 3).
+//! `c* ≥ τ` and reads the top `k` of `H(c*)`. Total space is `O(αm)`
+//! (Theorem 3).
+//!
+//! The paper keeps each `H(c)` in a self-balancing BST so that Algorithms
+//! 4–5 can update it. Nothing updates a built [`EsdIndex`], so it lays every
+//! list out as one contiguous rank-ordered slice instead: a query costs
+//! `O(log |C| + k)` (one binary search and a slice copy, against Theorem
+//! 5's `O(k log m + log n)`), a rank lookup `O(log |C| + log m)`, and an
+//! entry 12 bytes. The layout is also what [`persist`] writes to disk. The
+//! maintained index ([`crate::maintain`]) keeps its lists in paged
+//! [`CowRun`](crate::cow::CowRun)s instead.
 //!
 //! Three constructions are provided:
 //! * [`EsdIndex::build_basic`] — Algorithm 2: BFS over every edge
@@ -17,14 +26,11 @@
 
 pub(crate) mod build;
 pub mod delta;
-pub mod frozen;
-pub mod ostree;
 mod parallel;
 pub mod persist;
 
 pub use build::BuildStats;
 pub use delta::{DeltaError, EdgeSetDelta, EdgeSetSnapshot};
-pub use frozen::FrozenEsdIndex;
 
 /// Assembles an [`EsdIndex`] from precomputed per-edge component sizes
 /// (Algorithm 2 lines 5–15). Exposed so callers timing or customising the
@@ -35,9 +41,10 @@ pub fn assemble_index(g: &Graph, comps: &EdgeComponents) -> EsdIndex {
 pub use parallel::ParallelBuildReport;
 pub use persist::PersistError;
 
+use crate::cow::RankKey;
+use crate::maintain::EdgeOwnership;
 use crate::ScoredEdge;
 use esd_graph::{Edge, Graph};
-use ostree::{RankKey, ScoreTreap};
 
 /// Per-edge sorted component-size multisets — the `C_uv` of every edge,
 /// stored flat. The common intermediate from which the index is assembled;
@@ -89,13 +96,23 @@ impl EdgeComponents {
     }
 }
 
-/// The ESDIndex: one ranked list per distinct component size.
-#[derive(Debug, Clone, Default)]
+/// The ESDIndex: one ranked list per distinct component size, every list a
+/// contiguous rank-ordered slice of one entry array.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EsdIndex {
     /// `C`, ascending.
     pub(crate) sizes: Vec<u32>,
-    /// `H(c)` for each `c ∈ C`, parallel to `sizes`.
-    pub(crate) lists: Vec<ScoreTreap>,
+    /// `list_offsets[i]..list_offsets[i+1]` bounds `H(sizes[i])` in
+    /// `entries`; length `|C| + 1`.
+    pub(crate) list_offsets: Vec<usize>,
+    /// All lists back to back, each in rank order (score desc, edge asc).
+    pub(crate) entries: Vec<ScoredEdge>,
+}
+
+impl Default for EsdIndex {
+    fn default() -> Self {
+        Self::from_lists(Vec::new(), Vec::new())
+    }
 }
 
 impl EsdIndex {
@@ -122,8 +139,8 @@ impl EsdIndex {
     }
 
     /// Builds the index with `threads` worker threads (the paper's
-    /// `PESDIndex+`, §IV-E). Produces a byte-identical index to
-    /// [`EsdIndex::build_fast`] for every thread count.
+    /// `PESDIndex+`, §IV-E). Produces an index equal to
+    /// [`EsdIndex::build_fast`]'s for every thread count.
     pub fn build_parallel(g: &Graph, threads: usize) -> Self {
         parallel::build_parallel(g, threads).0
     }
@@ -139,9 +156,25 @@ impl EsdIndex {
     pub(crate) fn from_components(g: &Graph, comps: &EdgeComponents) -> Self {
         let _span = esd_telemetry::span(esd_telemetry::Stage::BuildFill);
         let sizes = build::distinct_sizes(comps);
-        let mut lists = vec![ScoreTreap::new(); sizes.len()];
-        build::fill_lists(g.edges(), comps, &sizes, &mut lists, 0..sizes.len());
-        let index = Self { sizes, lists };
+        let lists = build::fill_lists(g.edges(), comps, &sizes, 0..sizes.len(), EdgeOwnership::ALL);
+        Self::from_lists(sizes, lists)
+    }
+
+    /// Concatenates the rank-sorted list buffers of `sizes`, in order.
+    pub(crate) fn from_lists(sizes: Vec<u32>, lists: Vec<Vec<RankKey>>) -> Self {
+        debug_assert_eq!(sizes.len(), lists.len());
+        let mut list_offsets = Vec::with_capacity(sizes.len() + 1);
+        list_offsets.push(0);
+        let mut entries = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        for list in lists {
+            entries.extend(list.into_iter().map(ScoredEdge::from));
+            list_offsets.push(entries.len());
+        }
+        let index = Self {
+            sizes,
+            list_offsets,
+            entries,
+        };
         #[cfg(any(test, feature = "strict-invariants"))]
         crate::audit::assert_clean("EsdIndex (post-build)", &index.validate());
         index
@@ -157,31 +190,48 @@ impl EsdIndex {
         self.sizes.len()
     }
 
+    /// `H(sizes[i])`. The offsets must be sound (see `validate`).
+    pub(crate) fn list_at(&self, i: usize) -> &[ScoredEdge] {
+        &self.entries[self.list_offsets[i]..self.list_offsets[i + 1]]
+    }
+
+    /// The list answering threshold `tau`: `H(c*)` for the smallest
+    /// `c* ∈ C` with `c* ≥ τ` (Theorem 4), or nothing past the largest size.
+    fn answering(&self, tau: u32) -> &[ScoredEdge] {
+        let i = self.sizes.partition_point(|&c| c < tau);
+        if i == self.sizes.len() {
+            return &[];
+        }
+        self.list_at(i)
+    }
+
+    /// The full list `H(c)` in rank order, if `c ∈ C`.
+    pub fn list(&self, c: u32) -> Option<&[ScoredEdge]> {
+        let i = self.sizes.binary_search(&c).ok()?;
+        Some(self.list_at(i))
+    }
+
     /// Entry count of `H(c)`, if `c ∈ C`.
     pub fn list_len(&self, c: u32) -> Option<usize> {
-        let i = self.sizes.binary_search(&c).ok()?;
-        Some(self.lists[i].len())
+        self.list(c).map(<[ScoredEdge]>::len)
     }
 
     /// Total number of `(edge, list)` entries — the `O(αm)` quantity of
     /// Theorem 3.
     pub fn total_entries(&self) -> usize {
-        self.lists.iter().map(ostree::ScoreTreap::len).sum()
+        self.entries.len()
     }
 
     /// Approximate heap footprint in bytes (Fig 6(a)).
     pub fn byte_size(&self) -> usize {
         self.sizes.capacity() * std::mem::size_of::<u32>()
-            + self
-                .lists
-                .iter()
-                .map(ostree::ScoreTreap::byte_size)
-                .sum::<usize>()
+            + self.list_offsets.capacity() * std::mem::size_of::<usize>()
+            + self.entries.capacity() * std::mem::size_of::<ScoredEdge>()
     }
 
     /// The query processing algorithm (§IV-B): top-`k` edges with the
     /// highest structural diversity at threshold `tau`, in
-    /// `O(k log m + log n)`.
+    /// `O(log |C| + k)`.
     ///
     /// # Examples
     ///
@@ -195,25 +245,27 @@ impl EsdIndex {
     /// assert!(top.iter().all(|s| s.score == 2));
     /// ```
     pub fn query(&self, k: usize, tau: u32) -> Vec<ScoredEdge> {
+        self.query_slice(k, tau).to_vec()
+    }
+
+    /// [`EsdIndex::query`] without the copy: the answer is a prefix of
+    /// the list answering `tau`.
+    pub fn query_slice(&self, k: usize, tau: u32) -> &[ScoredEdge] {
         assert!(tau >= 1, "component size threshold must be at least 1");
         let _span = esd_telemetry::span(esd_telemetry::Stage::QueryTopk);
-        // Smallest c* ∈ C with c* >= τ.
-        let i = self.sizes.partition_point(|&c| c < tau);
-        if i == self.sizes.len() {
-            return Vec::new();
-        }
-        self.lists[i].top_k(k)
+        let list = self.answering(tau);
+        &list[..k.min(list.len())]
     }
 
     /// The rank of `edge` within the list answering threshold `tau`
-    /// (0 = best), if the edge has a component of size ≥ τ. Requires the
-    /// edge's exact score at τ, available from [`crate::score::edge_score`].
+    /// (0 = best), if the edge has a component of size ≥ τ — a binary
+    /// search in rank order. Requires the edge's exact score at τ,
+    /// available from [`crate::score::edge_score`].
     pub fn rank_of(&self, edge: Edge, score: u32, tau: u32) -> Option<usize> {
-        let i = self.sizes.partition_point(|&c| c < tau);
-        if i == self.sizes.len() {
-            return None;
-        }
-        self.lists[i].rank(&RankKey { score, edge })
+        let probe = ScoredEdge { edge, score };
+        self.answering(tau)
+            .binary_search_by(|s| s.ranking_cmp(&probe))
+            .ok()
     }
 }
 
@@ -245,12 +297,7 @@ mod tests {
     fn basic_and_fast_build_identical_indexes() {
         for seed in 0..4 {
             let g = generators::erdos_renyi(50, 0.2, seed);
-            let a = EsdIndex::build_basic(&g);
-            let b = EsdIndex::build_fast(&g);
-            assert_eq!(a.component_sizes(), b.component_sizes());
-            for (la, lb) in a.lists.iter().zip(&b.lists) {
-                assert_eq!(la.iter_ranked(), lb.iter_ranked());
-            }
+            assert_eq!(EsdIndex::build_basic(&g), EsdIndex::build_fast(&g));
         }
     }
 
@@ -306,6 +353,36 @@ mod tests {
         let index = EsdIndex::build_fast(&g);
         let top = index.query(1, 5)[0];
         assert_eq!(index.rank_of(top.edge, top.score, 5), Some(0));
+    }
+
+    #[test]
+    fn rank_of_is_the_position_in_the_answering_list() {
+        let g = generators::clique_overlap(80, 70, 5, 3);
+        let index = EsdIndex::build_fast(&g);
+        for tau in 1..=*index.component_sizes().last().unwrap() + 1 {
+            let list = index.query(usize::MAX, tau);
+            for (rank, s) in list.iter().enumerate() {
+                assert_eq!(index.rank_of(s.edge, s.score, tau), Some(rank), "τ={tau}");
+                assert_eq!(index.rank_of(s.edge, s.score + 1, tau), None);
+            }
+        }
+    }
+
+    #[test]
+    fn list_and_query_slice() {
+        let (g, n) = fig1();
+        let index = EsdIndex::build_fast(&g);
+        assert_eq!(index.list(5).unwrap().len(), 3);
+        assert!(index.list(3).is_none());
+        assert_eq!(index.rank_of(Edge::new(n["a"], n["b"]), 1, 2), None);
+        for tau in 1..=7 {
+            for k in [0, 1, 3, 20, 100] {
+                assert_eq!(index.query_slice(k, tau), &index.query(k, tau)[..]);
+            }
+        }
+        let empty = EsdIndex::build_fast(&Graph::from_edges(3, &[]));
+        assert_eq!(empty, EsdIndex::default());
+        assert!(empty.query_slice(5, 1).is_empty());
     }
 
     #[test]

@@ -18,13 +18,14 @@
 //! The two phases alternate in bounded-size rounds to cap the op-buffer
 //! memory. Workers are plain `std::thread::scope` scoped threads — the
 //! shards partition all mutable state, so no synchronisation primitives
-//! beyond the scope joins are needed. Finally the `H(c)` lists are filled in parallel over disjoint
-//! ranges of `C`. Union–find components are order-independent and treap
-//! shapes depend only on their keys, so the result is **byte-identical to
-//! the sequential builder for every thread count** — a property the tests
-//! assert.
+//! beyond the scope joins are needed. Finally the `H(c)` lists are filled
+//! in parallel over disjoint ranges of `C` and concatenated in order.
+//! Union–find components are order-independent and each list is sorted by
+//! its keys, so the result **equals the sequential builder's for every
+//! thread count** — a property the tests assert.
 
-use super::{build, EdgeComponents, EsdIndex, ScoreTreap};
+use super::{build, EdgeComponents, EsdIndex};
+use crate::maintain::EdgeOwnership;
 use esd_dsu::ArenaDsu;
 use esd_graph::{cliques, EdgeId, Graph, OrientedGraph};
 
@@ -204,9 +205,8 @@ pub(crate) fn build_parallel(g: &Graph, threads: usize) -> (EsdIndex, ParallelBu
     // ---- Phase D: fill H(c) lists in parallel over disjoint C ranges.
     let _fill_span = esd_telemetry::span(esd_telemetry::Stage::ParFill);
     let csizes = build::distinct_sizes(&comps);
-    let mut lists: Vec<ScoreTreap> = Vec::with_capacity(csizes.len());
     let per = csizes.len().div_ceil(threads).max(1);
-    let mut filled: Vec<(usize, Vec<ScoreTreap>)> = Vec::new();
+    let mut filled: Vec<(usize, Vec<Vec<_>>)> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for t in 0..threads {
@@ -218,8 +218,7 @@ pub(crate) fn build_parallel(g: &Graph, threads: usize) -> (EsdIndex, ParallelBu
             let comps = &comps;
             let csizes = &csizes;
             handles.push(scope.spawn(move || {
-                let mut chunk = vec![ScoreTreap::new(); hi - lo];
-                build::fill_lists(g.edges(), comps, csizes, &mut chunk, lo..hi);
+                let chunk = build::fill_lists(g.edges(), comps, csizes, lo..hi, EdgeOwnership::ALL);
                 (lo, chunk)
             }));
         }
@@ -228,15 +227,10 @@ pub(crate) fn build_parallel(g: &Graph, threads: usize) -> (EsdIndex, ParallelBu
         }
     });
     filled.sort_by_key(|&(lo, _)| lo);
-    for (_, chunk) in filled {
-        lists.extend(chunk);
-    }
+    let lists = filled.into_iter().flat_map(|(_, chunk)| chunk).collect();
 
     (
-        EsdIndex {
-            sizes: csizes,
-            lists,
-        },
+        EsdIndex::from_lists(csizes, lists),
         ParallelBuildReport {
             threads,
             cliques_per_worker,
@@ -251,20 +245,14 @@ mod tests {
     use crate::fixtures::fig1;
     use esd_graph::generators;
 
-    /// Every `H(c)` list entry for entry, the clique total and the op
-    /// balance, against the sequential builder at several thread counts.
+    /// The whole index, the clique total and the op balance, against the
+    /// sequential builder at several thread counts.
     fn assert_parallel_equals_sequential(g: &Graph) {
         let sequential = EsdIndex::build_fast(g);
         let cliques = esd_graph::cliques::count_four_cliques(g);
         for threads in [1, 2, 3, 4, 7] {
             let (parallel, report) = build_parallel(g, threads);
-            assert_eq!(parallel.component_sizes(), sequential.component_sizes());
-            for &c in parallel.component_sizes() {
-                assert_eq!(
-                    parallel.query(usize::MAX, c),
-                    sequential.query(usize::MAX, c)
-                );
-            }
+            assert_eq!(parallel, sequential, "{threads} threads");
             assert_eq!(report.cliques_per_worker.iter().sum::<u64>(), cliques);
             let total_ops: u64 = report.ops_per_shard.iter().sum();
             assert_eq!(total_ops, cliques * 6);

@@ -1,8 +1,8 @@
-//! On-disk persistence of the frozen index.
+//! On-disk persistence of the index.
 //!
 //! Production deployments build the index once (possibly on a bigger
 //! machine) and ship it next to the graph. The format is a little-endian
-//! versioned binary dump of the [`FrozenEsdIndex`] arrays with a checksum:
+//! versioned binary dump of the [`EsdIndex`] arrays with a checksum:
 //!
 //! ```text
 //! magic "ESDX" | u32 version | u64 |C| | u64 #entries
@@ -17,7 +17,7 @@
 //! and bounds every count by the bytes actually present, so a corrupt
 //! header can never make it allocate more than the file's own size.
 
-use super::frozen::FrozenEsdIndex;
+use super::EsdIndex;
 use crate::ScoredEdge;
 use esd_graph::Edge;
 use std::io::{self, BufWriter, Read, Write};
@@ -124,7 +124,7 @@ impl<R: Read> HashingReader<R> {
     }
 }
 
-impl FrozenEsdIndex {
+impl EsdIndex {
     /// Serialises to any writer in the ESDX format.
     pub fn write_to(&self, writer: impl Write) -> io::Result<()> {
         let mut w = CountingWriter {
@@ -221,11 +221,15 @@ impl FrozenEsdIndex {
         // passing the field-level checks above can still encode an index no
         // builder would produce; such files are corrupt, never a panic or a
         // silently wrong index.
-        let frozen = Self::from_parts(sizes, list_offsets, entries);
-        if !frozen.validate().is_empty() {
+        let index = Self {
+            sizes,
+            list_offsets,
+            entries,
+        };
+        if !index.validate().is_empty() {
             return Err(PersistError::Corrupt("index fails structural audit"));
         }
-        Ok(frozen)
+        Ok(index)
     }
 
     /// Saves to a file. See [`Self::write_to`].
@@ -243,46 +247,58 @@ impl FrozenEsdIndex {
 mod tests {
     use super::*;
     use crate::fixtures::fig1;
-    use crate::index::EsdIndex;
     use esd_graph::generators;
 
-    fn roundtrip(frozen: &FrozenEsdIndex) -> FrozenEsdIndex {
+    fn roundtrip(index: &EsdIndex) -> EsdIndex {
         let mut buf = Vec::new();
-        frozen.write_to(&mut buf).unwrap();
-        FrozenEsdIndex::read_from(buf.as_slice()).unwrap()
+        index.write_to(&mut buf).unwrap();
+        EsdIndex::read_from(buf.as_slice()).unwrap()
     }
 
     #[test]
     fn roundtrip_fig1() {
         let (g, _) = fig1();
-        let frozen = FrozenEsdIndex::build(&g);
-        assert_eq!(roundtrip(&frozen), frozen);
+        let index = EsdIndex::build_fast(&g);
+        assert_eq!(roundtrip(&index), index);
     }
 
     #[test]
     fn roundtrip_random_and_empty() {
         let g = generators::clique_overlap(100, 80, 6, 5);
-        let frozen = FrozenEsdIndex::build(&g);
-        assert_eq!(roundtrip(&frozen), frozen);
-        let empty = FrozenEsdIndex::build(&esd_graph::Graph::from_edges(2, &[]));
+        let index = EsdIndex::build_fast(&g);
+        assert_eq!(roundtrip(&index), index);
+        let empty = EsdIndex::build_fast(&esd_graph::Graph::from_edges(2, &[]));
         assert_eq!(roundtrip(&empty), empty);
+    }
+
+    /// Fig 1's index encodes to 1,180 bytes with this FNV-1a trailer: a
+    /// change to the ESDX format, or to what the builders put in the
+    /// lists, fails here.
+    #[test]
+    fn fig1_encoding_is_pinned() {
+        let (g, _) = fig1();
+        let mut buf = Vec::new();
+        EsdIndex::build_fast(&g).write_to(&mut buf).unwrap();
+        assert_eq!(buf.len(), 1180);
+        let trailer = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
+        assert_eq!(trailer, 0x9ab0_86cd_d031_2743);
     }
 
     #[test]
     fn rejects_bad_magic_and_version() {
         let (g, _) = fig1();
         let mut buf = Vec::new();
-        FrozenEsdIndex::build(&g).write_to(&mut buf).unwrap();
+        EsdIndex::build_fast(&g).write_to(&mut buf).unwrap();
         let mut bad = buf.clone();
         bad[0] = b'X';
         assert!(matches!(
-            FrozenEsdIndex::read_from(bad.as_slice()),
+            EsdIndex::read_from(bad.as_slice()),
             Err(PersistError::BadMagic)
         ));
         let mut bad = buf.clone();
         bad[4] = 99;
         assert!(matches!(
-            FrozenEsdIndex::read_from(bad.as_slice()),
+            EsdIndex::read_from(bad.as_slice()),
             Err(PersistError::BadVersion(_))
         ));
     }
@@ -291,11 +307,11 @@ mod tests {
     fn rejects_truncation_and_bitflips() {
         let (g, _) = fig1();
         let mut buf = Vec::new();
-        FrozenEsdIndex::build(&g).write_to(&mut buf).unwrap();
+        EsdIndex::build_fast(&g).write_to(&mut buf).unwrap();
         // Truncate at several depths.
         for cut in [10, buf.len() / 2, buf.len() - 1] {
             assert!(
-                FrozenEsdIndex::read_from(&buf[..cut]).is_err(),
+                EsdIndex::read_from(&buf[..cut]).is_err(),
                 "truncation at {cut} must fail"
             );
         }
@@ -304,7 +320,7 @@ mod tests {
         let mut bad = buf.clone();
         let mid = buf.len() / 2;
         bad[mid] ^= 0x40;
-        assert!(FrozenEsdIndex::read_from(bad.as_slice()).is_err());
+        assert!(EsdIndex::read_from(bad.as_slice()).is_err());
     }
 
     #[test]
@@ -318,7 +334,7 @@ mod tests {
             bad.extend_from_slice(&[0; 64]);
             assert!(
                 matches!(
-                    FrozenEsdIndex::read_from(bad.as_slice()),
+                    EsdIndex::read_from(bad.as_slice()),
                     Err(PersistError::Corrupt("header counts exceed file size"))
                 ),
                 "|C| = {lists}, #entries = {entries}"
@@ -335,7 +351,7 @@ mod tests {
             /// parse (vanishingly unlikely) or return a structured error.
             #[test]
             fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..600)) {
-                let _ = FrozenEsdIndex::read_from(bytes.as_slice());
+                let _ = EsdIndex::read_from(bytes.as_slice());
             }
 
             /// Valid files with one mutated byte must never load as a
@@ -346,20 +362,17 @@ mod tests {
             fn single_byte_mutations_detected(pos_seed in any::<u64>(), flip in 1u8..=255) {
                 let (g, _) = crate::fixtures::fig1();
                 let mut buf = Vec::new();
-                crate::index::EsdIndex::build_fast(&g)
-                    .freeze()
-                    .write_to(&mut buf)
-                    .unwrap();
+                EsdIndex::build_fast(&g).write_to(&mut buf).unwrap();
                 let pos = (pos_seed as usize) % buf.len();
                 buf[pos] ^= flip;
-                match FrozenEsdIndex::read_from(buf.as_slice()) {
+                match EsdIndex::read_from(buf.as_slice()) {
                     Err(_) => {}
                     Ok(loaded) => {
                         // The checksum covers every payload byte, so a
                         // successful load can only happen if the flip hit
                         // the checksum trailer itself... which would then
                         // mismatch. Reaching here is a real bug.
-                        let original = FrozenEsdIndex::build(&g);
+                        let original = EsdIndex::build_fast(&g);
                         prop_assert_eq!(loaded, original, "silent corruption at byte {}", pos);
                         prop_assert!(false, "mutated file loaded successfully at byte {}", pos);
                     }
@@ -371,17 +384,15 @@ mod tests {
     #[test]
     fn file_roundtrip_and_missing_file() {
         let (g, _) = fig1();
-        let frozen = FrozenEsdIndex::build(&g);
+        let index = EsdIndex::build_fast(&g);
         let dir = std::env::temp_dir().join("esd_persist_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fig1.esdx");
-        frozen.save(&path).unwrap();
-        let loaded = FrozenEsdIndex::load(&path).unwrap();
-        assert_eq!(loaded, frozen);
-        assert_eq!(loaded.query(3, 2), EsdIndex::build_fast(&g).query(3, 2));
+        index.save(&path).unwrap();
+        assert_eq!(EsdIndex::load(&path).unwrap(), index);
         std::fs::remove_file(&path).ok();
         assert!(matches!(
-            FrozenEsdIndex::load(dir.join("nope.esdx")),
+            EsdIndex::load(dir.join("nope.esdx")),
             Err(PersistError::Io(_))
         ));
     }

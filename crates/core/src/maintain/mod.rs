@@ -16,15 +16,15 @@
 //!
 //! **Documented deviation from the paper** (see DESIGN.md): when an update
 //! introduces a component size `c ∉ C`, the fresh list `H(c)` is seeded as a
-//! clone of its successor list `H(c')` before the locally-updated edges are
-//! inserted. The paper's Example 7 inserts only the updated edge, which
-//! would leave `H(c)` missing every edge of `H(c')` and break queries with
-//! `τ ≤ c`; cloning is correct because no unaffected edge can have a
-//! component size strictly between `c` and `c'`.
+//! clone of its successor list `H(c')` — a copy of its page pointers —
+//! before the locally-updated edges are inserted. The paper's Example 7
+//! inserts only the updated edge, which would leave `H(c)` missing every
+//! edge of `H(c')` and break queries with `τ ≤ c`; cloning is correct
+//! because no unaffected edge can have a component size strictly between
+//! `c` and `c'`.
 
-use crate::cow::CowMap;
+use crate::cow::{CowMap, CowRun, RankKey};
 use crate::index::build;
-use crate::index::ostree::{RankKey, ScoreTreap};
 use crate::ScoredEdge;
 use esd_graph::{DynamicGraph, Edge, Graph, VertexId};
 use std::collections::{BTreeMap, HashMap};
@@ -196,9 +196,9 @@ const FOREST_PAGES: usize = 4096;
 
 /// An ESDIndex that stays consistent under edge insertions and deletions.
 ///
-/// Cloning is cheap in the forests, the bulk of the state: they live in a
-/// copy-on-write [`CowMap`], so a clone shares their pages and a later
-/// update copies only the pages its blast radius touches.
+/// Cloning is cheap: the forests live in a copy-on-write [`CowMap`] and
+/// the `H(c)` lists in [`CowRun`]s, so a clone shares their pages and a
+/// later update copies only the pages its blast radius touches.
 ///
 /// # Examples
 ///
@@ -221,8 +221,9 @@ pub struct MaintainedIndex {
     /// `M_uv` per edge (absent when the common neighbourhood is empty),
     /// paged so a published clone shares every page a window leaves alone.
     pub(crate) forests: CowMap<EdgeDsu>,
-    /// `H(c)` per size `c ∈ C`.
-    pub(crate) lists: BTreeMap<u32, ScoreTreap>,
+    /// `H(c)` per size `c ∈ C`, paged so a published clone shares every
+    /// page a window leaves alone.
+    pub(crate) lists: BTreeMap<u32, CowRun>,
     /// `c -> number of edges whose C_uv contains c`. Keys are exactly `C`.
     pub(crate) refcounts: BTreeMap<u32, usize>,
     /// The slice of the edge space this index maintains score state for.
@@ -277,37 +278,19 @@ impl MaintainedIndex {
             }
         }
 
-        let lists = if ownership == EdgeOwnership::ALL {
-            let csizes = build::distinct_sizes(&artifacts.components);
-            let mut treaps = vec![ScoreTreap::new(); csizes.len()];
-            build::fill_lists(
-                g.edges(),
-                &artifacts.components,
-                &csizes,
-                &mut treaps,
-                0..csizes.len(),
-            );
-            csizes.into_iter().zip(treaps).collect()
-        } else {
-            // Owned-only fill: `C` is the refcount key set; each owned edge
-            // joins every list `H(c)` with `c ≤ max(C_uv)` at the same
-            // score `restore_entries` would compute. Treap shapes depend
-            // only on their key sets, so this matches the incremental path.
-            let mut lists: BTreeMap<u32, ScoreTreap> =
-                refcounts.keys().map(|&c| (c, ScoreTreap::new())).collect();
-            for (eid, e) in g.edges().iter().enumerate() {
-                if !ownership.owns_key(e.key()) {
-                    continue;
-                }
-                let sizes = artifacts.components.sizes_of(eid);
-                let Some(&cmax) = sizes.last() else { continue };
-                for (&c, list) in lists.range_mut(..=cmax) {
-                    let score = (sizes.len() - sizes.partition_point(|&s| s < c)) as u32;
-                    list.insert(RankKey { score, edge: *e });
-                }
-            }
-            lists
-        };
+        // `C` is the refcount key set: every size an owned edge holds.
+        let csizes: Vec<u32> = refcounts.keys().copied().collect();
+        let runs = build::fill_lists(
+            g.edges(),
+            &artifacts.components,
+            &csizes,
+            0..csizes.len(),
+            ownership,
+        );
+        let lists = csizes
+            .into_iter()
+            .zip(runs.into_iter().map(|keys| CowRun::from_sorted(&keys)))
+            .collect();
 
         let index = Self {
             g: DynamicGraph::from_graph(g),
@@ -335,6 +318,16 @@ impl MaintainedIndex {
         self.forests.pages_unshared_with(&other.forests)
     }
 
+    /// How many distinct `H(c)` pages `other` holds nowhere: after the two
+    /// were cloned apart, the pages the updates since then have copied or
+    /// created. A key edit copies the one page it lands on (two when the
+    /// page splits), and a list seeded from its successor shares the
+    /// successor's pages.
+    #[must_use]
+    pub fn list_pages_unshared_with(&self, other: &Self) -> usize {
+        crate::cow::run_pages_unshared(self.lists.values(), other.lists.values())
+    }
+
     /// The current graph.
     pub fn graph(&self) -> &DynamicGraph {
         &self.g
@@ -347,9 +340,7 @@ impl MaintainedIndex {
 
     /// Entry count of `H(c)`, if `c ∈ C`.
     pub fn list_len(&self, c: u32) -> Option<usize> {
-        self.lists
-            .get(&c)
-            .map(super::index::ostree::ScoreTreap::len)
+        self.lists.get(&c).map(CowRun::len)
     }
 
     /// Top-`k` edges at threshold `tau` (same contract as
@@ -587,7 +578,7 @@ impl MaintainedIndex {
     /// their size refcounts.
     fn retract_entries(&mut self, affected: &[u64]) {
         let mut dead = Vec::new();
-        let mut treap_removes = 0u64;
+        let mut key_removes = 0u64;
         for &key in affected {
             let Some(forest) = self.forests.get(key) else {
                 continue;
@@ -598,7 +589,7 @@ impl MaintainedIndex {
             for (&c, list) in self.lists.range_mut(..=cmax) {
                 let score = (sizes.len() - sizes.partition_point(|&s| s < c)) as u32;
                 let removed = list.remove(&RankKey { score, edge });
-                treap_removes += 1;
+                key_removes += 1;
                 debug_assert!(removed, "stale entry for {edge} in H({c})");
             }
             let mut distinct = sizes;
@@ -613,7 +604,7 @@ impl MaintainedIndex {
         }
         let _ = dead; // Dead sizes are reaped in `restore_entries`, after the
                       // affected edges' new sizes are known (they may revive).
-        esd_telemetry::add(esd_telemetry::Metric::TreapRemoves, treap_removes);
+        esd_telemetry::add(esd_telemetry::Metric::TreapRemoves, key_removes);
     }
 
     /// Re-inserts the affected edges with their new component sizes,
@@ -661,23 +652,23 @@ impl MaintainedIndex {
         for c in fresh {
             let seeded = match self.lists.range(c + 1..).next() {
                 Some((_, successor)) => successor.clone(),
-                None => ScoreTreap::new(),
+                None => CowRun::default(),
             };
             self.lists.insert(c, seeded);
         }
 
         // Insert the affected edges into every applicable list.
-        let mut treap_inserts = 0u64;
+        let mut key_inserts = 0u64;
         for (edge, sizes) in new_sizes {
             let cmax = *sizes.last().expect("non-empty");
             for (&c, list) in self.lists.range_mut(..=cmax) {
                 let score = (sizes.len() - sizes.partition_point(|&s| s < c)) as u32;
                 let inserted = list.insert(RankKey { score, edge });
-                treap_inserts += 1;
+                key_inserts += 1;
                 debug_assert!(inserted, "duplicate entry for {edge} in H({c})");
             }
         }
-        esd_telemetry::add(esd_telemetry::Metric::TreapInserts, treap_inserts);
+        esd_telemetry::add(esd_telemetry::Metric::TreapInserts, key_inserts);
     }
 
     /// One `Union` in edge `e`'s forest (Algorithm 4's `M_xy.Union`).
@@ -1177,6 +1168,34 @@ mod tests {
         for tau in [1, 2, 3] {
             assert_eq!(piped.query(100, tau), sequential.query(100, tau), "τ={tau}");
         }
+    }
+
+    #[test]
+    fn a_fresh_size_shares_its_successors_pages() {
+        // 200 disjoint K6s: every edge's ego-network is one K4, so
+        // C = {4} and H(4) spans several run pages.
+        let edges: Vec<(u32, u32)> = (0..200u32)
+            .flat_map(|k| {
+                let base = 6 * k;
+                (0..6).flat_map(move |i| (i + 1..6).map(move |j| (base + i, base + j)))
+            })
+            .collect();
+        let g = Graph::from_edges(1200, &edges);
+        let mut index = MaintainedIndex::new(&g);
+        let before = index.clone();
+        // Deleting one clique edge leaves its ends' other edges with a
+        // triangle as ego-network: size 3 is new, and H(3) is seeded from
+        // H(4) before the clique's edges move.
+        assert!(index.remove_edge(600, 601));
+        index.check_consistency();
+        assert_eq!(index.component_sizes(), vec![3, 4]);
+        let pages = index.lists[&3].pages.len();
+        assert!(pages >= 10, "H(3) spans {pages} pages");
+        let copied = index.list_pages_unshared_with(&before);
+        assert!(
+            copied <= 4,
+            "{copied} of {pages} pages copied: the seed must share H(4)'s pages"
+        );
     }
 
     #[test]

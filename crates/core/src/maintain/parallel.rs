@@ -32,10 +32,10 @@
 //! forests invariantly equal the connected-component partition of the
 //! edge's ego-network in the current graph (this is exactly what
 //! `validate_deep` asserts), so recomputing from the final graph lands on
-//! the same partitions the sequential path reaches incrementally; treap
-//! shapes depend only on their key sets (deterministic priorities), so
-//! identical list contents mean identical structures. Only DSU-internal
-//! parent pointers may differ, and those are unobservable.
+//! the same partitions the sequential path reaches incrementally, and with
+//! them the same list keys. Only DSU-internal parent pointers and where the
+//! list runs' page boundaries fall may differ, and neither is observable:
+//! queries and run equality read the keys alone.
 
 use super::batch::{BatchStats, UpdateDisposition};
 use super::{compute_forest, EdgeDsu, GraphUpdate, MaintainedIndex};

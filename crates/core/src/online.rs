@@ -191,7 +191,9 @@ mod tests {
         use UpperBound::{CommonNeighbor as Cn, MinDegree as Md};
         let (fig1, _) = fig1();
         let overlap = generators::clique_overlap(150, 120, 6, 5);
-        let cases: [(&Graph, &[(usize, u32, UpperBound, [usize; 3])]); 2] = [
+        /// `(k, τ, bound, [evals, pops, enqueued])`.
+        type Case = (usize, u32, UpperBound, [usize; 3]);
+        let cases: [(&Graph, &[Case]); 2] = [
             (
                 &fig1,
                 &[

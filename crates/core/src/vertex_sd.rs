@@ -83,7 +83,7 @@ pub fn vertex_topk_batch(g: &Graph, k: usize, tau: u32) -> Vec<ScoredVertex> {
 /// CSR offsets as the forest arena.
 ///
 /// Queries are `O(k + log)` over contiguous rank-ordered lists, mirroring
-/// [`crate::index::FrozenEsdIndex`].
+/// [`crate::index::EsdIndex`].
 #[derive(Debug, Clone, Default)]
 pub struct VertexSdIndex {
     /// Distinct component sizes, ascending.

@@ -216,21 +216,21 @@ mod tests {
 
     /// A tiny quadratic-time reference partition used only by the proptest.
     mod esd_dsu_test_model {
-        pub struct Model {
+        pub(super) struct Model {
             label: Vec<usize>,
         }
 
         impl Model {
-            pub fn new(n: usize) -> Self {
+            pub(super) fn new(n: usize) -> Self {
                 Self {
                     label: (0..n).collect(),
                 }
             }
 
-            pub fn union(&mut self, a: usize, b: usize) {
+            pub(super) fn union(&mut self, a: usize, b: usize) {
                 let (la, lb) = (self.label[a], self.label[b]);
                 if la != lb {
-                    for l in self.label.iter_mut() {
+                    for l in &mut self.label {
                         if *l == lb {
                             *l = la;
                         }
@@ -238,11 +238,11 @@ mod tests {
                 }
             }
 
-            pub fn same(&self, a: usize, b: usize) -> bool {
+            pub(super) fn same(&self, a: usize, b: usize) -> bool {
                 self.label[a] == self.label[b]
             }
 
-            pub fn component_sizes(&self) -> Vec<u32> {
+            pub(super) fn component_sizes(&self) -> Vec<u32> {
                 let mut counts = std::collections::HashMap::new();
                 for &l in &self.label {
                     *counts.entry(l).or_insert(0u32) += 1;

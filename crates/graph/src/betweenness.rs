@@ -129,7 +129,7 @@ mod tests {
         let g = Graph::from_edges(8, &edges);
         let bt = edge_betweenness(&g);
         let bridge = g.edge_id(0, 4).unwrap() as usize;
-        let max = bt.iter().cloned().fold(f64::MIN, f64::max);
+        let max = bt.iter().copied().fold(f64::MIN, f64::max);
         assert!((bt[bridge] - max).abs() < 1e-9, "bridge must rank first");
         assert!(
             (bt[bridge] - 16.0).abs() < 1e-9,
@@ -203,13 +203,14 @@ mod tests {
                             }
                         }
                     }
-                    let d_st = dist[t as usize] as f64;
+                    let d_st = f64::from(dist[t as usize]);
                     let total = sigma[t as usize];
                     for (id, e) in g.edges().iter().enumerate() {
                         for (a, b) in [(e.u, e.v), (e.v, e.u)] {
                             if dist[a as usize] != u32::MAX
                                 && dist_t[b as usize] != u32::MAX
-                                && dist[a as usize] as f64 + 1.0 + dist_t[b as usize] as f64 == d_st
+                                && f64::from(dist[a as usize]) + 1.0 + f64::from(dist_t[b as usize])
+                                    == d_st
                             {
                                 scores[id] += sigma[a as usize] * sigma_t[b as usize] / total;
                             }
@@ -242,7 +243,7 @@ mod tests {
                 for s in 0..n as u32 {
                     for (t, &d) in crate::traversal::bfs_distances(&g, s).iter().enumerate() {
                         if t as u32 > s && d != u32::MAX {
-                            dist_sum += d as f64;
+                            dist_sum += f64::from(d);
                         }
                     }
                 }

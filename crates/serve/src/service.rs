@@ -1617,36 +1617,54 @@ mod tests {
         }
     }
 
-    /// `(forest, profile, ranking)` pages that `next` does not share with
-    /// `prev`.
-    fn unshared_pages(next: &Snapshot, prev: &Snapshot) -> (usize, usize, usize) {
+    /// `(forest, list, profile, ranking)` pages that `next` does not share
+    /// with `prev`.
+    fn unshared_pages(next: &Snapshot, prev: &Snapshot) -> (usize, usize, usize, usize) {
         (
             next.index().forest_pages_unshared_with(prev.index()),
+            next.index().list_pages_unshared_with(prev.index()),
             next.families().pages_unshared_with(prev.families()),
             next.families().ranking_pages_unshared_with(prev.families()),
         )
     }
 
+    /// Keys in one of two full rankings but not the other, or `None` when
+    /// both are empty.
+    fn key_edits(prev: Vec<ScoredEdge>, next: Vec<ScoredEdge>) -> Option<usize> {
+        let a: HashSet<ScoredEdge> = prev.into_iter().collect();
+        let b: HashSet<ScoredEdge> = next.into_iter().collect();
+        (!a.is_empty() || !b.is_empty()).then(|| a.symmetric_difference(&b).count())
+    }
+
+    /// `key_edits` summed over τ = 1, 2, … up to the largest τ either side
+    /// answers. Each list is read at τ = its own size, so every list's key
+    /// edits are counted at least once.
+    fn edits_at_every_tau(diff: impl FnMut(u32) -> Option<usize>) -> usize {
+        (1..).map_while(diff).sum()
+    }
+
     /// Ranked keys that differ between two suites: the symmetric difference
-    /// of every family's full ranking, the truss one at every τ up to the
-    /// largest answered. Each truss run is read at τ = its own core size,
-    /// so every run's key edits are counted at least once.
+    /// of every family's full ranking, the truss one at every τ.
     fn ranking_edits(next: &FamilySuite, prev: &FamilySuite) -> usize {
-        let diff = |family: Family, tau: u32| -> Option<usize> {
-            let a: HashSet<ScoredEdge> = prev.query(family, usize::MAX, tau).into_iter().collect();
-            let b: HashSet<ScoredEdge> = next.query(family, usize::MAX, tau).into_iter().collect();
-            (!a.is_empty() || !b.is_empty()).then(|| a.symmetric_difference(&b).count())
+        let diff = |family: Family, tau: u32| {
+            key_edits(
+                prev.query(family, usize::MAX, tau),
+                next.query(family, usize::MAX, tau),
+            )
         };
-        let mut edits = [Family::ParameterFree, Family::EgoBetweenness]
+        [Family::ParameterFree, Family::EgoBetweenness]
             .into_iter()
             .filter_map(|f| diff(f, 1))
-            .sum();
-        let mut tau = 1;
-        while let Some(d) = diff(Family::Truss, tau) {
-            edits += d;
-            tau += 1;
-        }
-        edits
+            .sum::<usize>()
+            + edits_at_every_tau(|tau| diff(Family::Truss, tau))
+    }
+
+    /// `H(c)` keys that differ between two component indexes, counted like
+    /// [`ranking_edits`] counts the truss runs.
+    fn list_edits(next: &MaintainedIndex, prev: &MaintainedIndex) -> usize {
+        edits_at_every_tau(|tau| {
+            key_edits(prev.query(usize::MAX, tau), next.query(usize::MAX, tau))
+        })
     }
 
     #[test]
@@ -1681,7 +1699,7 @@ mod tests {
             let mut radius = BTreeSet::new();
             add_blast_radius(prev.index().graph(), u, v, &mut radius);
             add_blast_radius(next.index().graph(), u, v, &mut radius);
-            let (forests, profiles, rankings) = unshared_pages(&next, &prev);
+            let (forests, lists, profiles, rankings) = unshared_pages(&next, &prev);
             assert!(
                 forests <= radius.len() && profiles <= radius.len(),
                 "{update:?}: {forests} forest + {profiles} profile pages copied, radius {}",
@@ -1694,6 +1712,12 @@ mod tests {
             assert!(
                 0 < rankings && rankings <= 2 * edits,
                 "{update:?}: {rankings} ranking pages copied for {edits} key edits"
+            );
+            // The `H(c)` runs follow the same rule.
+            let edits = list_edits(next.index(), prev.index());
+            assert!(
+                0 < lists && lists <= 2 * edits,
+                "{update:?}: {lists} list pages copied for {edits} key edits"
             );
         }
         service.shutdown();

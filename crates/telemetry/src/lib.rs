@@ -1,7 +1,7 @@
 //! Scoped stage spans and monotonic kernel counters for the esd workspace.
 //!
 //! The paper's evaluation is entirely about *where time goes* — 4-clique
-//! enumeration vs union–find vs treap maintenance, sequential vs parallel
+//! enumeration vs union–find vs list maintenance, sequential vs parallel
 //! scaling. This crate gives every hot path a way to report that breakdown
 //! without perturbing it:
 //!
@@ -198,9 +198,11 @@ catalogue! {
         /// Union ops performed by dynamic maintenance (ego-net rebuilds
         /// and incremental insert paths).
         MaintainUnionOps => "maintain.union_ops",
-        /// `ScoreTreap` insertions performed while restoring entries.
+        /// Key insertions into the maintained `H(c)` runs while restoring
+        /// entries (the name predates the runs, which replaced a treap).
         TreapInserts => "maintain.treap_inserts",
-        /// `ScoreTreap` removals performed while retracting entries.
+        /// Key removals from the maintained `H(c)` runs while retracting
+        /// entries (named like `maintain.treap_inserts`).
         TreapRemoves => "maintain.treap_removes",
         /// Edges whose scores were recomputed by maintenance updates.
         MaintainAffected => "maintain.affected_edges",

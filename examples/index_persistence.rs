@@ -1,13 +1,11 @@
 //! Build once, ship the index: the ESDX persistence workflow.
 //!
-//! A production deployment builds the ESDIndex offline, freezes it to the
-//! flat read-only form, writes it next to the graph, and serves queries
-//! from the loaded artifact — with checksummed loading that refuses
-//! corrupted files.
+//! A production deployment builds the ESDIndex offline, writes it next to
+//! the graph, and serves queries from the loaded artifact — with
+//! checksummed loading that refuses corrupted files.
 //!
 //! Run with: `cargo run --release --example index_persistence`
 
-use esd::core::index::FrozenEsdIndex;
 use esd::core::EsdIndex;
 use esd::graph::generators;
 use std::time::Instant;
@@ -20,23 +18,17 @@ fn main() {
         g.num_edges()
     );
 
-    // Offline: build + freeze + save.
+    // Offline: build + save.
     let start = Instant::now();
     let index = EsdIndex::build_fast(&g);
     println!(
-        "built ESDIndex in {:?} ({} entries)",
+        "built ESDIndex in {:?} ({} entries, {} bytes)",
         start.elapsed(),
-        index.total_entries()
-    );
-    let frozen = index.freeze();
-    println!(
-        "frozen: {} bytes vs {} bytes treap form ({:.1}x smaller)",
-        frozen.byte_size(),
-        index.byte_size(),
-        index.byte_size() as f64 / frozen.byte_size() as f64
+        index.total_entries(),
+        index.byte_size()
     );
     let path = std::env::temp_dir().join("esd_example.esdx");
-    frozen.save(&path).expect("save index");
+    index.save(&path).expect("save index");
     println!(
         "saved to {} ({} bytes on disk)",
         path.display(),
@@ -45,7 +37,7 @@ fn main() {
 
     // Online: load + serve.
     let start = Instant::now();
-    let served = FrozenEsdIndex::load(&path).expect("load index");
+    let served = EsdIndex::load(&path).expect("load index");
     println!("loaded in {:?}", start.elapsed());
     let start = Instant::now();
     let reps = 10_000;
@@ -62,7 +54,7 @@ fn main() {
         elapsed,
         elapsed.as_secs_f64() * 1e6 / f64::from(reps)
     );
-    assert_eq!(served.query(10, 2), index.query(10, 2), "loaded == built");
+    assert_eq!(served, index, "loaded == built");
 
     // Corruption is rejected, never silently misread.
     let mut bytes = std::fs::read(&path).unwrap();
@@ -70,7 +62,7 @@ fn main() {
     bytes[mid] ^= 0x01;
     let corrupted = std::env::temp_dir().join("esd_example_corrupt.esdx");
     std::fs::write(&corrupted, &bytes).unwrap();
-    match FrozenEsdIndex::load(&corrupted) {
+    match EsdIndex::load(&corrupted) {
         Err(e) => println!("corrupted copy rejected: {e}"),
         Ok(_) => unreachable!("checksum must catch the flip"),
     }

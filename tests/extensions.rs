@@ -1,35 +1,26 @@
-//! Integration: the extension surfaces — frozen index, ESDX persistence,
-//! vertex structural diversity index, truss baseline — on real surrogates.
+//! Integration: the extension surfaces — ESDX persistence, vertex
+//! structural diversity index, truss baseline — on real surrogates.
 
-use esd::core::index::FrozenEsdIndex;
 use esd::core::vertex_sd::{vertex_topk, VertexSdIndex};
 use esd::core::{baselines, EsdIndex, MaintainedIndex};
 use esd::datasets::{load, Scale};
 
 #[test]
-fn frozen_persistence_roundtrip_on_surrogates() {
+fn index_persistence_roundtrip_on_surrogates() {
     for name in ["Youtube", "DBLP"] {
         let g = load(name, Scale::Tiny);
         let index = EsdIndex::build_fast(&g);
-        let frozen = index.freeze();
         let mut buf = Vec::new();
-        frozen.write_to(&mut buf).unwrap();
-        let loaded = FrozenEsdIndex::read_from(buf.as_slice()).unwrap();
-        assert_eq!(loaded, frozen, "{name}");
-        for tau in [1, 2, 3] {
-            assert_eq!(
-                loaded.query(20, tau),
-                index.query(20, tau),
-                "{name} τ={tau}"
-            );
-        }
+        index.write_to(&mut buf).unwrap();
+        let loaded = EsdIndex::read_from(buf.as_slice()).unwrap();
+        assert_eq!(loaded, index, "{name}");
     }
 }
 
 #[test]
-fn frozen_index_of_maintained_state() {
-    // Freeze after updates: freeze(rebuild(current graph)) must equal
-    // rebuild-then-freeze.
+fn static_index_of_maintained_state() {
+    // A static index built from the maintained graph after updates answers
+    // exactly what the maintained index answers.
     let g = load("Pokec", Scale::Tiny);
     let mut live = MaintainedIndex::new(&g);
     let victims = live.query(5, 2);
@@ -37,9 +28,9 @@ fn frozen_index_of_maintained_state() {
         live.remove_edge(s.edge.u, s.edge.v);
     }
     let snapshot = live.graph().to_graph();
-    let frozen = EsdIndex::build_fast(&snapshot).freeze();
+    let index = EsdIndex::build_fast(&snapshot);
     for tau in [1, 2, 3] {
-        assert_eq!(frozen.query(30, tau), live.query(30, tau), "τ={tau}");
+        assert_eq!(index.query(30, tau), live.query(30, tau), "τ={tau}");
     }
 }
 

@@ -15,7 +15,6 @@
 //!    length.
 
 use esd_core::fixtures::fig1;
-use esd_core::index::FrozenEsdIndex;
 use esd_core::maintain::MaintainedIndex;
 use esd_core::EsdIndex;
 use esd_graph::generators;
@@ -98,7 +97,6 @@ fn static_builders_audit_clean() {
             EsdIndex::build_parallel(g, 4),
         ] {
             assert_eq!(index.validate_against(g), Vec::new());
-            assert_eq!(index.freeze().validate_against(g), Vec::new());
         }
     }
 }
@@ -109,15 +107,15 @@ fn static_builders_audit_clean() {
 #[test]
 fn esdx_every_single_byte_corruption_is_rejected() {
     let (g, _) = fig1();
-    let frozen = FrozenEsdIndex::build(&g);
+    let index = EsdIndex::build_fast(&g);
     let mut buf = Vec::new();
-    frozen.write_to(&mut buf).unwrap();
+    index.write_to(&mut buf).unwrap();
     for pos in 0..buf.len() {
         for mask in [0x01u8, 0x80, 0xFF] {
             let mut bad = buf.clone();
             bad[pos] ^= mask;
             assert!(
-                FrozenEsdIndex::read_from(bad.as_slice()).is_err(),
+                EsdIndex::read_from(bad.as_slice()).is_err(),
                 "flipping byte {pos} with mask {mask:#04x} must not load"
             );
         }
@@ -128,12 +126,12 @@ fn esdx_every_single_byte_corruption_is_rejected() {
 #[test]
 fn esdx_every_truncation_is_rejected() {
     let (g, _) = fig1();
-    let frozen = FrozenEsdIndex::build(&g);
+    let index = EsdIndex::build_fast(&g);
     let mut buf = Vec::new();
-    frozen.write_to(&mut buf).unwrap();
+    index.write_to(&mut buf).unwrap();
     for cut in 0..buf.len() {
         assert!(
-            FrozenEsdIndex::read_from(&buf[..cut]).is_err(),
+            EsdIndex::read_from(&buf[..cut]).is_err(),
             "truncation to {cut} bytes must not load"
         );
     }
@@ -169,7 +167,7 @@ fn esdx_semantically_corrupt_but_checksummed_file_is_rejected() {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     body.extend_from_slice(&h.to_le_bytes());
-    let err = FrozenEsdIndex::read_from(body.as_slice());
+    let err = EsdIndex::read_from(body.as_slice());
     assert!(
         err.is_err(),
         "nesting-violating file must be rejected, got {err:?}"
