@@ -11,15 +11,17 @@
 //! |---|---|---|
 //! | [`EdgeComponents`] | [`EdgeComponents::validate`] | monotone offsets, ascending positive size multisets |
 //! | [`EsdIndex`] | [`EsdIndex::validate`], [`EsdIndex::validate_against`] | ascending `C`, list offsets, canonical positively-scored entries in strict rank order, no edge twice in a list, list nesting `H(c') ⊆ H(c)`, score monotonicity; vs-graph: exact contents + Theorem 3 |
-//! | [`MaintainedIndex`] | [`MaintainedIndex::validate`], [`MaintainedIndex::validate_deep`] | graph soundness, forest well-formedness and coverage, refcounts, sound list runs, list/forest agreement; deep: forests vs true ego-network partitions |
+//! | [`MaintainedIndex`] | [`MaintainedIndex::validate`], [`MaintainedIndex::validate_deep`] | graph soundness, forest well-formedness and coverage, the `H(c)` lists against the forests' sizes ([`SizeRuns::validate`]); deep: forests vs true ego-network partitions |
 //! | [`CowRun`] | [`CowRun::validate`] | non-empty pages, strict rank order within and across pages, `len` |
-//! | [`FamilySuite`] | [`FamilySuite::validate`] | every run sound and equal to the ranking a scan of the profiles derives; truss refcounts equal the core-size multiset, and the run keys equal the refcount keys |
+//! | [`SizeRuns`] | [`SizeRuns::validate`] | refcounts equal the size multiset, run sizes equal the refcount keys, every run sound and holding exactly the keys the sizes give |
+//! | [`FamilySuite`] | [`FamilySuite::validate`] | truss runs against the core sizes ([`SizeRuns::validate`]); the other runs sound and equal to the ranking a scan of the profiles derives |
 //!
 //! The `strict-invariants` cargo feature (always on in this crate's unit
 //! tests) re-runs these validators at construction and maintenance
 //! boundaries, panicking via [`assert_clean`] with the full report.
 
-use crate::cow::{CowRun, RankKey};
+use crate::cow::{CowRun, RankKey, SizeRuns};
+use crate::family::truss_item;
 use crate::index::{EdgeComponents, EsdIndex};
 use crate::maintain::{ego_edges, EdgeDsu, MaintainedIndex};
 use crate::score::score_from_sizes;
@@ -572,61 +574,8 @@ pub enum MaintViolation {
         /// The edge whose forest merged or split the wrong components.
         edge: Edge,
     },
-    /// A list's run fails its own audit.
-    Run {
-        /// The list's threshold `c`.
-        threshold: u32,
-        /// The underlying run violation.
-        inner: RunViolation,
-    },
-    /// A refcount disagrees with the count recomputed from the forests.
-    RefcountMismatch {
-        /// The size `c`.
-        threshold: u32,
-        /// Stored refcount (0 when the key is missing).
-        stored: usize,
-        /// Recomputed refcount.
-        actual: usize,
-    },
-    /// A list exists for a size with no refcount entry.
-    ListWithoutRefcount {
-        /// The orphaned list's threshold.
-        threshold: u32,
-    },
-    /// A refcounted size has no list.
-    RefcountWithoutList {
-        /// The size missing its list.
-        threshold: u32,
-    },
-    /// A forest-implied entry is absent from its list.
-    MissingEntry {
-        /// The list's threshold.
-        threshold: u32,
-        /// The absent edge.
-        edge: Edge,
-        /// Its forest-derived score.
-        score: u32,
-    },
-    /// A stored entry has no forest-implied counterpart.
-    UnexpectedEntry {
-        /// The list's threshold.
-        threshold: u32,
-        /// The spurious edge.
-        edge: Edge,
-        /// Its stored score.
-        score: u32,
-    },
-    /// An entry's stored score differs from the forest-derived score.
-    WrongScore {
-        /// The list's threshold.
-        threshold: u32,
-        /// The edge.
-        edge: Edge,
-        /// Forest-derived score.
-        expected: u32,
-        /// Stored score.
-        actual: u32,
-    },
+    /// The `H(c)` lists disagree with the forests' size multisets.
+    Lists(SizeRunViolation),
 }
 
 impl std::fmt::Display for MaintViolation {
@@ -671,48 +620,7 @@ impl std::fmt::Display for MaintViolation {
                     "forest of {edge} diverges from the true ego-network partition"
                 )
             }
-            Self::Run { threshold, inner } => write!(f, "H({threshold}): {inner}"),
-            Self::RefcountMismatch {
-                threshold,
-                stored,
-                actual,
-            } => {
-                write!(
-                    f,
-                    "refcount[{threshold}] is {stored}, forests give {actual}"
-                )
-            }
-            Self::ListWithoutRefcount { threshold } => {
-                write!(f, "list H({threshold}) has no refcount entry")
-            }
-            Self::RefcountWithoutList { threshold } => {
-                write!(f, "refcounted size {threshold} has no list")
-            }
-            Self::MissingEntry {
-                threshold,
-                edge,
-                score,
-            } => {
-                write!(f, "H({threshold}): missing {edge} (score {score})")
-            }
-            Self::UnexpectedEntry {
-                threshold,
-                edge,
-                score,
-            } => {
-                write!(f, "H({threshold}): spurious {edge} (score {score})")
-            }
-            Self::WrongScore {
-                threshold,
-                edge,
-                expected,
-                actual,
-            } => {
-                write!(
-                    f,
-                    "H({threshold}): {edge} scores {actual}, forests give {expected}"
-                )
-            }
+            Self::Lists(v) => write!(f, "H(c) lists: {v}"),
         }
     }
 }
@@ -837,87 +745,14 @@ impl MaintainedIndex {
             });
         }
 
-        // Refcounts recomputed from the forests.
-        let mut expected_ref: BTreeMap<u32, usize> = BTreeMap::new();
-        for (_, sizes) in &edge_sizes {
-            let mut distinct = sizes.clone();
-            distinct.dedup();
-            for s in distinct {
-                *expected_ref.entry(s).or_insert(0) += 1;
-            }
-        }
-        for (&c, &actual) in &expected_ref {
-            let stored = self.refcounts.get(&c).copied().unwrap_or(0);
-            if stored != actual {
-                out.push(MaintViolation::RefcountMismatch {
-                    threshold: c,
-                    stored,
-                    actual,
-                });
-            }
-        }
-        for (&c, &stored) in &self.refcounts {
-            if !expected_ref.contains_key(&c) {
-                out.push(MaintViolation::RefcountMismatch {
-                    threshold: c,
-                    stored,
-                    actual: 0,
-                });
-            }
-        }
-
-        // Key agreement between lists and refcounts.
-        for &c in self.lists.keys() {
-            if !self.refcounts.contains_key(&c) {
-                out.push(MaintViolation::ListWithoutRefcount { threshold: c });
-            }
-        }
-        for &c in self.refcounts.keys() {
-            if !self.lists.contains_key(&c) {
-                out.push(MaintViolation::RefcountWithoutList { threshold: c });
-            }
-        }
-
-        // List contents vs forest-derived scores, plus run soundness.
-        for (&c, list) in &self.lists {
-            for v in list.validate() {
-                out.push(MaintViolation::Run {
-                    threshold: c,
-                    inner: v,
-                });
-            }
-            let mut expected = EntryMap::new();
-            for (e, sizes) in &edge_sizes {
-                let score = crate::score::score_from_sizes(sizes, c);
-                if score > 0 {
-                    expected.insert(*e, score);
-                }
-            }
-            let actual: EntryMap = list.iter().map(|k| (k.edge, k.score)).collect();
-            let diff = diff_entries(&expected, &actual);
-            for (edge, score) in diff.missing {
-                out.push(MaintViolation::MissingEntry {
-                    threshold: c,
-                    edge,
-                    score,
-                });
-            }
-            for (edge, score) in diff.unexpected {
-                out.push(MaintViolation::UnexpectedEntry {
-                    threshold: c,
-                    edge,
-                    score,
-                });
-            }
-            for (edge, expected, actual) in diff.wrong {
-                out.push(MaintViolation::WrongScore {
-                    threshold: c,
-                    edge,
-                    expected,
-                    actual,
-                });
-            }
-        }
+        // The lists and refcounts against the forests' size multisets.
+        let items = edge_sizes.iter().map(|(e, sizes)| (*e, sizes.as_slice()));
+        out.extend(
+            self.lists
+                .validate(items)
+                .into_iter()
+                .map(MaintViolation::Lists),
+        );
         out
     }
 
@@ -975,7 +810,7 @@ impl MaintainedIndex {
 }
 
 // ---------------------------------------------------------------------------
-// CowRun and FamilySuite
+// CowRun, SizeRuns and FamilySuite
 // ---------------------------------------------------------------------------
 
 /// One violated invariant of a [`CowRun`], located by page.
@@ -1047,11 +882,184 @@ impl CowRun {
     }
 }
 
-/// Which ranked run of a [`FamilySuite`] a violation is located in.
+/// One violated invariant of a [`SizeRuns`], located by size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum SizeRunViolation {
+    /// A run's layout is unsound.
+    Run {
+        /// The run's size `c`.
+        size: u32,
+        /// What is wrong with it.
+        inner: RunViolation,
+    },
+    /// A refcount disagrees with the number of edges holding the size.
+    RefcountMismatch {
+        /// The size.
+        size: u32,
+        /// Stored refcount (0 when the key is missing).
+        stored: usize,
+        /// Edges holding the size.
+        actual: usize,
+    },
+    /// A run exists for a size with no refcount entry.
+    RunWithoutRefcount {
+        /// The orphaned run's size.
+        size: u32,
+    },
+    /// A refcounted size has no run.
+    RefcountWithoutRun {
+        /// The size missing its run.
+        size: u32,
+    },
+    /// An expected key is absent from its run.
+    MissingKey {
+        /// The run's size.
+        size: u32,
+        /// The absent edge.
+        edge: Edge,
+        /// Its expected score.
+        score: u32,
+    },
+    /// A run holds a key no expected item gives it, or an edge twice.
+    UnexpectedKey {
+        /// The run's size.
+        size: u32,
+        /// The spurious edge.
+        edge: Edge,
+        /// Its stored score.
+        score: u32,
+    },
+    /// A key's stored score differs from the score its sizes give.
+    WrongScore {
+        /// The run's size.
+        size: u32,
+        /// The edge.
+        edge: Edge,
+        /// Score its sizes give.
+        expected: u32,
+        /// Stored score.
+        actual: u32,
+    },
+}
+
+impl std::fmt::Display for SizeRunViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Run { size, inner } => write!(f, "run {size}: {inner}"),
+            Self::RefcountMismatch {
+                size,
+                stored,
+                actual,
+            } => write!(f, "refcount[{size}] is {stored}, the sizes give {actual}"),
+            Self::RunWithoutRefcount { size } => write!(f, "run {size} has no refcount entry"),
+            Self::RefcountWithoutRun { size } => write!(f, "refcounted size {size} has no run"),
+            Self::MissingKey { size, edge, score } => {
+                write!(f, "run {size}: missing {edge} (score {score})")
+            }
+            Self::UnexpectedKey { size, edge, score } => {
+                write!(f, "run {size}: spurious {edge} (score {score})")
+            }
+            Self::WrongScore {
+                size,
+                edge,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "run {size}: {edge} scores {actual}, its sizes give {expected}"
+            ),
+        }
+    }
+}
+
+impl SizeRuns {
+    /// Audits the runs against `expected`, every `(edge, sorted sizes)`
+    /// item they should hold: the refcounts equal the number of items
+    /// holding each size, the run sizes equal the refcount keys, and each
+    /// run is sound and holds exactly the keys the items give it. Returns
+    /// all violations found (empty = sound).
+    pub fn validate<'a>(
+        &self,
+        expected: impl Iterator<Item = (Edge, &'a [u32])> + Clone,
+    ) -> Vec<SizeRunViolation> {
+        let mut out = Vec::new();
+        let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
+        for (_, sizes) in expected.clone() {
+            for run in sizes.chunk_by(|a, b| a == b) {
+                *counts.entry(run[0]).or_insert(0) += 1;
+            }
+        }
+        let sizes: std::collections::BTreeSet<u32> = counts
+            .keys()
+            .chain(self.refcounts.keys())
+            .copied()
+            .collect();
+        for size in sizes {
+            let stored = self.refcounts.get(&size).copied().unwrap_or(0);
+            let actual = counts.get(&size).copied().unwrap_or(0);
+            if stored != actual {
+                out.push(SizeRunViolation::RefcountMismatch {
+                    size,
+                    stored,
+                    actual,
+                });
+            }
+        }
+        for &size in self.runs.keys() {
+            if !self.refcounts.contains_key(&size) {
+                out.push(SizeRunViolation::RunWithoutRefcount { size });
+            }
+        }
+        for &size in self.refcounts.keys() {
+            if !self.runs.contains_key(&size) {
+                out.push(SizeRunViolation::RefcountWithoutRun { size });
+            }
+        }
+        for (&size, run) in &self.runs {
+            out.extend(
+                run.validate()
+                    .into_iter()
+                    .map(|inner| SizeRunViolation::Run { size, inner }),
+            );
+            let want: EntryMap = expected
+                .clone()
+                .map(|(edge, sizes)| (edge, score_from_sizes(sizes, size)))
+                .filter(|&(_, score)| score > 0)
+                .collect();
+            let mut got = EntryMap::with_capacity(run.len());
+            for key in run.iter() {
+                if got.insert(key.edge, key.score).is_some() {
+                    out.push(SizeRunViolation::UnexpectedKey {
+                        size,
+                        edge: key.edge,
+                        score: key.score,
+                    });
+                }
+            }
+            let diff = diff_entries(&want, &got);
+            for (edge, score) in diff.missing {
+                out.push(SizeRunViolation::MissingKey { size, edge, score });
+            }
+            for (edge, score) in diff.unexpected {
+                out.push(SizeRunViolation::UnexpectedKey { size, edge, score });
+            }
+            for (edge, expected, actual) in diff.wrong {
+                out.push(SizeRunViolation::WrongScore {
+                    size,
+                    edge,
+                    expected,
+                    actual,
+                });
+            }
+        }
+        out
+    }
+}
+
+/// Which single ranked run of a [`FamilySuite`] a violation is located in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FamilyRun {
-    /// The truss run of one core size.
-    Truss(u32),
     /// The parameter-free run.
     ParameterFree,
     /// The ego-betweenness run.
@@ -1061,7 +1069,6 @@ pub enum FamilyRun {
 impl std::fmt::Display for FamilyRun {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Truss(c) => write!(f, "truss run {c}"),
             Self::ParameterFree => f.write_str("parameter-free run"),
             Self::EgoBetweenness => f.write_str("ego-betweenness run"),
         }
@@ -1090,25 +1097,8 @@ pub enum FamilyViolation {
         /// Keys the run holds.
         actual: usize,
     },
-    /// A truss refcount disagrees with the profiles' core-size multiset.
-    RefcountMismatch {
-        /// The core size.
-        size: u32,
-        /// Stored refcount (0 when the key is missing).
-        stored: usize,
-        /// Profiles holding the size.
-        actual: usize,
-    },
-    /// A truss run exists for a size with no refcount entry.
-    RunWithoutRefcount {
-        /// The orphaned run's core size.
-        size: u32,
-    },
-    /// A refcounted core size has no truss run.
-    RefcountWithoutRun {
-        /// The size missing its run.
-        size: u32,
-    },
+    /// The truss runs disagree with the profiles' core-size multisets.
+    Truss(SizeRunViolation),
 }
 
 impl std::fmt::Display for FamilyViolation {
@@ -1125,75 +1115,29 @@ impl std::fmt::Display for FamilyViolation {
                 "{run} diverges from the profile scan at rank {at} \
                  ({actual} keys, scan gives {expected})"
             ),
-            Self::RefcountMismatch {
-                size,
-                stored,
-                actual,
-            } => write!(
-                f,
-                "truss refcount[{size}] is {stored}, profiles give {actual}"
-            ),
-            Self::RunWithoutRefcount { size } => {
-                write!(f, "truss run {size} has no refcount entry")
-            }
-            Self::RefcountWithoutRun { size } => {
-                write!(f, "refcounted core size {size} has no truss run")
-            }
+            Self::Truss(v) => write!(f, "truss runs: {v}"),
         }
     }
 }
 
 impl FamilySuite {
-    /// Audits the ranked runs against the profiles: each run is sound and
-    /// equals the reference ranking a scan of every profile derives (for a
-    /// truss run of core size `c`, the scan at τ = `c`); the truss
-    /// refcounts equal the multiset of distinct core sizes, and the truss
-    /// run keys equal the refcount keys. Returns all violations found
-    /// (empty = sound).
+    /// Audits the ranked runs against the profiles: the truss runs pass
+    /// [`SizeRuns::validate`] over the core multisets, and the
+    /// parameter-free and ego-betweenness runs are each sound and equal to
+    /// the reference ranking a scan of every profile derives. Returns all
+    /// violations found (empty = sound).
     pub fn validate(&self) -> Vec<FamilyViolation> {
         let r = &self.rankings;
-        let mut out = Vec::new();
-        let mut actual: BTreeMap<u32, usize> = BTreeMap::new();
-        for (_, prof) in self.profiles.values() {
-            for c in prof.distinct_cores() {
-                *actual.entry(c).or_insert(0) += 1;
-            }
-        }
-        let sizes: std::collections::BTreeSet<u32> = actual
-            .keys()
-            .chain(r.truss_refcounts.keys())
-            .copied()
-            .collect();
-        for size in sizes {
-            let stored = r.truss_refcounts.get(&size).copied().unwrap_or(0);
-            let actual = actual.get(&size).copied().unwrap_or(0);
-            if stored != actual {
-                out.push(FamilyViolation::RefcountMismatch {
-                    size,
-                    stored,
-                    actual,
-                });
-            }
-        }
-        for &size in r.truss.keys() {
-            if !r.truss_refcounts.contains_key(&size) {
-                out.push(FamilyViolation::RunWithoutRefcount { size });
-            }
-        }
-        for &size in r.truss_refcounts.keys() {
-            if !r.truss.contains_key(&size) {
-                out.push(FamilyViolation::RefcountWithoutRun { size });
-            }
-        }
-        let runs = r
+        let mut out: Vec<FamilyViolation> = r
             .truss
-            .iter()
-            .map(|(&c, run)| (FamilyRun::Truss(c), run))
-            .chain([
-                (FamilyRun::ParameterFree, &r.pf),
-                (FamilyRun::EgoBetweenness, &r.betweenness),
-            ]);
-        for (id, run) in runs {
+            .validate(self.profiles.values().map(truss_item))
+            .into_iter()
+            .map(FamilyViolation::Truss)
+            .collect();
+        for (id, run) in [
+            (FamilyRun::ParameterFree, &r.pf),
+            (FamilyRun::EgoBetweenness, &r.betweenness),
+        ] {
             out.extend(
                 run.validate()
                     .into_iter()
@@ -1225,7 +1169,6 @@ impl FamilySuite {
             .values()
             .filter_map(|&(edge, ref prof)| {
                 let score = match run {
-                    FamilyRun::Truss(c) => score_from_sizes(&prof.truss_cores, c),
                     FamilyRun::ParameterFree => prof.pf,
                     FamilyRun::EgoBetweenness => prof.betweenness,
                 };
@@ -1485,15 +1428,15 @@ mod tests {
     fn maintained_detects_refcount_corruption() {
         let (g, _) = fig1();
         let mut index = MaintainedIndex::new(&g);
-        let true_count = index.refcounts[&4];
-        *index.refcounts.get_mut(&4).unwrap() += 3;
+        let true_count = index.lists.refcounts[&4];
+        *index.lists.refcounts.get_mut(&4).unwrap() += 3;
         let v = index.validate();
         assert!(
-            v.contains(&MaintViolation::RefcountMismatch {
-                threshold: 4,
+            v.contains(&MaintViolation::Lists(SizeRunViolation::RefcountMismatch {
+                size: 4,
                 stored: true_count + 3,
                 actual: true_count
-            }),
+            })),
             "got {v:?}"
         );
     }
@@ -1502,15 +1445,19 @@ mod tests {
     fn maintained_detects_list_key_divergence() {
         let (g, _) = fig1();
         let mut index = MaintainedIndex::new(&g);
-        let run = index.lists.remove(&4).unwrap();
-        index.lists.insert(3, run);
+        let run = index.lists.runs.remove(&4).unwrap();
+        index.lists.runs.insert(3, run);
         let v = index.validate();
         assert!(
-            v.contains(&MaintViolation::ListWithoutRefcount { threshold: 3 }),
+            v.contains(&MaintViolation::Lists(
+                SizeRunViolation::RunWithoutRefcount { size: 3 }
+            )),
             "got {v:?}"
         );
         assert!(
-            v.contains(&MaintViolation::RefcountWithoutList { threshold: 4 }),
+            v.contains(&MaintViolation::Lists(
+                SizeRunViolation::RefcountWithoutRun { size: 4 }
+            )),
             "got {v:?}"
         );
     }
@@ -1591,16 +1538,16 @@ mod tests {
     fn maintained_detects_list_entry_drift() {
         let (g, _) = fig1();
         let mut index = MaintainedIndex::new(&g);
-        let (&c, list) = index.lists.iter_mut().next().unwrap();
+        let (&c, list) = index.lists.runs.iter_mut().next().unwrap();
         let victim = list.iter().next().unwrap();
         list.remove(&victim);
         let v = index.validate();
         assert!(
-            v.contains(&MaintViolation::MissingEntry {
-                threshold: c,
+            v.contains(&MaintViolation::Lists(SizeRunViolation::MissingKey {
+                size: c,
                 edge: victim.edge,
                 score: victim.score
-            }),
+            })),
             "got {v:?}"
         );
     }
@@ -1609,23 +1556,22 @@ mod tests {
     fn maintained_detects_unsound_list_runs() {
         let (g, _) = fig1();
         let mut index = MaintainedIndex::new(&g);
-        let (&c, run) = index.lists.iter_mut().next().unwrap();
+        let (&c, run) = index.lists.runs.iter_mut().next().unwrap();
         std::sync::Arc::make_mut(&mut run.pages[0]).swap(0, 1);
         run.len += 1;
+        let len = run.len();
         let v = index.validate();
         for want in [
-            MaintViolation::Run {
-                threshold: c,
-                inner: RunViolation::OutOfOrder { page: 0, offset: 1 },
-            },
-            MaintViolation::Run {
-                threshold: c,
-                inner: RunViolation::LenMismatch {
-                    stored: index.lists[&c].len(),
-                    actual: index.lists[&c].len() - 1,
-                },
+            RunViolation::OutOfOrder { page: 0, offset: 1 },
+            RunViolation::LenMismatch {
+                stored: len,
+                actual: len - 1,
             },
         ] {
+            let want = MaintViolation::Lists(SizeRunViolation::Run {
+                size: c,
+                inner: want,
+            });
             assert!(v.contains(&want), "missing {want}: got {v:?}");
         }
     }
@@ -1655,29 +1601,26 @@ mod tests {
         let (&c, run) = swapped
             .rankings
             .truss
+            .runs
             .iter_mut()
             .next()
             .expect("a truss run");
         assert!(run.len() >= 2);
         std::sync::Arc::make_mut(&mut run.pages[0]).swap(0, 1);
         let v = swapped.validate();
-        assert!(
-            v.contains(&FamilyViolation::Run {
-                run: FamilyRun::Truss(c),
+        assert_eq!(
+            v,
+            [FamilyViolation::Truss(SizeRunViolation::Run {
+                size: c,
                 inner: RunViolation::OutOfOrder { page: 0, offset: 1 },
-            }),
-            "got {v:?}"
+            })]
         );
-        assert!(v.iter().any(|x| matches!(
-            x,
-            FamilyViolation::RankingDiverged { run: FamilyRun::Truss(t), at: 0, .. } if *t == c
-        )));
 
         // A stale length, a stale refcount and an orphaned run.
         let mut stale = suite.clone();
         stale.rankings.betweenness.len += 1;
-        *stale.rankings.truss_refcounts.get_mut(&c).unwrap() += 1;
-        stale.rankings.truss.insert(999, CowRun::default());
+        *stale.rankings.truss.refcounts.get_mut(&c).unwrap() += 1;
+        stale.rankings.truss.runs.insert(999, CowRun::default());
         let v = stale.validate();
         for want in [
             FamilyViolation::Run {
@@ -1687,12 +1630,12 @@ mod tests {
                     actual: suite.rankings.betweenness.len(),
                 },
             },
-            FamilyViolation::RefcountMismatch {
+            FamilyViolation::Truss(SizeRunViolation::RefcountMismatch {
                 size: c,
-                stored: suite.rankings.truss_refcounts[&c] + 1,
-                actual: suite.rankings.truss_refcounts[&c],
-            },
-            FamilyViolation::RunWithoutRefcount { size: 999 },
+                stored: suite.rankings.truss.refcounts[&c] + 1,
+                actual: suite.rankings.truss.refcounts[&c],
+            }),
+            FamilyViolation::Truss(SizeRunViolation::RunWithoutRefcount { size: 999 }),
         ] {
             assert!(v.contains(&want), "missing {want}: got {v:?}");
         }

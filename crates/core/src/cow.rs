@@ -15,11 +15,17 @@
 //! [`RankKey`]s cut into `Arc`-shared pages of about [`RUN_PAGE`] keys, so
 //! a top-k read is a walk over the first pages and a re-ranked edge copies
 //! the one or two pages its old and new keys sit on.
+//!
+//! [`SizeRuns`] keeps one [`CowRun`] per size of a family of per-edge size
+//! multisets — the paper's threshold lists `H(c)` — and is the one place
+//! that knows how those runs move when an edge's sizes change.
 
+use crate::index::build;
+use crate::score::score_from_sizes;
 use crate::ScoredEdge;
 use esd_graph::Edge;
 use std::cmp::Ordering;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 type Page<V> = Arc<Vec<(u64, V)>>;
@@ -135,7 +141,7 @@ impl<V> CowMap<V> {
 
     /// Every `(key, value)` pair: pages in order, keys ascending within a
     /// page. The order depends only on the content and the page count.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + Clone + '_ {
         self.pages
             .iter()
             .flat_map(|page| page.iter().map(|(k, v)| (*k, v)))
@@ -147,7 +153,7 @@ impl<V> CowMap<V> {
     }
 
     /// Every value, in [`iter`](Self::iter) order.
-    pub fn values(&self) -> impl Iterator<Item = &V> + '_ {
+    pub fn values(&self) -> impl Iterator<Item = &V> + Clone + '_ {
         self.iter().map(|(_, v)| v)
     }
 
@@ -450,6 +456,175 @@ impl std::fmt::Debug for CowRun {
     }
 }
 
+/// The distinct values of a sorted multiset, ascending.
+fn distinct(sizes: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    sizes.chunk_by(|a, b| a == b).map(|run| run[0])
+}
+
+/// One ranked run per size `c` over a set of edges, each carrying a sorted
+/// size multiset: run `c` holds every edge whose largest size is `≥ c`,
+/// scored by how many of its sizes are `≥ c`, and a query at `τ` reads the
+/// first run with `c ≥ τ`. This is the paper's index rule (§IV-A): the
+/// component sizes of [`MaintainedIndex`](crate::MaintainedIndex) give its
+/// `H(c)` lists, and the 3-truss core sizes of
+/// [`FamilySuite`](crate::FamilySuite) give the truss rankings.
+///
+/// Beside the runs it keeps a refcount per size — how many edges hold it —
+/// whose keys are exactly the run sizes between updates. An update
+/// [`retract`](Self::retract)s each affected edge under its old sizes and
+/// then [`restore`](Self::restore)s all of them under their new ones.
+///
+/// **Documented deviation from the paper** (see DESIGN.md §4): when a
+/// restore brings a size `c` that no run has, the fresh run is seeded as a
+/// clone of its successor run `c'` — a copy of its page pointers — before
+/// the restored edges are inserted. The paper's Example 7 inserts only the
+/// updated edge, which would leave run `c` missing every edge of run `c'`
+/// and break queries with `τ ≤ c`. Cloning is correct because no edge
+/// outside the update has a size strictly between `c` and `c'`, so each of
+/// them scores the same at `c` as at `c'`.
+///
+/// # Examples
+///
+/// ```
+/// use esd_core::cow::SizeRuns;
+/// use esd_graph::Edge;
+///
+/// let (a, b) = (Edge::new(0, 1), Edge::new(2, 3));
+/// let mut runs = SizeRuns::build([(a, &[2, 4][..]), (b, &[4][..])].into_iter());
+/// assert_eq!(runs.sizes().collect::<Vec<_>>(), [2, 4]);
+/// assert_eq!(runs.top_k(1, 1)[0].edge, a); // two sizes ≥ 2
+///
+/// // b's sizes change from {4} to {3}: size 3 is seeded from run 4.
+/// runs.retract(b, &[4]);
+/// runs.restore([(b, &[3][..])].into_iter());
+/// assert_eq!(runs.sizes().collect::<Vec<_>>(), [2, 3, 4]);
+/// assert_eq!(runs.run_len(3), Some(2));
+/// assert_eq!(runs.top_k(5, 4).len(), 1);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SizeRuns {
+    /// Run per size `c`.
+    pub(crate) runs: BTreeMap<u32, CowRun>,
+    /// `c` → number of edges whose multiset holds `c`.
+    pub(crate) refcounts: BTreeMap<u32, usize>,
+}
+
+impl SizeRuns {
+    /// Builds the runs of `items`, each an edge and its sorted sizes
+    /// (empty for an edge in no run): the sizes are counted first, then
+    /// every run is filled into an exactly sized buffer and paged.
+    #[must_use]
+    pub fn build<'a>(items: impl Iterator<Item = (Edge, &'a [u32])> + Clone) -> Self {
+        let mut out = Self::default();
+        out.hold(items.clone());
+        let sizes: Vec<u32> = out.sizes().collect();
+        let lists = build::fill_lists(items, &sizes, 0..sizes.len());
+        out.runs = sizes
+            .into_iter()
+            .zip(lists.into_iter().map(|keys| CowRun::from_sorted(&keys)))
+            .collect();
+        out
+    }
+
+    /// Counts each item's distinct sizes into the refcounts.
+    fn hold<'a>(&mut self, items: impl Iterator<Item = (Edge, &'a [u32])>) {
+        for (_, sizes) in items {
+            for c in distinct(sizes) {
+                *self.refcounts.entry(c).or_insert(0) += 1;
+            }
+        }
+    }
+
+    /// The sizes, ascending.
+    pub fn sizes(&self) -> impl Iterator<Item = u32> + '_ {
+        self.refcounts.keys().copied()
+    }
+
+    /// Key count of run `c`, if `c` is a size.
+    #[must_use]
+    pub fn run_len(&self, c: u32) -> Option<usize> {
+        self.runs.get(&c).map(CowRun::len)
+    }
+
+    /// The best `k` keys of the run answering `tau`: the first run with
+    /// `c ≥ tau`, or nothing past the largest size.
+    #[must_use]
+    pub fn top_k(&self, k: usize, tau: u32) -> Vec<ScoredEdge> {
+        self.runs
+            .range(tau..)
+            .next()
+            .map_or_else(Vec::new, |(_, run)| run.top_k(k))
+    }
+
+    /// How many distinct pages of these runs `other`'s hold nowhere — see
+    /// [`CowRun::pages_unshared_with`]. A run seeded from its successor
+    /// shares the successor's pages.
+    #[must_use]
+    pub fn pages_unshared_with(&self, other: &Self) -> usize {
+        run_pages_unshared(self.runs.values(), other.runs.values())
+    }
+
+    /// Removes `edge`'s key from every run its old `sizes` put it in and
+    /// releases those sizes. A size whose count reaches zero keeps its run
+    /// until the next [`restore`](Self::restore), since the update may
+    /// bring it back. Returns the number of keys removed.
+    pub fn retract(&mut self, edge: Edge, sizes: &[u32]) -> u64 {
+        let Some(&cmax) = sizes.last() else {
+            return 0;
+        };
+        let mut removed = 0;
+        for (&c, run) in self.runs.range_mut(..=cmax) {
+            let score = score_from_sizes(sizes, c);
+            let found = run.remove(&RankKey { score, edge });
+            debug_assert!(found, "stale key for {edge} in run {c}");
+            removed += 1;
+        }
+        for c in distinct(sizes) {
+            *self.refcounts.get_mut(&c).expect("refcounted size") -= 1;
+        }
+        removed
+    }
+
+    /// Re-inserts retracted edges under their new sizes: holds the new
+    /// sizes, reaps every size no edge holds any more, seeds each fresh
+    /// size's run from its successor (largest first), then inserts the
+    /// keys. Returns the number of keys inserted.
+    pub fn restore<'a>(&mut self, items: impl Iterator<Item = (Edge, &'a [u32])> + Clone) -> u64 {
+        self.hold(items.clone());
+        self.refcounts.retain(|_, n| *n > 0);
+        let counts = &self.refcounts;
+        self.runs.retain(|c, _| counts.contains_key(c));
+        let fresh: Vec<u32> = counts
+            .keys()
+            .rev()
+            .copied()
+            .filter(|c| !self.runs.contains_key(c))
+            .collect();
+        for c in fresh {
+            let seeded = self
+                .runs
+                .range(c + 1..)
+                .next()
+                .map(|(_, successor)| successor.clone())
+                .unwrap_or_default();
+            self.runs.insert(c, seeded);
+        }
+        let mut inserted = 0;
+        for (edge, sizes) in items {
+            let Some(&cmax) = sizes.last() else {
+                continue;
+            };
+            for (&c, run) in self.runs.range_mut(..=cmax) {
+                let score = score_from_sizes(sizes, c);
+                let added = run.insert(RankKey { score, edge });
+                debug_assert!(added, "duplicate key for {edge} in run {c}");
+                inserted += 1;
+            }
+        }
+        inserted
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -734,6 +909,85 @@ mod tests {
             for (snap, at) in &frozen {
                 prop_assert_eq!(snap.len(), at.len());
                 prop_assert!(snap.iter().eq(at.iter().copied()));
+            }
+        }
+    }
+
+    /// A sorted multiset of up to three sizes drawn from `sizes`.
+    fn multiset(sizes: impl Strategy<Value = u32>) -> impl Strategy<Value = Vec<u32>> {
+        proptest::collection::vec(sizes, 0..4).prop_map(|mut s| {
+            s.sort_unstable();
+            s
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn size_runs_match_build_across_windows(
+            // Every edge starts on sizes {2, 5, 9}. Windows rewrite the
+            // first 12 edges with sizes from 1..=14, so they create sizes in
+            // the gaps (seeded from a successor) and retire them again
+            // (reaped), while the other edges keep the seeds' runs large.
+            base in proptest::collection::vec(
+                multiset((0usize..3).prop_map(|i| [2, 5, 9][i])),
+                800..1600,
+            ),
+            windows in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0usize..12, multiset(1u32..=14)),
+                    1..4,
+                ),
+                1..8,
+            ),
+        ) {
+            let edge = |i: usize| Edge::new(0, i as u32 + 1);
+            let items = |sizes: &[Vec<u32>]| -> Vec<(Edge, Vec<u32>)> {
+                sizes.iter().enumerate().map(|(i, s)| (edge(i), s.clone())).collect()
+            };
+            let mut sizes = base;
+            let start = items(&sizes);
+            let mut runs = SizeRuns::build(start.iter().map(|(e, s)| (*e, s.as_slice())));
+            for window in windows {
+                let mut picked = window;
+                picked.sort_by_key(|&(i, _)| i);
+                picked.dedup_by_key(|&mut (i, _)| i);
+                // Retract edits one key per run at or below the largest size.
+                for (i, _) in &picked {
+                    let old = &sizes[*i];
+                    let runs_below = runs.runs.range(..=old.last().copied().unwrap_or(0)).count();
+                    prop_assert_eq!(runs.retract(edge(*i), old), runs_below as u64);
+                }
+                let retracted = runs.clone();
+                for (i, new) in &picked {
+                    sizes[*i].clone_from(new);
+                }
+                let restored: Vec<(Edge, &[u32])> =
+                    picked.iter().map(|(i, s)| (edge(*i), s.as_slice())).collect();
+                let inserted = runs.restore(restored.iter().copied());
+                let keys_at = |c: u32| -> u64 {
+                    restored.iter().filter(|(_, s)| s.last().is_some_and(|&m| m >= c)).count() as u64
+                };
+                prop_assert_eq!(inserted, runs.sizes().map(keys_at).sum::<u64>());
+                // Equal to a build of the final multisets: same runs, and
+                // refcounts with every dead size reaped.
+                let now = items(&sizes);
+                let want = SizeRuns::build(now.iter().map(|(e, s)| (*e, s.as_slice())));
+                prop_assert_eq!(&runs, &want);
+                prop_assert!(runs.validate(now.iter().map(|(e, s)| (*e, s.as_slice()))).is_empty());
+                // A fresh size was seeded with the pages of the nearest
+                // larger size that survived the window; each of its own
+                // inserts since copied at most one of them.
+                for c in runs.sizes().filter(|c| !retracted.runs.contains_key(c)) {
+                    let seed = retracted
+                        .runs
+                        .iter()
+                        .find(|&(&s, _)| s > c && runs.refcounts.contains_key(&s));
+                    if let Some((_, seed)) = seed {
+                        let lost = seed.pages_unshared_with(&runs.runs[&c]) as u64;
+                        prop_assert!(lost <= keys_at(c), "size {}: {} seed pages lost", c, lost);
+                    }
+                }
             }
         }
     }

@@ -36,7 +36,7 @@
 //!
 //! [`FamilySuite`] holds the maintained per-edge score profiles for the
 //! three non-component families, beside (not inside) [`MaintainedIndex`]:
-//! the component index keeps its forests/treaps machinery untouched, and
+//! the component index keeps its forests and `H(c)` lists to itself, and
 //! the suite keeps one profile per **owned** edge, recomputed per update
 //! window over the family-agnostic blast radius (the same radius the
 //! component pipeline plans: the updated edge, edges incident to its
@@ -46,21 +46,21 @@
 //!
 //! Queries read ranked [`CowRun`]s, never the profiles. Parameter-free and
 //! ego-betweenness each keep one run of their positive scores. Truss keeps
-//! one run per distinct core size `c`, under the component index's rule:
-//! an edge sits in every run `c ≤` its largest core, scored by its number
-//! of cores `≥ c`, and a query at τ reads the first run with `c ≥ τ`. A
-//! core size new to a window is seeded from its successor's run — the
-//! deviation [`crate::maintain`] documents for `H(c)` — which is a page
-//! pointer copy. A window re-ranks only the profiles it actually changed.
+//! a [`SizeRuns`] over the core multisets — the component index's rule: an
+//! edge sits in every run `c ≤` its largest core, scored by its number of
+//! cores `≥ c`, and a query at τ reads the first run with `c ≥ τ`. A core
+//! size new to a window is seeded from its successor's run, the deviation
+//! [`SizeRuns`] documents, which is a page pointer copy. A window re-ranks
+//! only the profiles it actually changed.
 //!
 //! [`MaintainedIndex`]: crate::MaintainedIndex
 
-use crate::cow::{CowMap, CowRun, RankKey};
+use crate::cow::{CowMap, CowRun, RankKey, SizeRuns};
 use crate::maintain::{EdgeOwnership, GraphUpdate};
 use crate::score::score_from_sizes;
 use crate::ScoredEdge;
 use esd_graph::{DynamicGraph, Edge, Graph, VertexId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Which diversity measure a query ranks by.
 ///
@@ -198,11 +198,11 @@ impl EdgeProfiles {
             betweenness: ego.distance_mass(),
         }
     }
+}
 
-    /// The distinct truss core sizes, ascending.
-    pub(crate) fn distinct_cores(&self) -> impl Iterator<Item = u32> + '_ {
-        self.truss_cores.chunk_by(|a, b| a == b).map(|run| run[0])
-    }
+/// A profile entry as a [`SizeRuns`] item: the edge and its core sizes.
+pub(crate) fn truss_item((edge, prof): &(Edge, EdgeProfiles)) -> (Edge, &[u32]) {
+    (*edge, &prof.truss_cores)
 }
 
 /// A materialised ego network: the common neighbourhood of one edge with
@@ -357,62 +357,19 @@ pub struct FamilySuite {
 /// The ranked runs of a [`FamilySuite`], derived from its profiles.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Rankings {
-    /// Truss run per distinct core size `c`: every edge whose largest core
-    /// is `≥ c`, scored by its number of cores `≥ c`.
-    pub(crate) truss: BTreeMap<u32, CowRun>,
-    /// `c` → number of edges whose core multiset contains `c`. Its keys
-    /// are exactly those of `truss`.
-    pub(crate) truss_refcounts: BTreeMap<u32, usize>,
+    /// Truss runs over each profile's core sizes.
+    pub(crate) truss: SizeRuns,
     /// Every positive parameter-free score.
     pub(crate) pf: CowRun,
     /// Every positive ego-betweenness mass.
     pub(crate) betweenness: CowRun,
 }
 
-/// The key of `edge` in the truss run of core size `c`, scored by its
-/// number of cores `≥ c`.
-fn truss_key(edge: Edge, prof: &EdgeProfiles, c: u32) -> RankKey {
-    RankKey {
-        score: score_from_sizes(&prof.truss_cores, c),
-        edge,
-    }
-}
-
 impl Rankings {
     /// Builds every run in one pass over `profiles` plus one sort per run.
     fn build(profiles: &CowMap<(Edge, EdgeProfiles)>) -> Self {
-        let mut truss_refcounts: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut by_largest: BTreeMap<u32, usize> = BTreeMap::new();
-        for (_, prof) in profiles.values() {
-            for c in prof.distinct_cores() {
-                *truss_refcounts.entry(c).or_insert(0) += 1;
-            }
-            if let Some(&cmax) = prof.truss_cores.last() {
-                *by_largest.entry(cmax).or_insert(0) += 1;
-            }
-        }
-        // Run `c` holds every edge whose largest core is `≥ c`: size each
-        // key buffer exactly, so the build's peak memory stays near the
-        // runs' own.
-        let sizes: Vec<u32> = truss_refcounts.keys().copied().collect();
-        let mut held = 0;
-        let mut truss: Vec<Vec<RankKey>> = sizes
-            .iter()
-            .rev()
-            .map(|c| {
-                held += by_largest.get(c).copied().unwrap_or(0);
-                Vec::with_capacity(held)
-            })
-            .collect();
-        truss.reverse();
         let (mut pf, mut betweenness) = (Vec::new(), Vec::new());
         for &(edge, ref prof) in profiles.values() {
-            if let Some(&cmax) = prof.truss_cores.last() {
-                let runs = sizes.partition_point(|&c| c <= cmax);
-                for (keys, &c) in truss.iter_mut().zip(&sizes[..runs]) {
-                    keys.push(truss_key(edge, prof, c));
-                }
-            }
             for (keys, score) in [(&mut pf, prof.pf), (&mut betweenness, prof.betweenness)] {
                 if score > 0 {
                     keys.push(RankKey { score, edge });
@@ -424,83 +381,49 @@ impl Rankings {
             CowRun::from_sorted(&keys)
         };
         Self {
-            truss: sizes.into_iter().zip(truss.into_iter().map(run)).collect(),
-            truss_refcounts,
             pf: run(pf),
             betweenness: run(betweenness),
+            truss: SizeRuns::build(profiles.values().map(truss_item)),
         }
     }
 
     /// Every run: the truss runs, then parameter-free, then
     /// ego-betweenness.
     fn runs(&self) -> impl Iterator<Item = &CowRun> {
-        self.truss.values().chain([&self.pf, &self.betweenness])
+        self.truss
+            .runs
+            .values()
+            .chain([&self.pf, &self.betweenness])
     }
 
-    /// Inserts (or removes) every key `prof` gives `edge`: its positive
-    /// parameter-free and ego-betweenness scores, and one key per truss
-    /// run `c ≤` its largest core.
+    /// Inserts (or removes) the positive parameter-free and
+    /// ego-betweenness keys `prof` gives `edge`.
     fn edit(&mut self, edge: Edge, prof: &EdgeProfiles, insert: bool) {
-        let edit = |run: &mut CowRun, key: RankKey| {
-            let done = if insert {
-                run.insert(key)
-            } else {
-                run.remove(&key)
-            };
-            debug_assert!(done, "run out of step with the profile of {edge}");
-        };
         for (run, score) in [
             (&mut self.pf, prof.pf),
             (&mut self.betweenness, prof.betweenness),
         ] {
             if score > 0 {
-                edit(run, RankKey { score, edge });
-            }
-        }
-        if let Some(&cmax) = prof.truss_cores.last() {
-            for (&c, run) in self.truss.range_mut(..=cmax) {
-                edit(run, truss_key(edge, prof, c));
+                let key = RankKey { score, edge };
+                let done = if insert {
+                    run.insert(key)
+                } else {
+                    run.remove(&key)
+                };
+                debug_assert!(done, "run out of step with the profile of {edge}");
             }
         }
     }
 
     /// Moves the runs from the `retired` profiles to the `changed` ones:
-    /// retract the old keys and release their core sizes, reap sizes no
-    /// edge holds any more, seed each new size's run from its successor
-    /// (largest first), then insert the new keys.
+    /// retract the old keys, then restore the truss runs and insert the
+    /// new keys.
     fn rerank(&mut self, retired: &[(Edge, EdgeProfiles)], changed: &[&(Edge, EdgeProfiles)]) {
         for &(edge, ref old) in retired {
             self.edit(edge, old, false);
-            for c in old.distinct_cores() {
-                *self
-                    .truss_refcounts
-                    .get_mut(&c)
-                    .expect("refcounted core size") -= 1;
-            }
+            self.truss.retract(edge, &old.truss_cores);
         }
-        for (_, prof) in changed {
-            for c in prof.distinct_cores() {
-                *self.truss_refcounts.entry(c).or_insert(0) += 1;
-            }
-        }
-        self.truss_refcounts.retain(|_, n| *n > 0);
-        let counts = &self.truss_refcounts;
-        self.truss.retain(|c, _| counts.contains_key(c));
-        let fresh: Vec<u32> = counts
-            .keys()
-            .rev()
-            .copied()
-            .filter(|c| !self.truss.contains_key(c))
-            .collect();
-        for c in fresh {
-            let seeded = self
-                .truss
-                .range(c + 1..)
-                .next()
-                .map(|(_, successor)| successor.clone())
-                .unwrap_or_default();
-            self.truss.insert(c, seeded);
-        }
+        self.truss.restore(changed.iter().copied().map(truss_item));
         for &&(edge, ref prof) in changed {
             self.edit(edge, prof, true);
         }
@@ -710,13 +633,12 @@ impl FamilySuite {
         );
         let _span = esd_telemetry::span(esd_telemetry::Stage::FamilyQuery);
         let rankings = &self.rankings;
-        let run = match family {
-            Family::Truss => rankings.truss.range(tau..).next().map(|(_, run)| run),
-            Family::ParameterFree => Some(&rankings.pf),
-            Family::EgoBetweenness => Some(&rankings.betweenness),
+        let out = match family {
+            Family::Truss => rankings.truss.top_k(k, tau),
+            Family::ParameterFree => rankings.pf.top_k(k),
+            Family::EgoBetweenness => rankings.betweenness.top_k(k),
             Family::Component => unreachable!("refused above"),
         };
-        let out = run.map_or_else(Vec::new, |run| run.top_k(k));
         esd_telemetry::add(esd_telemetry::Metric::FamilyQueries, 1);
         out
     }
@@ -996,10 +918,7 @@ mod tests {
         edges.extend(clique(20..28));
         let g = Graph::from_edges(28, &edges);
         let mut suite = FamilySuite::new(&g);
-        assert_eq!(
-            suite.rankings.truss.keys().copied().collect::<Vec<_>>(),
-            [3, 4, 6]
-        );
+        assert_eq!(suite.rankings.truss.sizes().collect::<Vec<_>>(), [3, 4, 6]);
         // Growing the K5 to a K6 retires size 3; growing the K6 to a K7
         // creates size 5, which is seeded from the untouched K8's run 6.
         let updates: Vec<GraphUpdate> = (0..5)
@@ -1013,10 +932,7 @@ mod tests {
         }
         let before = suite.clone();
         let report = suite.apply(&dg, &updates, 1);
-        assert_eq!(
-            suite.rankings.truss.keys().copied().collect::<Vec<_>>(),
-            [4, 5, 6]
-        );
+        assert_eq!(suite.rankings.truss.sizes().collect::<Vec<_>>(), [4, 5, 6]);
         assert_eq!(suite, FamilySuite::rebuild(&dg, EdgeOwnership::ALL));
         // The K8 kept its profiles: only the two grown cliques re-ranked.
         assert_eq!(report.reranked, 15 + 21);
@@ -1024,10 +940,10 @@ mod tests {
             score: 1,
             edge: Edge::new(20, 21),
         };
-        assert!(suite.rankings.truss[&5].iter().any(|key| key == k8));
+        assert!(suite.rankings.truss.runs[&5].iter().any(|key| key == k8));
         // The K8's own run is still the old suite's page.
         assert_eq!(
-            suite.rankings.truss[&6].pages_unshared_with(&before.rankings.truss[&6]),
+            suite.rankings.truss.runs[&6].pages_unshared_with(&before.rankings.truss.runs[&6]),
             0
         );
         let g2 = dg.to_graph();

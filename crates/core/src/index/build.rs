@@ -3,7 +3,7 @@
 
 use super::EdgeComponents;
 use crate::cow::RankKey;
-use crate::maintain::EdgeOwnership;
+use crate::score::score_from_sizes;
 use esd_dsu::ArenaDsu;
 use esd_graph::{cliques, triangles, Edge, EdgeId, Graph, OrientedGraph, VertexId};
 use std::ops::Range;
@@ -181,37 +181,47 @@ pub(crate) fn distinct_sizes(comps: &EdgeComponents) -> Vec<u32> {
 }
 
 /// Algorithm 2 lines 6–15: the lists `H(c)` for `c ∈ csizes[c_range]`,
-/// each a rank-sorted buffer holding every edge `ownership` owns that has a
-/// component of size `≥ c`, scored at threshold `c`.
+/// each a rank-sorted buffer holding every item — an edge and its sorted
+/// size multiset — with a size `≥ c`, scored at threshold `c`.
 ///
-/// Disjoint `c_range`s fill independently, which is how the parallel
-/// builder splits the work. Every builder assembles its lists here: the
-/// static index concatenates the buffers and the maintained index pages
-/// them into runs.
-pub(crate) fn fill_lists(
-    edges: &[Edge],
-    comps: &EdgeComponents,
+/// A count pass sizes each buffer exactly: `H(c)` holds every item whose
+/// largest size is `≥ c`. Disjoint `c_range`s fill independently, which is
+/// how the parallel builder splits the work. Every builder assembles its
+/// lists here: the static index concatenates the buffers and
+/// [`SizeRuns::build`](crate::cow::SizeRuns::build) pages them into runs.
+pub(crate) fn fill_lists<'a>(
+    items: impl Iterator<Item = (Edge, &'a [u32])> + Clone,
     csizes: &[u32],
     c_range: Range<usize>,
-    ownership: EdgeOwnership,
 ) -> Vec<Vec<RankKey>> {
-    let mut lists: Vec<Vec<RankKey>> = vec![Vec::new(); c_range.len()];
-    let Some(&c_min) = csizes.get(c_range.start) else {
-        return lists;
+    let csizes = &csizes[c_range];
+    // How many of the lists an item's largest size reaches.
+    let reach = |sizes: &[u32]| {
+        sizes
+            .last()
+            .map_or(0, |&cmax| csizes.partition_point(|&c| c <= cmax))
     };
-    for (eid, &edge) in edges.iter().enumerate() {
-        let s = comps.sizes_of(eid);
-        let Some(&cmax) = s.last() else { continue };
-        if cmax < c_min || !ownership.owns_key(edge.key()) {
-            continue;
-        }
-        for (list, &c) in lists.iter_mut().zip(&csizes[c_range.clone()]) {
-            if c > cmax {
-                break;
-            }
-            let score = (s.len() - s.partition_point(|&x| x < c)) as u32;
-            debug_assert!(score > 0);
-            list.push(RankKey { score, edge });
+    let mut reaching = vec![0usize; csizes.len() + 1];
+    for (_, sizes) in items.clone() {
+        reaching[reach(sizes)] += 1;
+    }
+    let mut held = 0;
+    let mut lists: Vec<Vec<RankKey>> = reaching[1..]
+        .iter()
+        .rev()
+        .map(|&n| {
+            held += n;
+            Vec::with_capacity(held)
+        })
+        .collect();
+    lists.reverse();
+    for (edge, sizes) in items {
+        let n = reach(sizes);
+        for (list, &c) in lists[..n].iter_mut().zip(csizes) {
+            list.push(RankKey {
+                score: score_from_sizes(sizes, c),
+                edge,
+            });
         }
     }
     for list in &mut lists {

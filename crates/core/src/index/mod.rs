@@ -42,7 +42,6 @@ pub use parallel::ParallelBuildReport;
 pub use persist::PersistError;
 
 use crate::cow::RankKey;
-use crate::maintain::EdgeOwnership;
 use crate::ScoredEdge;
 use esd_graph::{Edge, Graph};
 
@@ -93,6 +92,18 @@ impl EdgeComponents {
     /// Number of edges covered.
     pub fn num_edges(&self) -> usize {
         self.offsets.len().saturating_sub(1)
+    }
+
+    /// Each edge of `edges` (indexed by edge id) with its sorted sizes —
+    /// the items [`build::fill_lists`] ranks.
+    pub(crate) fn items<'a>(
+        &'a self,
+        edges: &'a [Edge],
+    ) -> impl Iterator<Item = (Edge, &'a [u32])> + Clone + 'a {
+        edges
+            .iter()
+            .enumerate()
+            .map(|(eid, &edge)| (edge, self.sizes_of(eid)))
     }
 }
 
@@ -156,7 +167,7 @@ impl EsdIndex {
     pub(crate) fn from_components(g: &Graph, comps: &EdgeComponents) -> Self {
         let _span = esd_telemetry::span(esd_telemetry::Stage::BuildFill);
         let sizes = build::distinct_sizes(comps);
-        let lists = build::fill_lists(g.edges(), comps, &sizes, 0..sizes.len(), EdgeOwnership::ALL);
+        let lists = build::fill_lists(comps.items(g.edges()), &sizes, 0..sizes.len());
         Self::from_lists(sizes, lists)
     }
 

@@ -25,7 +25,6 @@
 //! thread count** — a property the tests assert.
 
 use super::{build, EdgeComponents, EsdIndex};
-use crate::maintain::EdgeOwnership;
 use esd_dsu::ArenaDsu;
 use esd_graph::{cliques, EdgeId, Graph, OrientedGraph};
 
@@ -218,7 +217,7 @@ pub(crate) fn build_parallel(g: &Graph, threads: usize) -> (EsdIndex, ParallelBu
             let comps = &comps;
             let csizes = &csizes;
             handles.push(scope.spawn(move || {
-                let chunk = build::fill_lists(g.edges(), comps, csizes, lo..hi, EdgeOwnership::ALL);
+                let chunk = build::fill_lists(comps.items(g.edges()), csizes, lo..hi);
                 (lo, chunk)
             }));
         }

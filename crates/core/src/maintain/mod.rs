@@ -14,20 +14,17 @@
 //! forest is rebuilt from its post-deletion ego-network (the same
 //! `O((αγ(n) + log m)·m_uv)` locality as Theorem 9).
 //!
-//! **Documented deviation from the paper** (see DESIGN.md): when an update
-//! introduces a component size `c ∉ C`, the fresh list `H(c)` is seeded as a
-//! clone of its successor list `H(c')` — a copy of its page pointers —
-//! before the locally-updated edges are inserted. The paper's Example 7
-//! inserts only the updated edge, which would leave `H(c)` missing every
-//! edge of `H(c')` and break queries with `τ ≤ c`; cloning is correct
-//! because no unaffected edge can have a component size strictly between
-//! `c` and `c'`.
+//! The `H(c)` lists and their size refcounts are a [`SizeRuns`]: each
+//! update retracts the affected edges under their old component sizes and
+//! restores them under their new ones. A size new to an update gets a list
+//! seeded from its successor's — a documented deviation from the paper's
+//! Example 7, explained on [`SizeRuns`].
 
-use crate::cow::{CowMap, CowRun, RankKey};
+use crate::cow::{CowMap, SizeRuns};
 use crate::index::build;
 use crate::ScoredEdge;
 use esd_graph::{DynamicGraph, Edge, Graph, VertexId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 pub mod batch;
 pub mod parallel;
@@ -197,7 +194,7 @@ const FOREST_PAGES: usize = 4096;
 /// An ESDIndex that stays consistent under edge insertions and deletions.
 ///
 /// Cloning is cheap: the forests live in a copy-on-write [`CowMap`] and
-/// the `H(c)` lists in [`CowRun`]s, so a clone shares their pages and a
+/// the `H(c)` lists in a [`SizeRuns`], so a clone shares their pages and a
 /// later update copies only the pages its blast radius touches.
 ///
 /// # Examples
@@ -221,11 +218,10 @@ pub struct MaintainedIndex {
     /// `M_uv` per edge (absent when the common neighbourhood is empty),
     /// paged so a published clone shares every page a window leaves alone.
     pub(crate) forests: CowMap<EdgeDsu>,
-    /// `H(c)` per size `c ∈ C`, paged so a published clone shares every
-    /// page a window leaves alone.
-    pub(crate) lists: BTreeMap<u32, CowRun>,
-    /// `c -> number of edges whose C_uv contains c`. Keys are exactly `C`.
-    pub(crate) refcounts: BTreeMap<u32, usize>,
+    /// `H(c)` per size `c ∈ C` over the owned edges' `C_uv`, with the
+    /// size refcounts; paged so a published clone shares every page a
+    /// window leaves alone.
+    pub(crate) lists: SizeRuns,
     /// The slice of the edge space this index maintains score state for.
     pub(crate) ownership: EdgeOwnership,
 }
@@ -266,37 +262,17 @@ impl MaintainedIndex {
         });
         let forests = CowMap::from_entries(FOREST_PAGES, owned_forests);
 
-        let mut refcounts: BTreeMap<u32, usize> = BTreeMap::new();
-        for (eid, e) in g.edges().iter().enumerate() {
-            if !ownership.owns_key(e.key()) {
-                continue;
-            }
-            let mut sizes = artifacts.components.sizes_of(eid).to_vec();
-            sizes.dedup();
-            for s in sizes {
-                *refcounts.entry(s).or_insert(0) += 1;
-            }
-        }
-
-        // `C` is the refcount key set: every size an owned edge holds.
-        let csizes: Vec<u32> = refcounts.keys().copied().collect();
-        let runs = build::fill_lists(
-            g.edges(),
-            &artifacts.components,
-            &csizes,
-            0..csizes.len(),
-            ownership,
+        let lists = SizeRuns::build(
+            artifacts
+                .components
+                .items(g.edges())
+                .filter(|(e, _)| ownership.owns_key(e.key())),
         );
-        let lists = csizes
-            .into_iter()
-            .zip(runs.into_iter().map(|keys| CowRun::from_sorted(&keys)))
-            .collect();
 
         let index = Self {
             g: DynamicGraph::from_graph(g),
             forests,
             lists,
-            refcounts,
             ownership,
         };
         index.strict_audit();
@@ -325,7 +301,7 @@ impl MaintainedIndex {
     /// successor's pages.
     #[must_use]
     pub fn list_pages_unshared_with(&self, other: &Self) -> usize {
-        crate::cow::run_pages_unshared(self.lists.values(), other.lists.values())
+        self.lists.pages_unshared_with(&other.lists)
     }
 
     /// The current graph.
@@ -335,12 +311,12 @@ impl MaintainedIndex {
 
     /// The current distinct component sizes `C`, ascending.
     pub fn component_sizes(&self) -> Vec<u32> {
-        self.refcounts.keys().copied().collect()
+        self.lists.sizes().collect()
     }
 
     /// Entry count of `H(c)`, if `c ∈ C`.
     pub fn list_len(&self, c: u32) -> Option<usize> {
-        self.lists.get(&c).map(CowRun::len)
+        self.lists.run_len(c)
     }
 
     /// Top-`k` edges at threshold `tau` (same contract as
@@ -348,34 +324,14 @@ impl MaintainedIndex {
     pub fn query(&self, k: usize, tau: u32) -> Vec<ScoredEdge> {
         assert!(tau >= 1, "component size threshold must be at least 1");
         let _span = esd_telemetry::span(esd_telemetry::Stage::QueryTopk);
-        match self.lists.range(tau..).next() {
-            Some((_, list)) => list.top_k(k),
-            None => Vec::new(),
-        }
+        self.lists.top_k(k, tau)
     }
 
-    /// Inserts `(u, v)` and repairs the index (Algorithm 4). Returns `false`
-    /// if the edge already exists or is a self-loop.
+    /// Inserts `(u, v)` and repairs the index (Algorithm 4) — a one-update
+    /// batch. Returns `false` if the edge already exists or is a self-loop.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if u == v {
-            return false;
-        }
-        self.g.ensure_vertex(u.max(v));
-        if self.g.has_edge(u, v) {
-            return false;
-        }
         let _span = esd_telemetry::span(esd_telemetry::Stage::MaintainInsert);
-        let nuv = self.g.common_neighbors(u, v);
-        let affected = self.affected_edges(u, v, &nuv);
-        esd_telemetry::add(
-            esd_telemetry::Metric::MaintainAffected,
-            affected.len() as u64,
-        );
-        self.retract_entries(&affected);
-        self.mutate_insert(u, v, &nuv);
-        self.restore_entries(&affected);
-        self.strict_audit();
-        true
+        self.apply_updates(&[GraphUpdate::Insert(u, v)]).applied == 1
     }
 
     /// The graph + forest mutations of Algorithm 4 (no list bookkeeping).
@@ -419,28 +375,11 @@ impl MaintainedIndex {
         }
     }
 
-    /// Deletes `(u, v)` and repairs the index (Algorithm 5). Returns `false`
-    /// if the edge is absent.
+    /// Deletes `(u, v)` and repairs the index (Algorithm 5) — a one-update
+    /// batch. Returns `false` if the edge is absent.
     pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if u == v
-            || u as usize >= self.g.num_vertices()
-            || v as usize >= self.g.num_vertices()
-            || !self.g.has_edge(u, v)
-        {
-            return false;
-        }
         let _span = esd_telemetry::span(esd_telemetry::Stage::MaintainRemove);
-        let nuv = self.g.common_neighbors(u, v);
-        let affected = self.affected_edges(u, v, &nuv);
-        esd_telemetry::add(
-            esd_telemetry::Metric::MaintainAffected,
-            affected.len() as u64,
-        );
-        self.retract_entries(&affected);
-        self.mutate_remove(u, v, &affected);
-        self.restore_entries(&affected);
-        self.strict_audit();
-        true
+        self.apply_updates(&[GraphUpdate::Remove(u, v)]).applied == 1
     }
 
     /// The graph + forest mutations of Algorithm 5 (no list bookkeeping).
@@ -469,6 +408,12 @@ impl MaintainedIndex {
     /// request), or `rejected` (structurally invalid: a self-loop).
     pub fn apply_batch(&mut self, updates: &[GraphUpdate]) -> BatchStats {
         let _span = esd_telemetry::span(esd_telemetry::Stage::MaintainBatch);
+        self.apply_updates(updates)
+    }
+
+    /// [`apply_batch`](Self::apply_batch) without its span, so each entry
+    /// point records its own.
+    fn apply_updates(&mut self, updates: &[GraphUpdate]) -> BatchStats {
         let mut retracted: std::collections::HashSet<u64> = std::collections::HashSet::new();
         let mut order: Vec<u64> = Vec::new();
         let mut stats = BatchStats::default();
@@ -480,12 +425,18 @@ impl MaintainedIndex {
                     let (u, v) = update.endpoints();
                     let nuv = self.g.common_neighbors(u, v);
                     let affected = self.affected_edges(u, v, &nuv);
-                    for &key in &affected {
-                        if retracted.insert(key) {
-                            self.retract_entries(&[key]);
-                            order.push(key);
+                    let start = order.len();
+                    if start == 0 {
+                        // One update's keys are distinct; the set only
+                        // dedups a later update's keys against earlier ones.
+                        order.extend_from_slice(&affected);
+                    } else {
+                        if retracted.is_empty() {
+                            retracted.extend(order.iter().copied());
                         }
+                        order.extend(affected.iter().filter(|&&key| retracted.insert(key)));
                     }
+                    self.retract_entries(&order[start..]);
                     match update {
                         GraphUpdate::Insert(..) => self.mutate_insert(u, v, &nuv),
                         GraphUpdate::Remove(..) => self.mutate_remove(u, v, &affected),
@@ -574,101 +525,34 @@ impl MaintainedIndex {
         keys
     }
 
-    /// Removes the affected edges' entries from every list and releases
-    /// their size refcounts.
+    /// Retracts the affected edges from the `H(c)` lists under their
+    /// current forest sizes ([`SizeRuns::retract`]).
     fn retract_entries(&mut self, affected: &[u64]) {
-        let mut dead = Vec::new();
-        let mut key_removes = 0u64;
+        let mut removed = 0;
         for &key in affected {
-            let Some(forest) = self.forests.get(key) else {
-                continue;
-            };
-            let sizes = forest.component_sizes();
-            let Some(&cmax) = sizes.last() else { continue };
-            let edge = Edge::from_key(key);
-            for (&c, list) in self.lists.range_mut(..=cmax) {
-                let score = (sizes.len() - sizes.partition_point(|&s| s < c)) as u32;
-                let removed = list.remove(&RankKey { score, edge });
-                key_removes += 1;
-                debug_assert!(removed, "stale entry for {edge} in H({c})");
-            }
-            let mut distinct = sizes;
-            distinct.dedup();
-            for s in distinct {
-                let cnt = self.refcounts.get_mut(&s).expect("refcounted size");
-                *cnt -= 1;
-                if *cnt == 0 {
-                    dead.push(s);
-                }
+            if let Some(forest) = self.forests.get(key) {
+                removed += self
+                    .lists
+                    .retract(Edge::from_key(key), &forest.component_sizes());
             }
         }
-        let _ = dead; // Dead sizes are reaped in `restore_entries`, after the
-                      // affected edges' new sizes are known (they may revive).
-        esd_telemetry::add(esd_telemetry::Metric::TreapRemoves, key_removes);
+        esd_telemetry::add(esd_telemetry::Metric::TreapRemoves, removed);
     }
 
-    /// Re-inserts the affected edges with their new component sizes,
-    /// creating/seeding new lists and dropping dead ones.
+    /// Restores the affected edges to the `H(c)` lists under their new
+    /// forest sizes ([`SizeRuns::restore`]).
     fn restore_entries(&mut self, affected: &[u64]) {
-        // New sizes per affected edge; bump refcounts.
-        let mut new_sizes: Vec<(Edge, Vec<u32>)> = Vec::with_capacity(affected.len());
-        for &key in affected {
-            let sizes = self
-                .forests
-                .get(key)
-                .map(EdgeDsu::component_sizes)
-                .unwrap_or_default();
-            let mut distinct = sizes.clone();
-            distinct.dedup();
-            for s in distinct {
-                *self.refcounts.entry(s).or_insert(0) += 1;
-            }
-            if !sizes.is_empty() {
-                new_sizes.push((Edge::from_key(key), sizes));
-            }
-        }
-
-        // Reap dead sizes and their whole lists.
-        let dead: Vec<u32> = self
-            .refcounts
+        let sized: Vec<(Edge, Vec<u32>)> = affected
             .iter()
-            .filter(|(_, &cnt)| cnt == 0)
-            .map(|(&c, _)| c)
+            .filter_map(|&key| {
+                let forest = self.forests.get(key)?;
+                Some((Edge::from_key(key), forest.component_sizes()))
+            })
             .collect();
-        for c in dead {
-            self.refcounts.remove(&c);
-            self.lists.remove(&c);
-        }
-
-        // Create lists for brand-new sizes, largest first, each seeded from
-        // its successor (see the module docs for why this is required).
-        let fresh: Vec<u32> = self
-            .refcounts
-            .keys()
-            .rev()
-            .copied()
-            .filter(|c| !self.lists.contains_key(c))
-            .collect();
-        for c in fresh {
-            let seeded = match self.lists.range(c + 1..).next() {
-                Some((_, successor)) => successor.clone(),
-                None => CowRun::default(),
-            };
-            self.lists.insert(c, seeded);
-        }
-
-        // Insert the affected edges into every applicable list.
-        let mut key_inserts = 0u64;
-        for (edge, sizes) in new_sizes {
-            let cmax = *sizes.last().expect("non-empty");
-            for (&c, list) in self.lists.range_mut(..=cmax) {
-                let score = (sizes.len() - sizes.partition_point(|&s| s < c)) as u32;
-                let inserted = list.insert(RankKey { score, edge });
-                key_inserts += 1;
-                debug_assert!(inserted, "duplicate entry for {edge} in H({c})");
-            }
-        }
-        esd_telemetry::add(esd_telemetry::Metric::TreapInserts, key_inserts);
+        let inserted = self
+            .lists
+            .restore(sized.iter().map(|(edge, sizes)| (*edge, sizes.as_slice())));
+        esd_telemetry::add(esd_telemetry::Metric::TreapInserts, inserted);
     }
 
     /// One `Union` in edge `e`'s forest (Algorithm 4's `M_xy.Union`).
@@ -1189,7 +1073,7 @@ mod tests {
         assert!(index.remove_edge(600, 601));
         index.check_consistency();
         assert_eq!(index.component_sizes(), vec![3, 4]);
-        let pages = index.lists[&3].pages.len();
+        let pages = index.lists.runs[&3].pages.len();
         assert!(pages >= 10, "H(3) spans {pages} pages");
         let copied = index.list_pages_unshared_with(&before);
         assert!(

@@ -294,8 +294,8 @@ impl ShardedHandle {
     }
 
     /// Merges the per-shard lists under the global total order. Each list
-    /// arrives already rank-ordered (the per-shard index walks its treap
-    /// in rank order), and owned edge sets are disjoint across shards, so
+    /// arrives already rank-ordered (the per-shard index walks one ranked
+    /// run in rank order), and owned edge sets are disjoint across shards, so
     /// this is a pure cursor merge — no sort, no dedup, stops at `k`.
     fn merge(per: &[QueryResponse], k: usize) -> Vec<ScoredEdge> {
         let total: usize = per.iter().map(|r| r.results.len()).sum();

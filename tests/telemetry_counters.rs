@@ -4,8 +4,9 @@
 //! owning call site; these tests pin each one to an independently
 //! recomputed total — the 4-clique counter to the generic k-clique lister,
 //! the build union counter to 6× the clique count, the parallel apply
-//! counter to the sequential op count, the maintenance treap counters to
-//! each other across a remove/insert round trip, and the online counters to
+//! counter to the sequential op count, the `H(c)` key-edit counters
+//! (`maintain.treap_*`, a name kept from before the runs) to each other
+//! across a remove/insert round trip, and the online counters to
 //! the [`OnlineStats`] the search itself returns.
 //!
 //! The registry is process-global, so every test takes [`REGISTRY_LOCK`]
@@ -148,13 +149,13 @@ fn maintenance_counters_balance_over_a_round_trip() {
     }
     let snap = telemetry::snapshot();
 
-    // The index returned to its starting state, so every treap entry that
+    // The index returned to its starting state, so every `H(c)` key that
     // was retracted was restored: inserts == removes, and both are nonzero
     // on a graph this dense.
     let inserts = snap.counter("maintain.treap_inserts");
     let removes = snap.counter("maintain.treap_removes");
-    assert!(inserts > 0, "round trip must touch the treaps");
-    assert_eq!(inserts, removes, "round trip must balance treap churn");
+    assert!(inserts > 0, "round trip must touch the H(c) runs");
+    assert_eq!(inserts, removes, "round trip must balance H(c) key edits");
     assert!(snap.counter("maintain.affected_edges") > 0);
     assert!(snap.counter("maintain.union_ops") > 0);
     assert_eq!(
@@ -243,7 +244,18 @@ fn family_counters_match_the_suite_reports() {
     let (mut recomputed, mut reranked) = (0u64, 0u64);
     for batch in &batches {
         index.apply_batch(batch);
+        let before = telemetry::snapshot();
         let report = suite.apply(index.graph(), batch, 2);
+        let after = telemetry::snapshot();
+        // The truss runs share the component lists' type, not their
+        // counters: a family window edits no `H(c)` key.
+        for counter in ["maintain.treap_inserts", "maintain.treap_removes"] {
+            assert_eq!(
+                after.counter(counter) - before.counter(counter),
+                0,
+                "a family window moved {counter}"
+            );
+        }
         assert!(report.recomputed <= report.affected);
         assert!(report.reranked <= report.affected);
         recomputed += report.recomputed as u64;
