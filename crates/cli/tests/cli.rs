@@ -10,8 +10,10 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_esd"))
 }
 
-fn temp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("esd_cli_test_{}", std::process::id()));
+/// The calling test's own directory, named after it: tests run in parallel
+/// and each writes its inputs by fixed file names.
+fn temp_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("esd_cli_{test}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -31,7 +33,7 @@ fn write_fig1(dir: &std::path::Path) -> PathBuf {
 
 #[test]
 fn stats_reports_counts() {
-    let dir = temp_dir();
+    let dir = temp_dir("stats_reports_counts");
     let graph = write_fig1(&dir);
     let out = bin()
         .args(["stats", graph.to_str().unwrap()])
@@ -49,7 +51,7 @@ fn stats_reports_counts() {
 
 #[test]
 fn topk_prints_original_ids_for_every_algo() {
-    let dir = temp_dir();
+    let dir = temp_dir("topk_prints_original_ids_for_every_algo");
     let graph = write_fig1(&dir);
     let mut outputs = Vec::new();
     for algo in ["online", "online+", "index"] {
@@ -90,7 +92,7 @@ fn topk_prints_original_ids_for_every_algo() {
 
 #[test]
 fn build_then_query_roundtrip() {
-    let dir = temp_dir();
+    let dir = temp_dir("build_then_query_roundtrip");
     let graph = write_fig1(&dir);
     let index = dir.join("fig1.esdx");
     let out = bin()
@@ -127,7 +129,7 @@ fn build_then_query_roundtrip() {
 
 #[test]
 fn stream_updates_and_queries() {
-    let dir = temp_dir();
+    let dir = temp_dir("stream_updates_and_queries");
     let graph = write_fig1(&dir);
     let mut child = bin()
         .args(["stream", graph.to_str().unwrap()])
@@ -155,7 +157,7 @@ fn stream_updates_and_queries() {
 /// and prints dense ids (fig1's original ids are dense ids + 100).
 #[test]
 fn query_without_ids_sidecar_warns_and_uses_dense_ids() {
-    let dir = temp_dir();
+    let dir = temp_dir("query_without_ids_sidecar_warns_and_uses_dense_ids");
     let graph = write_fig1(&dir);
     let index = dir.join("nosidecar.esdx");
     let out = bin()
@@ -193,7 +195,7 @@ fn query_without_ids_sidecar_warns_and_uses_dense_ids() {
 /// metrics dump.
 #[test]
 fn serve_answers_over_tcp() {
-    let dir = temp_dir();
+    let dir = temp_dir("serve_answers_over_tcp");
     let graph = write_fig1(&dir);
     let mut child = bin()
         .args([
@@ -265,7 +267,7 @@ fn serve_answers_over_tcp() {
 /// and answers match what the unsharded server gives.
 #[test]
 fn sharded_serve_answers_over_tcp() {
-    let dir = temp_dir();
+    let dir = temp_dir("sharded_serve_answers_over_tcp");
     let graph = write_fig1(&dir);
     let mut child = bin()
         .args([
@@ -338,7 +340,7 @@ fn sharded_serve_answers_over_tcp() {
 
 #[test]
 fn ego_renders_dot() {
-    let dir = temp_dir();
+    let dir = temp_dir("ego_renders_dot");
     let graph = write_fig1(&dir);
     // (f, g) = dense (5, 6) → original (105, 106): two ego components.
     let out = bin()
@@ -382,7 +384,7 @@ fn ego_renders_dot() {
 
 #[test]
 fn explain_breaks_down_scores() {
-    let dir = temp_dir();
+    let dir = temp_dir("explain_breaks_down_scores");
     let graph = write_fig1(&dir);
     // (j, k) = original (109, 110): contexts {h,i} and {u,v,p,q}.
     let out = bin()
@@ -423,7 +425,7 @@ fn error_paths() {
         .unwrap();
     assert!(!out.status.success());
     // Bad tau.
-    let dir = temp_dir();
+    let dir = temp_dir("error_paths");
     let graph = write_fig1(&dir);
     let out = bin()
         .args(["topk", graph.to_str().unwrap(), "--tau", "0"])
@@ -446,7 +448,7 @@ fn error_paths() {
 /// error line; runtime failures exit 1 and do NOT spam the usage block.
 #[test]
 fn exit_code_policy_table() {
-    let dir = temp_dir();
+    let dir = temp_dir("exit_code_policy_table");
     let graph_path = write_fig1(&dir);
     let graph = graph_path.to_str().unwrap();
     let corrupt = dir.join("corrupt.esdx");
@@ -521,7 +523,7 @@ fn exit_code_policy_table() {
 
 #[test]
 fn bench_report_round_trips_through_check() {
-    let dir = temp_dir();
+    let dir = temp_dir("bench_report_round_trips_through_check");
     let path = dir.join("BENCH_smoke.json");
     // Produce a smoke report (1 rep keeps this test fast).
     let out = bin()

@@ -38,11 +38,14 @@
 //! three non-component families, beside (not inside) [`MaintainedIndex`]:
 //! the component index keeps its forests and `H(c)` lists to itself, and
 //! the suite keeps one profile per **owned** edge, recomputed per update
-//! window over the family-agnostic blast radius (the same radius the
-//! component pipeline plans: the updated edge, edges incident to its
-//! endpoints, and ego pairs of its common neighbourhood — all enumerated
-//! against the post-window graph, which covers every membership change
-//! because the update that caused it contributes its own incident edges).
+//! window over the component index's own blast radius `Ĝ_{N(uv)}`: a
+//! profile depends only on its edge's ego network, which an update `(u, v)`
+//! changes only for `(u, v)` itself, the triangle edges `(u, w)`, `(v, w)`
+//! and the ego pairs of `N(u) ∩ N(v)`. The radius is taken in the
+//! post-window graph, with the window's other partners of `u` and `v`
+//! added to the common neighbourhood: a window that cuts both `(u, v)` and
+//! `(v, w)` leaves `w` no longer a common neighbour, yet `(u, w)` lost `v`
+//! from its ego network.
 //!
 //! Queries read ranked [`CowRun`]s, never the profiles. Parameter-free and
 //! ego-betweenness each keep one run of their positive scores. Truss keeps
@@ -60,7 +63,7 @@ use crate::maintain::{EdgeOwnership, GraphUpdate};
 use crate::score::score_from_sizes;
 use crate::ScoredEdge;
 use esd_graph::{DynamicGraph, Edge, Graph, VertexId};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// Which diversity measure a query ranks by.
 ///
@@ -341,8 +344,8 @@ pub struct FamilyApplyReport {
 const PROFILE_PAGES: usize = 512;
 
 /// Maintained score state for every non-component [`Family`], kept beside
-/// the component index: one [`EdgeProfiles`] per **owned** edge, updated
-/// per window by [`FamilySuite::apply`], and the [`Rankings`]
+/// the component index: one score profile per **owned** edge, updated
+/// per window by [`FamilySuite::apply`], and the ranked runs
 /// [`FamilySuite::query`] reads (see the module docs). The profiles live in
 /// a copy-on-write [`CowMap`] and the rankings in [`CowRun`]s, so a clone
 /// shares their pages until a window rewrites them.
@@ -503,14 +506,16 @@ impl FamilySuite {
     /// Incorporates one applied update window. `g` must be the graph
     /// **after** the window (the component index's
     /// [`graph()`](crate::MaintainedIndex::graph) right after
-    /// `apply_batch_parallel`). The blast radius of each update `(u, v)`
-    /// is family-agnostic: the edge itself, every edge incident to `u` or
-    /// `v`, and every ego pair of `N(u) ∩ N(v)` — enumerated against the
-    /// post-window graph, which covers membership changes caused by other
-    /// updates in the same window because *those* updates contribute their
-    /// own incident edges. Affected edges no longer present are dropped;
-    /// the rest are recomputed, fanned out over `threads` workers. Only the
-    /// dropped profiles and the recomputed ones that changed are re-ranked.
+    /// `apply_batch_parallel`). A profile of an edge `(a, b)` depends only
+    /// on its ego network `G[N(ab)]`, so each update `(u, v)` reaches the
+    /// component index's own radius (`Ĝ_{N(uv)}`, Observations 2–3), taken
+    /// in `g` over the members `N(u) ∩ N(v)` plus every `w` the same window
+    /// updates `(u, w)` or `(v, w)` for — a common neighbour before the
+    /// window that the window cut off is one of those. Affected edges no
+    /// longer present are dropped; the rest are recomputed, on the calling
+    /// thread for a small window and fanned out over `threads` workers for
+    /// a large one. Only the dropped profiles and the recomputed ones that
+    /// changed are re-ranked.
     pub fn apply(
         &mut self,
         g: &DynamicGraph,
@@ -519,44 +524,51 @@ impl FamilySuite {
     ) -> FamilyApplyReport {
         let _span = esd_telemetry::span(esd_telemetry::Stage::FamilyApply);
         let in_range = |x: VertexId| (x as usize) < g.num_vertices();
-        let neighbors = |x: VertexId| -> &[VertexId] {
-            if in_range(x) {
-                g.neighbors(x)
+        // Each endpoint's partners in this window: the batch term of the
+        // members below.
+        let mut partners: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+        let edits = updates
+            .iter()
+            .map(|upd| upd.endpoints())
+            .filter(|(u, v)| u != v);
+        for (u, v) in edits.clone() {
+            partners.entry(u).or_default().push(v);
+            partners.entry(v).or_default().push(u);
+        }
+        let mut candidates: BTreeSet<u64> = BTreeSet::new();
+        for (u, v) in edits {
+            let mut members = if in_range(u) && in_range(v) {
+                g.common_neighbors(u, v)
             } else {
-                &[]
-            }
-        };
-        let mut candidates: BTreeSet<Edge> = BTreeSet::new();
-        for upd in updates {
-            let (u, v) = upd.endpoints();
-            if u == v {
-                continue; // rejected by the index; no state can change
-            }
-            candidates.insert(Edge::new(u, v));
-            for &w in neighbors(u) {
-                candidates.insert(Edge::new(u, w));
-            }
-            for &w in neighbors(v) {
-                candidates.insert(Edge::new(v, w));
-            }
-            if in_range(u) && in_range(v) {
-                let members = g.common_neighbors(u, v);
-                for (a, b) in crate::maintain::ego_edges(g, &members) {
-                    candidates.insert(Edge::new(a, b));
-                }
-            }
+                Vec::new()
+            };
+            members.extend(
+                partners[&u]
+                    .iter()
+                    .chain(&partners[&v])
+                    .copied()
+                    .filter(|&w| w != u && w != v && in_range(w)),
+            );
+            members.sort_unstable();
+            members.dedup();
+            candidates.extend(crate::maintain::affected_edges(g, u, v, &members));
         }
         let owned: Vec<Edge> = candidates
             .into_iter()
-            .filter(|e| self.ownership.owns_key(e.key()))
+            .filter(|&key| self.ownership.owns_key(key))
+            .map(Edge::from_key)
             .collect();
         let affected = owned.len();
         let (live, dead): (Vec<Edge>, Vec<Edge>) = owned
             .into_iter()
             .partition(|e| in_range(e.u) && in_range(e.v) && g.has_edge(e.u, e.v));
         let recomputed = live.len();
-        let threads = threads.max(1).min(recomputed.max(1));
-        let computed: Vec<(Edge, EdgeProfiles)> = if threads <= 1 {
+        let threads = if recomputed < crate::maintain::INLINE_RECOMPUTE {
+            1
+        } else {
+            threads.clamp(1, recomputed)
+        };
+        let computed: Vec<(Edge, EdgeProfiles)> = if threads == 1 {
             live.iter()
                 .map(|&e| (e, EdgeProfiles::compute(g, e.u, e.v)))
                 .collect()
@@ -960,16 +972,58 @@ mod tests {
     fn unchanged_profiles_are_not_reranked() {
         let (mut suite, g) = suite_and_graph(13);
         let mut dg = DynamicGraph::from_graph(&g);
-        // A pendant edge to a fresh vertex closes no triangle, so every
-        // recomputed incident profile comes back unchanged.
+        // A pendant edge to a fresh vertex closes no triangle: its radius
+        // is the new edge alone, and no other profile is recomputed.
         let update = GraphUpdate::Insert(0, 500);
         dg.ensure_vertex(500);
         dg.insert_edge(0, 500);
         let before = suite.clone();
         let report = suite.apply(&dg, &[update], 1);
-        assert!(report.recomputed > 1);
+        assert_eq!(report.recomputed, 1);
         assert_eq!(report.reranked, 1, "only the new edge is ranked");
         assert_eq!(suite.pages_unshared_with(&before), 1);
+        assert_eq!(suite, FamilySuite::rebuild(&dg, EdgeOwnership::ALL));
+        // Inside the radius, a recomputed profile can still come back
+        // unchanged: re-inserting a removed edge gives every triangle edge
+        // `(u, w)` back its member, often leaving its scores as they were.
+        let skipped: usize = g
+            .edges()
+            .iter()
+            .step_by(5)
+            .map(|e| {
+                let cut = [GraphUpdate::Remove(e.u, e.v)];
+                dg.remove_edge(e.u, e.v);
+                suite.apply(&dg, &cut, 1);
+                let back = [GraphUpdate::Insert(e.u, e.v)];
+                dg.insert_edge(e.u, e.v);
+                let report = suite.apply(&dg, &back, 1);
+                report.recomputed - report.reranked
+            })
+            .sum();
+        assert!(skipped > 0, "no recomputed profile came back unchanged");
+        assert_eq!(suite, FamilySuite::rebuild(&dg, EdgeOwnership::ALL));
+    }
+
+    #[test]
+    fn large_windows_fan_out_and_match_rebuild() {
+        let g = generators::clique_overlap(200, 160, 6, 31);
+        let mut suite = FamilySuite::new(&g);
+        let mut dg = DynamicGraph::from_graph(&g);
+        let window: Vec<GraphUpdate> = g
+            .edges()
+            .iter()
+            .step_by(20)
+            .map(|e| GraphUpdate::Remove(e.u, e.v))
+            .collect();
+        for &update in &window {
+            let (u, v) = update.endpoints();
+            dg.remove_edge(u, v);
+        }
+        let report = suite.apply(&dg, &window, 2);
+        assert!(
+            report.recomputed >= crate::maintain::INLINE_RECOMPUTE,
+            "{report:?} does not reach the worker path"
+        );
         assert_eq!(suite, FamilySuite::rebuild(&dg, EdgeOwnership::ALL));
     }
 

@@ -32,6 +32,21 @@ pub mod parallel;
 pub use batch::{BatchStats, MutationBatch, UpdateDisposition};
 pub use parallel::{PipelineOutcome, PipelineReport};
 
+/// Below this many edges to recompute, a write window — the pipeline's
+/// forests and [`FamilySuite::apply`](crate::FamilySuite::apply)'s
+/// profiles — recomputes on the calling thread: spawning scoped workers
+/// costs more than the work they would share. On one shard of two of
+/// LiveJournal Small (2-vCPU host, churn windows of 1 to 64 updates), two
+/// family workers were slower than one at every median window size from 3
+/// to 58 profiles (45 → 210 µs at 3, 2.1 → 2.7 ms at 58), and an inline
+/// pipeline recompute was faster up to 27 forests (0.6–0.9 against
+/// 1.2–1.4 ms there); from about 60 to 270 edges the two were within
+/// run-to-run spread. Above the cut-off no measurement shows the workers
+/// winning: on the same host a build that never spawns them served
+/// 32-edge durable windows (about 215 profiles and 224 forests each)
+/// faster, so whether the cut-off pays on more cores is unmeasured.
+pub(crate) const INLINE_RECOMPUTE: usize = 128;
+
 /// Which slice of the edge space a [`MaintainedIndex`] maintains score
 /// state for. The graph replica is always complete — adjacency must be
 /// global for ego-network connectivity to be computed correctly — but
@@ -424,7 +439,7 @@ impl MaintainedIndex {
                 UpdateDisposition::Applied => {
                     let (u, v) = update.endpoints();
                     let nuv = self.g.common_neighbors(u, v);
-                    let affected = self.affected_edges(u, v, &nuv);
+                    let affected = affected_edges(&self.g, u, v, &nuv);
                     let start = order.len();
                     if start == 0 {
                         // One update's keys are distinct; the set only
@@ -508,21 +523,6 @@ impl MaintainedIndex {
             .map(|&w| GraphUpdate::Insert(v, w))
             .collect();
         self.apply_batch(&updates).applied
-    }
-
-    /// The edge set of `Ĝ_{N(uv)}` (Observations 2–3): the update's blast
-    /// radius, as canonical edge keys.
-    fn affected_edges(&self, u: VertexId, v: VertexId, nuv: &[VertexId]) -> Vec<u64> {
-        let mut keys = Vec::with_capacity(2 * nuv.len() + 1);
-        keys.push(Edge::new(u, v).key());
-        for &w in nuv {
-            keys.push(Edge::new(u, w).key());
-            keys.push(Edge::new(v, w).key());
-        }
-        for (w1, w2) in ego_edges(&self.g, nuv) {
-            keys.push(Edge::new(w1, w2).key());
-        }
-        keys
     }
 
     /// Retracts the affected edges from the `H(c)` lists under their
@@ -639,6 +639,32 @@ pub(crate) fn compute_forest(g: &DynamicGraph, e: Edge) -> (Option<EdgeDsu>, u64
         dsu.union(w1, w2);
     }
     (Some(dsu), union_ops)
+}
+
+/// The edge set of `Ĝ_{N(uv)}` (Observations 2–3) for the update `(u, v)`,
+/// as canonical edge keys: `(u, v)` itself, `(u, w)` and `(v, w)` for every
+/// `w` in `members`, and every edge of `g` between two members. With
+/// `members = N(u) ∩ N(v)` this is the update's blast radius: every edge
+/// whose ego network `G[N(ab)]` the update can change. It is the one
+/// radius every write path uses — the sequential and pipelined component
+/// maintenance and [`FamilySuite::apply`](crate::FamilySuite::apply). One
+/// update's keys are distinct; `members` must be sorted.
+pub(crate) fn affected_edges(
+    g: &DynamicGraph,
+    u: VertexId,
+    v: VertexId,
+    members: &[VertexId],
+) -> Vec<u64> {
+    let mut keys = Vec::with_capacity(2 * members.len() + 1);
+    keys.push(Edge::new(u, v).key());
+    for &w in members {
+        keys.push(Edge::new(u, w).key());
+        keys.push(Edge::new(v, w).key());
+    }
+    for (w1, w2) in ego_edges(g, members) {
+        keys.push(Edge::new(w1, w2).key());
+    }
+    keys
 }
 
 /// Edges of the subgraph induced by `members` (each unordered pair once),

@@ -18,11 +18,12 @@
 //! 2. **Recompute** (parallel, `pbatch.recompute`): `std::thread::scope`
 //!    workers (the workspace is offline, so the same mechanism as the
 //!    parallel index build stands in for rayon) rebuild each owned edge's
-//!    forest from the *final* graph via the same
-//!    [`compute_forest`](super::compute_forest) kernel the sequential
-//!    rebuild path uses. This is a pure function of the post-batch
-//!    adjacency structure, so groups can proceed independently in any
-//!    order.
+//!    forest from the *final* graph via the same `compute_forest` kernel
+//!    the sequential rebuild path uses. This is a pure function of the
+//!    post-batch adjacency structure, so groups can proceed independently
+//!    in any order. A window with fewer than `INLINE_RECOMPUTE` (128)
+//!    edges to recompute runs on the calling thread, since a spawned
+//!    worker costs more than such a window's recompute.
 //! 3. **Commit** (sequential, `pbatch.commit`): retract every affected
 //!    edge's list entries against the *pre-batch* forests in first-discovery
 //!    order, install the recomputed forests, and restore entries — the
@@ -48,8 +49,9 @@ use std::collections::HashSet;
 /// `esd bench` as the churn benchmark's `work_balance` block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineReport {
-    /// Worker threads used by the recompute phase (`0` when the batch
-    /// applied nothing and no recompute ran).
+    /// Worker threads used by the recompute phase: `0` when no owned
+    /// edge needed a recompute, `1` when the window was small enough to
+    /// recompute on the calling thread.
     pub threads: usize,
     /// Conflict-free groups formed by the planner.
     pub groups: usize,
@@ -93,8 +95,9 @@ impl MaintainedIndex {
     /// [`apply_batch`](MaintainedIndex::apply_batch) — same dispositions,
     /// same `H(c)` lists, same component partitions — but the dominant
     /// per-edge forest recomputation runs in parallel across conflict-free
-    /// groups. `threads == 1` degenerates to a sequential (but still
-    /// phase-split) execution.
+    /// groups. `threads == 1`, or a window with fewer than 128 edges to
+    /// recompute, runs the recompute on the calling thread (still
+    /// phase-split).
     pub fn apply_batch_parallel(
         &mut self,
         updates: &[GraphUpdate],
@@ -178,7 +181,7 @@ impl MaintainedIndex {
             }
             let (u, v) = update.endpoints();
             let nuv = self.g.common_neighbors(u, v);
-            let affected = self.affected_edges(u, v, &nuv);
+            let affected = super::affected_edges(&self.g, u, v, &nuv);
             // Join every group this blast radius overlaps; overlapping
             // groups merge into one, so groups stay pairwise disjoint.
             let hits: Vec<usize> = group_keys
@@ -243,7 +246,11 @@ impl MaintainedIndex {
             // threads for zero work, and there is nothing to spawn for.
             return (Vec::new(), Vec::new(), Vec::new());
         }
-        let threads = threads.min(total);
+        let threads = if total < super::INLINE_RECOMPUTE {
+            1
+        } else {
+            threads.min(total)
+        };
 
         // Greedy LPT assignment of groups to workers.
         let mut group_order: Vec<usize> = (0..owned.len()).collect();
@@ -257,34 +264,41 @@ impl MaintainedIndex {
         }
 
         let g = &self.g;
-        let mut results: Vec<(u64, Option<EdgeDsu>)> = Vec::with_capacity(total);
-        let mut per_worker = vec![0u64; threads];
-        let mut union_ops_per_worker = vec![0u64; threads];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = assignment
-                .iter()
-                .map(|groups| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut union_ops = 0u64;
-                        for &gi in groups {
-                            for &key in &owned[gi] {
-                                let (forest, ops) = compute_forest(g, Edge::from_key(key));
-                                union_ops += ops;
-                                out.push((key, forest));
-                            }
-                        }
-                        (out, union_ops)
-                    })
-                })
-                .collect();
-            for (w, handle) in handles.into_iter().enumerate() {
-                let (out, union_ops) = handle.join().expect("recompute worker panicked");
-                per_worker[w] = out.len() as u64;
-                union_ops_per_worker[w] = union_ops;
-                results.extend(out);
+        let recompute = move |groups: &[usize]| {
+            let mut out = Vec::new();
+            let mut union_ops = 0u64;
+            for &gi in groups {
+                for &key in &owned[gi] {
+                    let (forest, ops) = compute_forest(g, Edge::from_key(key));
+                    union_ops += ops;
+                    out.push((key, forest));
+                }
             }
-        });
+            (out, union_ops)
+        };
+        // A small window runs on the calling thread: spawning a worker
+        // costs more than the recompute it would take over.
+        let outputs: Vec<(Vec<(u64, Option<EdgeDsu>)>, u64)> = if threads == 1 {
+            vec![recompute(&assignment[0])]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = assignment
+                    .iter()
+                    .map(|groups| scope.spawn(move || recompute(groups)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("recompute worker panicked"))
+                    .collect()
+            })
+        };
+        let mut results: Vec<(u64, Option<EdgeDsu>)> = Vec::with_capacity(total);
+        let (mut per_worker, mut union_ops_per_worker) = (Vec::new(), Vec::new());
+        for (out, union_ops) in outputs {
+            per_worker.push(out.len() as u64);
+            union_ops_per_worker.push(union_ops);
+            results.extend(out);
+        }
         (results, per_worker, union_ops_per_worker)
     }
 }
@@ -323,6 +337,30 @@ mod tests {
                 assert_eq!(a.query(k, tau), b.query(k, tau), "k={k} τ={tau}");
             }
         }
+    }
+
+    #[test]
+    fn small_windows_recompute_inline_and_large_ones_fan_out() {
+        let g = generators::clique_overlap(300, 240, 6, 5);
+        let e = g.edges()[0];
+        let mut piped = MaintainedIndex::new(&g);
+        let outcome = piped.apply_batch_parallel(&[GraphUpdate::Remove(e.u, e.v)], 2);
+        assert!(outcome.report.recomputed_edges > 0);
+        assert!(outcome.report.recomputed_edges < super::super::INLINE_RECOMPUTE as u64);
+        assert_eq!(outcome.report.threads, 1, "a small window spawns no worker");
+
+        let ops = random_ops(300, 120, 0x5EED);
+        let mut sequential = piped.clone();
+        sequential.apply_batch(&ops);
+        let outcome = piped.apply_batch_parallel(&ops, 2);
+        assert!(outcome.report.recomputed_edges >= super::super::INLINE_RECOMPUTE as u64);
+        assert_eq!(outcome.report.threads, 2);
+        assert_eq!(
+            outcome.report.recomputed_per_worker.iter().sum::<u64>(),
+            outcome.report.recomputed_edges
+        );
+        piped.check_consistency();
+        assert_state_identical(&piped, &sequential);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! unit tests) runs these validators at construction boundaries and panics
 //! with the full violation report on failure.
 
+use crate::dynamic::ADJ_PAGE;
 use crate::{DynamicGraph, Edge, Graph, VertexId};
 
 /// One violated invariant of a graph structure, with its location.
@@ -105,6 +106,15 @@ pub enum GraphViolation {
         /// Actual length.
         actual: usize,
     },
+    /// A [`DynamicGraph`] adjacency page has the wrong number of lists:
+    /// every page but the last must hold exactly [`ADJ_PAGE`], the last
+    /// between 1 and that.
+    AdjacencyPageShape {
+        /// Index of the malformed page.
+        page: usize,
+        /// Lists it holds.
+        lists: usize,
+    },
 }
 
 impl std::fmt::Display for GraphViolation {
@@ -164,6 +174,9 @@ impl std::fmt::Display for GraphViolation {
                     f,
                     "forward_offsets has length {actual}, expected {expected}"
                 )
+            }
+            Self::AdjacencyPageShape { page, lists } => {
+                write!(f, "adjacency page {page} holds {lists} lists")
             }
         }
     }
@@ -300,11 +313,24 @@ impl Graph {
 }
 
 impl DynamicGraph {
-    /// Audits the mutable adjacency representation: strictly sorted,
+    /// Audits the mutable adjacency representation: the page shape (every
+    /// page but the last full, the last non-empty), strictly sorted,
     /// self-loop-free, in-bounds, symmetric lists and a correct cached edge
     /// count. Returns all violations found (empty = sound).
     pub fn validate(&self) -> Vec<GraphViolation> {
         let mut out = Vec::new();
+        let last = self.pages.len().saturating_sub(1);
+        for (page, lists) in self.pages.iter().map(|p| p.len()).enumerate() {
+            let full = lists == ADJ_PAGE;
+            if !(full || page == last && (1..ADJ_PAGE).contains(&lists)) {
+                out.push(GraphViolation::AdjacencyPageShape { page, lists });
+            }
+        }
+        if !out.is_empty() {
+            // The vertex count and the per-vertex checks below assume the
+            // page shape.
+            return out;
+        }
         let n = self.num_vertices();
         adjacency_violations(n, (0..n as VertexId).map(|u| self.neighbors(u)), &mut out);
         let mut slots = 0usize;
@@ -477,11 +503,33 @@ mod tests {
         );
         let mut g = DynamicGraph::new(3);
         g.insert_edge(0, 1);
-        g.adj[1].clear(); // break symmetry; count also off
+        g.list_mut(1).clear(); // break symmetry; count also off
         let v = g.validate();
         assert!(
             v.contains(&GraphViolation::AsymmetricAdjacency { u: 0, v: 1 }),
             "got {v:?}"
+        );
+    }
+
+    #[test]
+    fn dynamic_graph_detects_page_shape_faults() {
+        let mut g = DynamicGraph::new(2 * ADJ_PAGE + 1);
+        assert_eq!(g.validate(), Vec::new());
+        std::sync::Arc::make_mut(&mut g.pages[0]).pop();
+        let v = g.validate();
+        assert_eq!(
+            v,
+            vec![GraphViolation::AdjacencyPageShape {
+                page: 0,
+                lists: ADJ_PAGE - 1
+            }]
+        );
+        let mut g = DynamicGraph::new(ADJ_PAGE);
+        g.pages.push(std::sync::Arc::new(Vec::new()));
+        let v = g.validate();
+        assert_eq!(
+            v,
+            vec![GraphViolation::AdjacencyPageShape { page: 1, lists: 0 }]
         );
     }
 

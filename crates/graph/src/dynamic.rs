@@ -1,10 +1,33 @@
 //! A mutable adjacency-list graph for the dynamic maintenance algorithms.
+//!
+//! The lists live in fixed pages of [`ADJ_PAGE`] consecutive vertices, each
+//! page `Arc`-shared. A clone copies page pointers; an edge update copies
+//! the pages of its two endpoints, and only while another clone still
+//! shares them. Publishing a served snapshot therefore costs
+//! `n / ADJ_PAGE` pointer copies, and the next write pays for the one or
+//! two pages it touches instead of for the whole adjacency.
 
 use crate::{Edge, Graph, VertexId};
+use std::sync::Arc;
+
+/// Vertices per adjacency page; a power of two. Smaller pages make a
+/// publish clone and its drop cost more pointers, larger ones make each
+/// write copy more lists. 64 gave the lowest clone + drop + maintenance
+/// time of 16, 32, 64, 128 and 256 on one shard of LiveJournal Small
+/// (DESIGN.md §10).
+pub const ADJ_PAGE: usize = 64;
+
+const _: () = assert!(ADJ_PAGE.is_power_of_two());
+
+/// `log2(ADJ_PAGE)`: vertex `v` sits on page `v >> ADJ_SHIFT`.
+const ADJ_SHIFT: u32 = ADJ_PAGE.trailing_zeros();
+
+type AdjPage = Arc<Vec<Vec<VertexId>>>;
 
 /// An undirected simple graph with sorted adjacency vectors supporting
 /// `O(d)` edge insertion and deletion — the substrate of the index
-/// maintenance algorithms (§V of the paper).
+/// maintenance algorithms (§V of the paper). Clones share every
+/// [`ADJ_PAGE`]-vertex page that neither side has written since.
 ///
 /// # Examples
 ///
@@ -14,29 +37,49 @@ use crate::{Edge, Graph, VertexId};
 /// let mut g = DynamicGraph::new(3);
 /// assert!(g.insert_edge(0, 1));
 /// assert!(!g.insert_edge(1, 0), "already present");
-/// assert!(g.remove_edge(0, 1));
+/// let published = g.clone(); // copies one page pointer
+/// assert!(g.remove_edge(0, 1)); // copies the one page holding 0 and 1
 /// assert!(!g.remove_edge(0, 1), "already gone");
+/// assert!(published.has_edge(0, 1));
+/// assert_eq!(g.pages_unshared_with(&published), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct DynamicGraph {
-    pub(crate) adj: Vec<Vec<VertexId>>,
+    /// Every page but the last holds exactly [`ADJ_PAGE`] lists, so the
+    /// pages alone give the vertex count.
+    pub(crate) pages: Vec<AdjPage>,
     pub(crate) m: usize,
 }
 
 impl DynamicGraph {
-    /// An edgeless graph on `n` vertices.
+    /// An edgeless graph on `n` vertices. Every full page starts as the
+    /// same shared page of empty lists.
     pub fn new(n: usize) -> Self {
-        Self {
-            adj: vec![Vec::new(); n],
-            m: 0,
+        let full: AdjPage = Arc::new(vec![Vec::new(); ADJ_PAGE]);
+        let mut pages: Vec<AdjPage> = (0..n / ADJ_PAGE).map(|_| Arc::clone(&full)).collect();
+        let partial = n % ADJ_PAGE;
+        if partial > 0 {
+            pages.push(Arc::new(vec![Vec::new(); partial]));
         }
+        Self { pages, m: 0 }
     }
 
     /// Copies a static graph into mutable form.
     pub fn from_graph(g: &Graph) -> Self {
-        let adj = g.vertices().map(|v| g.neighbors(v).to_vec()).collect();
+        let n = g.num_vertices();
+        let pages = (0..n)
+            .step_by(ADJ_PAGE)
+            .map(|start| {
+                let end = (start + ADJ_PAGE).min(n);
+                Arc::new(
+                    (start..end)
+                        .map(|v| g.neighbors(v as VertexId).to_vec())
+                        .collect(),
+                )
+            })
+            .collect();
         Self {
-            adj,
+            pages,
             m: g.num_edges(),
         }
     }
@@ -44,19 +87,17 @@ impl DynamicGraph {
     /// Freezes into an immutable CSR [`Graph`].
     pub fn to_graph(&self) -> Graph {
         let mut b = crate::GraphBuilder::with_capacity(self.num_vertices(), self.m);
-        for (u, nbrs) in self.adj.iter().enumerate() {
-            for &v in nbrs {
-                if (u as VertexId) < v {
-                    b.add_edge(u as VertexId, v);
-                }
-            }
+        for e in self.canonical_edges() {
+            b.add_edge(e.u, e.v);
         }
         b.build()
     }
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.adj.len()
+        self.pages
+            .last()
+            .map_or(0, |last| (self.pages.len() - 1) * ADJ_PAGE + last.len())
     }
 
     /// Number of edges.
@@ -67,61 +108,94 @@ impl DynamicGraph {
     /// Degree of `u`.
     #[inline]
     pub fn degree(&self, u: VertexId) -> usize {
-        self.adj[u as usize].len()
+        self.neighbors(u).len()
     }
 
     /// Sorted neighbour list of `u`.
+    ///
+    /// # Panics
+    /// If `u` is not a vertex.
     #[inline]
     pub fn neighbors(&self, u: VertexId) -> &[VertexId] {
-        &self.adj[u as usize]
+        let u = u as usize;
+        &self.pages[u >> ADJ_SHIFT][u & (ADJ_PAGE - 1)]
+    }
+
+    /// `u`'s list for writing: copies its page first if another clone
+    /// shares it.
+    pub(crate) fn list_mut(&mut self, u: VertexId) -> &mut Vec<VertexId> {
+        let u = u as usize;
+        &mut Arc::make_mut(&mut self.pages[u >> ADJ_SHIFT])[u & (ADJ_PAGE - 1)]
+    }
+
+    /// Every list, in vertex order.
+    pub(crate) fn lists(&self) -> impl Iterator<Item = &Vec<VertexId>> {
+        self.pages.iter().flat_map(|page| page.iter())
     }
 
     /// `O(log d)` adjacency test.
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        u != v && self.adj[u as usize].binary_search(&v).is_ok()
+        u != v && self.neighbors(u).binary_search(&v).is_ok()
     }
 
-    /// Ensures the vertex set covers `v`.
+    /// Ensures the vertex set covers `v`: fills the last page, then
+    /// appends new ones.
     pub fn ensure_vertex(&mut self, v: VertexId) {
-        if v as usize >= self.adj.len() {
-            self.adj.resize(v as usize + 1, Vec::new());
+        let want = v as usize + 1;
+        let n = self.num_vertices();
+        if want <= n {
+            return;
+        }
+        if let Some(last) = self.pages.last_mut().filter(|p| p.len() < ADJ_PAGE) {
+            let fill = ADJ_PAGE.min(last.len() + want - n);
+            Arc::make_mut(last).resize(fill, Vec::new());
+        }
+        let covered = self.pages.len() * ADJ_PAGE;
+        for start in (covered..want).step_by(ADJ_PAGE) {
+            let len = ADJ_PAGE.min(want - start);
+            self.pages.push(Arc::new(vec![Vec::new(); len]));
         }
     }
 
     /// Inserts `(u, v)`; returns `false` if already present or a self-loop.
+    /// Copies nothing when the edge is already present.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> bool {
         if u == v {
             return false;
         }
         self.ensure_vertex(u.max(v));
-        match self.adj[u as usize].binary_search(&v) {
+        match self.neighbors(u).binary_search(&v) {
             Ok(_) => false,
             Err(pos_u) => {
-                self.adj[u as usize].insert(pos_u, v);
-                let pos_v = self.adj[v as usize]
+                self.list_mut(u).insert(pos_u, v);
+                let pos_v = self
+                    .neighbors(v)
                     .binary_search(&u)
                     .expect_err("symmetric list out of sync");
-                self.adj[v as usize].insert(pos_v, u);
+                self.list_mut(v).insert(pos_v, u);
                 self.m += 1;
                 true
             }
         }
     }
 
-    /// Removes `(u, v)`; returns `false` if absent.
+    /// Removes `(u, v)`; returns `false` if absent. Copies nothing when the
+    /// edge is absent.
     pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if u == v || u as usize >= self.adj.len() || v as usize >= self.adj.len() {
+        let n = self.num_vertices();
+        if u == v || u as usize >= n || v as usize >= n {
             return false;
         }
-        match self.adj[u as usize].binary_search(&v) {
+        match self.neighbors(u).binary_search(&v) {
             Err(_) => false,
             Ok(pos_u) => {
-                self.adj[u as usize].remove(pos_u);
-                let pos_v = self.adj[v as usize]
+                self.list_mut(u).remove(pos_u);
+                let pos_v = self
+                    .neighbors(v)
                     .binary_search(&u)
                     .expect("symmetric list out of sync");
-                self.adj[v as usize].remove(pos_v);
+                self.list_mut(v).remove(pos_v);
                 self.m -= 1;
                 true
             }
@@ -136,19 +210,45 @@ impl DynamicGraph {
     /// All edges in canonical order.
     pub fn edges(&self) -> Vec<Edge> {
         let mut out = Vec::with_capacity(self.m);
-        for (u, nbrs) in self.adj.iter().enumerate() {
-            for &v in nbrs {
-                if (u as VertexId) < v {
-                    out.push(Edge {
-                        u: u as VertexId,
-                        v,
-                    });
-                }
-            }
-        }
+        out.extend(self.canonical_edges());
         out
     }
+
+    /// Every edge `(u, v)` with `u < v`, in canonical order.
+    fn canonical_edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        (0..).zip(self.lists()).flat_map(|(u, nbrs)| {
+            let start = nbrs.partition_point(|&v| v <= u);
+            nbrs[start..].iter().map(move |&v| Edge { u, v })
+        })
+    }
+
+    /// How many of this graph's pages `other` does not hold at the same
+    /// position — the pages the writes since the two were cloned apart
+    /// have copied, plus any this graph grew beyond `other`'s.
+    pub fn pages_unshared_with(&self, other: &Self) -> usize {
+        self.pages
+            .iter()
+            .enumerate()
+            .filter(|&(i, page)| !other.pages.get(i).is_some_and(|o| Arc::ptr_eq(page, o)))
+            .count()
+    }
 }
+
+/// Logical equality: the same vertex count and the same lists, however the
+/// pages came to be shared. Shared pages compare by pointer.
+impl PartialEq for DynamicGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.m == other.m
+            && self.pages.len() == other.pages.len()
+            && self
+                .pages
+                .iter()
+                .zip(&other.pages)
+                .all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
+    }
+}
+
+impl Eq for DynamicGraph {}
 
 #[cfg(test)]
 mod tests {
@@ -198,7 +298,135 @@ mod tests {
         assert!(!g.remove_edge(0, 9));
     }
 
+    #[test]
+    fn growth_fills_the_last_page_then_appends() {
+        let mut g = DynamicGraph::new(ADJ_PAGE + 3);
+        assert_eq!(g.pages.len(), 2);
+        let before = g.clone();
+        g.ensure_vertex((ADJ_PAGE + 5) as VertexId);
+        assert_eq!(g.num_vertices(), ADJ_PAGE + 6);
+        assert_eq!(g.pages_unshared_with(&before), 1, "the last page grew");
+        g.ensure_vertex((3 * ADJ_PAGE + 1) as VertexId);
+        assert_eq!(g.num_vertices(), 3 * ADJ_PAGE + 2);
+        assert_eq!(g.pages.len(), 4);
+        assert_eq!(g.validate(), Vec::new());
+        g.ensure_vertex(0);
+        assert_eq!(g.num_vertices(), 3 * ADJ_PAGE + 2, "never shrinks");
+    }
+
+    #[test]
+    fn a_clone_shares_every_page_until_a_write() {
+        let g = generators::erdos_renyi(5 * ADJ_PAGE, 0.02, 9);
+        let mut live = DynamicGraph::from_graph(&g);
+        let published = live.clone();
+        assert_eq!(live.pages_unshared_with(&published), 0);
+        let e = g.edges()[0];
+        assert!(!live.insert_edge(e.u, e.v), "duplicate insert");
+        assert_eq!(
+            live.pages_unshared_with(&published),
+            0,
+            "a no-op copies nothing"
+        );
+        assert!(live.remove_edge(e.u, e.v));
+        let touched = if e.u as usize / ADJ_PAGE == e.v as usize / ADJ_PAGE {
+            1
+        } else {
+            2
+        };
+        assert_eq!(live.pages_unshared_with(&published), touched);
+        assert_eq!(published.to_graph(), g, "the published clone is untouched");
+        assert_ne!(live, published);
+        assert!(live.insert_edge(e.u, e.v));
+        assert_eq!(live, published, "equality is logical, not by page");
+    }
+
+    /// One step of the paging proptest.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(VertexId, VertexId),
+        Remove(VertexId, VertexId),
+        Ensure(VertexId),
+    }
+
+    /// Inserts, removes and growth steps in the ratio 4 : 3 : 1.
+    fn op() -> impl Strategy<Value = Op> {
+        let v = 0..(3 * ADJ_PAGE as VertexId);
+        (0u8..8, v.clone(), v).prop_map(|(kind, a, b)| match kind {
+            0..=3 => Op::Insert(a, b),
+            4..=6 => Op::Remove(a, b),
+            _ => Op::Ensure(a + b / 3),
+        })
+    }
+
     proptest! {
+        /// Random insert/remove/`ensure_vertex` sequences against a
+        /// `Vec<BTreeSet>` model. Before every step the graph is cloned:
+        /// the clone must keep the old content, and a write on existing
+        /// vertices must unshare at most its endpoints' two pages (none
+        /// when it changes nothing).
+        #[test]
+        fn paged_adjacency_matches_btreeset_model(
+            n in 0usize..(2 * ADJ_PAGE),
+            ops in prop::collection::vec(op(), 0..150),
+        ) {
+            let mut g = DynamicGraph::new(n);
+            let mut model: Vec<std::collections::BTreeSet<VertexId>> = vec![Default::default(); n];
+            for op in ops {
+                let before = g.clone();
+                let old_model = model.clone();
+                let in_range = |a: VertexId, b: VertexId| (a.max(b) as usize) < model.len();
+                let (changed, bounded) = match op {
+                    Op::Insert(a, b) => {
+                        let bounded = in_range(a, b);
+                        if a != b && a.max(b) as usize >= model.len() {
+                            model.resize(a.max(b) as usize + 1, Default::default());
+                        }
+                        let expect = a != b && model[a as usize].insert(b);
+                        if expect {
+                            model[b as usize].insert(a);
+                        }
+                        prop_assert_eq!(g.insert_edge(a, b), expect);
+                        (expect, bounded)
+                    }
+                    Op::Remove(a, b) => {
+                        let expect = a != b
+                            && in_range(a, b)
+                            && model[a as usize].remove(&b);
+                        if expect {
+                            model[b as usize].remove(&a);
+                        }
+                        prop_assert_eq!(g.remove_edge(a, b), expect);
+                        (expect, true)
+                    }
+                    Op::Ensure(v) => {
+                        if v as usize >= model.len() {
+                            model.resize(v as usize + 1, Default::default());
+                        }
+                        g.ensure_vertex(v);
+                        (false, false)
+                    }
+                };
+                if bounded {
+                    let unshared = g.pages_unshared_with(&before);
+                    prop_assert!(unshared <= 2, "{op:?} unshared {unshared} pages");
+                    prop_assert_eq!(unshared == 0, !changed, "{:?}", op);
+                }
+                prop_assert_eq!(g.num_vertices(), model.len());
+                for (v, set) in model.iter().enumerate() {
+                    prop_assert!(g.neighbors(v as VertexId).iter().eq(set.iter()));
+                }
+                prop_assert_eq!(
+                    g.num_edges(),
+                    model.iter().map(std::collections::BTreeSet::len).sum::<usize>() / 2
+                );
+                prop_assert_eq!(before.num_vertices(), old_model.len());
+                for (v, set) in old_model.iter().enumerate() {
+                    prop_assert!(before.neighbors(v as VertexId).iter().eq(set.iter()));
+                }
+                prop_assert_eq!(g.validate(), Vec::new());
+            }
+        }
+
         #[test]
         fn random_ops_match_btreeset_model(ops in prop::collection::vec((any::<bool>(), 0u32..12, 0u32..12), 0..120)) {
             let mut g = DynamicGraph::new(12);

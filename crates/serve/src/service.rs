@@ -1599,16 +1599,16 @@ mod tests {
         service.shutdown();
     }
 
-    /// Adds the family-agnostic blast radius of updating `(u, v)` against
-    /// `g` to `out`: the edge, every edge at `u` or `v`, and every ego pair
-    /// of `N(u) ∩ N(v)`. It covers the component index's radius too.
+    /// Adds the blast radius of updating `(u, v)` against `g` to `out`:
+    /// the edge, the triangle edges `(u, w)` and `(v, w)` for every common
+    /// neighbour `w`, and every ego pair of `N(u) ∩ N(v)` — the radius the
+    /// component index and the family suite share.
     fn add_blast_radius(g: &DynamicGraph, u: VertexId, v: VertexId, out: &mut BTreeSet<u64>) {
         out.insert(Edge::new(u, v).key());
-        for x in [u, v] {
-            out.extend(g.neighbors(x).iter().map(|&w| Edge::new(x, w).key()));
-        }
         let members = g.common_neighbors(u, v);
         for (i, &a) in members.iter().enumerate() {
+            out.insert(Edge::new(u, a).key());
+            out.insert(Edge::new(v, a).key());
             for &b in &members[i + 1..] {
                 if g.has_edge(a, b) {
                     out.insert(Edge::new(a, b).key());
@@ -1617,10 +1617,13 @@ mod tests {
         }
     }
 
-    /// `(forest, list, profile, ranking)` pages that `next` does not share
-    /// with `prev`.
-    fn unshared_pages(next: &Snapshot, prev: &Snapshot) -> (usize, usize, usize, usize) {
+    /// `(adjacency, forest, list, profile, ranking)` pages that `next`
+    /// does not share with `prev`.
+    fn unshared_pages(next: &Snapshot, prev: &Snapshot) -> (usize, usize, usize, usize, usize) {
         (
+            next.index()
+                .graph()
+                .pages_unshared_with(prev.index().graph()),
             next.index().forest_pages_unshared_with(prev.index()),
             next.index().list_pages_unshared_with(prev.index()),
             next.families().pages_unshared_with(prev.families()),
@@ -1699,7 +1702,12 @@ mod tests {
             let mut radius = BTreeSet::new();
             add_blast_radius(prev.index().graph(), u, v, &mut radius);
             add_blast_radius(next.index().graph(), u, v, &mut radius);
-            let (forests, lists, profiles, rankings) = unshared_pages(&next, &prev);
+            let (adjacency, forests, lists, profiles, rankings) = unshared_pages(&next, &prev);
+            // A single-edge write copies the pages of its two endpoints.
+            assert!(
+                (1..=2).contains(&adjacency),
+                "{update:?}: {adjacency} adjacency pages copied"
+            );
             assert!(
                 forests <= radius.len() && profiles <= radius.len(),
                 "{update:?}: {forests} forest + {profiles} profile pages copied, radius {}",

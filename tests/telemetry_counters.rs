@@ -227,37 +227,55 @@ fn family_counters_match_the_suite_reports() {
     let g = generators::clique_overlap(120, 90, 5, 3);
     let mut index = MaintainedIndex::new(&g);
     let mut suite = FamilySuite::new(&g);
-    let batches: [Vec<GraphUpdate>; 2] = [
-        g.edges()
-            .iter()
-            .take(8)
-            .map(|e| GraphUpdate::Remove(e.u, e.v))
-            .collect(),
-        g.edges()
-            .iter()
-            .take(8)
-            .map(|e| GraphUpdate::Insert(e.u, e.v))
-            .collect(),
-    ];
+    let cut: Vec<GraphUpdate> = g
+        .edges()
+        .iter()
+        .take(16)
+        .map(|e| GraphUpdate::Remove(e.u, e.v))
+        .collect();
+    let back: Vec<GraphUpdate> = g
+        .edges()
+        .iter()
+        .take(16)
+        .map(|e| GraphUpdate::Insert(e.u, e.v))
+        .collect();
+    // Single-edge windows first, then the same edits as two batches.
+    let windows: Vec<Vec<GraphUpdate>> = cut
+        .iter()
+        .chain(&back)
+        .map(|&update| vec![update])
+        .chain([cut.clone(), back.clone()])
+        .collect();
 
     telemetry::reset();
     let (mut recomputed, mut reranked) = (0u64, 0u64);
-    for batch in &batches {
-        index.apply_batch(batch);
+    for window in &windows {
         let before = telemetry::snapshot();
-        let report = suite.apply(index.graph(), batch, 2);
+        index.apply_batch(window);
+        let mid = telemetry::snapshot();
+        let report = suite.apply(index.graph(), window, 2);
         let after = telemetry::snapshot();
         // The truss runs share the component lists' type, not their
         // counters: a family window edits no `H(c)` key.
         for counter in ["maintain.treap_inserts", "maintain.treap_removes"] {
             assert_eq!(
-                after.counter(counter) - before.counter(counter),
+                after.counter(counter) - mid.counter(counter),
                 0,
                 "a family window moved {counter}"
             );
         }
         assert!(report.recomputed <= report.affected);
         assert!(report.reranked <= report.affected);
+        if let [update] = window.as_slice() {
+            // One radius, two owners: the family's affected set is the
+            // component index's `Ĝ_{N(uv)}`, and it recomputes every edge
+            // of it but a removed one.
+            let radius =
+                mid.counter("maintain.affected_edges") - before.counter("maintain.affected_edges");
+            assert_eq!(report.affected as u64, radius, "{update:?}");
+            let gone = u64::from(!update.is_insert());
+            assert_eq!(report.recomputed as u64, radius - gone, "{update:?}");
+        }
         recomputed += report.recomputed as u64;
         reranked += report.reranked as u64;
     }
@@ -267,17 +285,19 @@ fn family_counters_match_the_suite_reports() {
     assert!(recomputed > 0, "churn this dense must recompute profiles");
     assert_eq!(snap.counter("family.recomputed_edges"), recomputed);
     assert!(reranked > 0, "churn this dense must move a ranking");
-    // Deleted profiles are re-ranked without a recompute, so only
-    // `affected` bounds one window; over this churn the recomputes still
-    // outnumber every re-rank.
+    // A re-rank is a deleted profile (one per removal here) or a recomputed
+    // one that changed, so a removal window can re-rank more than it
+    // recomputes; over this churn some recomputed profile must come back
+    // unchanged and skip its re-rank.
+    let removals = windows.iter().flatten().filter(|u| !u.is_insert()).count() as u64;
     assert!(
-        reranked <= recomputed,
-        "{reranked} re-ranked > {recomputed} recomputed"
+        reranked < recomputed + removals,
+        "{reranked} re-ranked, {recomputed} recomputed, {removals} removed: nothing skipped"
     );
     assert_eq!(snap.counter("family.reranked_edges"), reranked);
     assert_eq!(
         snap.stage("family.apply").unwrap().count,
-        batches.len() as u64
+        windows.len() as u64
     );
 
     telemetry::reset();

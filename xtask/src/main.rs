@@ -1,10 +1,10 @@
 //! `cargo xtask analyze` — the workspace's custom static-analysis gate.
 //!
-//! Runs six project-specific passes (see [`passes`]) over the first-party
-//! sources and exits non-zero when any invariant is violated. The passes
-//! are textual with lexical masking ([`scan`]) — the offline build
-//! environment has no `syn` — which is exact enough for the narrow,
-//! project-shaped properties they check.
+//! Runs six project-specific passes (see the `passes` module) over the
+//! first-party sources and exits non-zero when any invariant is violated.
+//! The passes are textual with lexical masking (the `scan` module) — the
+//! offline build environment has no `syn` — which is exact enough for the
+//! narrow, project-shaped properties they check.
 //!
 //! ```text
 //! cargo xtask analyze              # human-readable findings, exit 1 if any
