@@ -19,7 +19,7 @@ use esd_core::{EsdIndex, Family, FamilySuite, MaintainedIndex};
 use esd_datasets::churn::{churn_trace, ChurnEvent, ChurnMix};
 use esd_datasets::{load, Scale};
 use esd_graph::{Graph, VertexId};
-use esd_serve::{Service, ServiceConfig};
+use esd_serve::{Service, ServiceConfig, ShardConfig, ShardedService};
 use esd_telemetry::json::Json;
 
 /// Which benchmark suite to run.
@@ -211,8 +211,28 @@ fn run_dataset(out: &mut Vec<Json>, g: &Graph, dataset: &str, cfg: &SuiteConfig)
         let _ = online_topk(g, 10, 2, UpperBound::CommonNeighbor);
     })));
 
+    // The family build: one 4-clique pass plus the profile kernel over its
+    // ego edges (`build.profiles`), and the ranked runs.
+    out.push(Json::obj(bench("family_build", dataset, reps, || {
+        let _ = FamilySuite::new(g);
+    })));
+
+    // A two-shard fleet start: one construction pass, sliced into each
+    // shard's index and family suite.
+    let fleet = ShardConfig {
+        shards: 2,
+        per_shard: ServiceConfig {
+            workers: 0,
+            pipeline_threads: cfg.threads,
+            ..ServiceConfig::default()
+        },
+    };
+    out.push(Json::obj(bench("fleet_start", dataset, reps, || {
+        ShardedService::start(g, &fleet).shutdown();
+    })));
+
     // Family queries: the per-edge profiles are built once outside the
-    // timed region (the build cost is `build_seq`'s territory), then each
+    // timed region (their cost is `family_build`'s), then each
     // repetition ranks top-100 under every maintained family so the
     // `family.query` span and `family.queries` counter land in the report.
     let suite = FamilySuite::new(g);
@@ -381,6 +401,8 @@ mod tests {
                 "churn_batch_parallel",
                 "query_topk",
                 "online_topk",
+                "family_build",
+                "fleet_start",
                 "family_topk",
                 "serve_window",
                 "intersect_hub_merge",

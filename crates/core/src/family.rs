@@ -47,6 +47,16 @@
 //! `(v, w)` leaves `w` no longer a common neighbour, yet `(u, w)` lost `v`
 //! from its ego network.
 //!
+//! One kernel, `EdgeProfiles::from_ego`, scores an ego network under all
+//! three families from a local CSR of it. A suite is built without
+//! materialising any ego network: by Observation 1 the 4-clique pass sees
+//! every ego edge of every edge, so the construction
+//! ([`Construction`](crate::Construction), or the forest-free pass of
+//! [`FamilySuite::new_owned`]) sorts the pass's ego edges into one CSR and
+//! runs the kernel over each edge's window of it. Maintenance recomputes
+//! a profile with `EdgeProfiles::compute`, which fills the local CSR by
+//! intersecting adjacency lists and runs the same kernel.
+//!
 //! Queries read ranked [`CowRun`]s, never the profiles. Parameter-free and
 //! ego-betweenness each keep one run of their positive scores. Truss keeps
 //! a [`SizeRuns`] over the core multisets — the component index's rule: an
@@ -169,160 +179,181 @@ pub(crate) struct EdgeProfiles {
 }
 
 impl EdgeProfiles {
-    /// Recomputes all three profiles for edge `(u, v)` from scratch
-    /// against `g` — one ego materialisation shared by every family.
-    fn compute(g: &DynamicGraph, u: VertexId, v: VertexId) -> Self {
-        let ego = EgoNetwork::around(g, u, v);
-        let labels = ego.component_labels();
-        let comp_count = labels.iter().copied().max().map_or(0, |m| m as usize + 1);
-        let mut comp_sizes = vec![0u32; comp_count];
-        for &l in &labels {
-            comp_sizes[l as usize] += 1;
+    /// Recomputes all three profiles of edge `(u, v)` against `g`: fills the
+    /// local CSR of `G[N(uv)]` by intersection and runs the kernel.
+    pub(crate) fn compute(
+        g: &DynamicGraph,
+        u: VertexId,
+        v: VertexId,
+        s: &mut ProfileScratch,
+    ) -> Self {
+        s.members.clear();
+        esd_graph::intersect::intersect_into(g.neighbors(u), g.neighbors(v), &mut s.members);
+        s.offsets.clear();
+        s.offsets.push(0);
+        s.adj.clear();
+        for &m in &s.members {
+            s.found.clear();
+            esd_graph::intersect::intersect_into(g.neighbors(m), &s.members, &mut s.found);
+            let local = |w| s.members.binary_search(w).expect("member") as u32;
+            s.adj.extend(s.found.iter().map(local));
+            s.offsets
+                .push(u32::try_from(s.adj.len()).expect("ego CSR fits u32 offsets"));
         }
-        // Truss: per-component count of members sitting in ≥ 1 ego
-        // triangle (the 3-truss core — see the module doc for why the
-        // 3-truss is exactly the union of triangles).
-        let in_triangle = ego.triangle_members();
-        let mut truss_cores = vec![0u32; comp_count];
-        for (i, &l) in labels.iter().enumerate() {
-            if in_triangle[i] {
-                truss_cores[l as usize] += 1;
-            }
-        }
-        truss_cores.retain(|&c| c > 0);
-        truss_cores.sort_unstable();
-        // Parameter-free: component score at τ*(h).
-        let mut sorted_sizes = comp_sizes;
-        sorted_sizes.sort_unstable();
-        let pf = score_from_sizes(&sorted_sizes, tau_star(ego.len()));
-        Self {
-            truss_cores: truss_cores.into_boxed_slice(),
-            pf,
-            betweenness: ego.distance_mass(),
-        }
-    }
-}
-
-/// A profile entry as a [`SizeRuns`] item: the edge and its core sizes.
-pub(crate) fn truss_item((edge, prof): &(Edge, EdgeProfiles)) -> (Edge, &[u32]) {
-    (*edge, &prof.truss_cores)
-}
-
-/// A materialised ego network: the common neighbourhood of one edge with
-/// its induced adjacency, re-indexed to local vertex ids.
-struct EgoNetwork {
-    /// Local adjacency, sorted; `adj[i]` are the local indices adjacent
-    /// to member `i`.
-    adj: Vec<Vec<u32>>,
-}
-
-impl EgoNetwork {
-    fn around(g: &DynamicGraph, u: VertexId, v: VertexId) -> Self {
-        let members = g.common_neighbors(u, v);
-        let mut adj = Vec::with_capacity(members.len());
-        let mut buf: Vec<VertexId> = Vec::new();
-        for &m in &members {
-            buf.clear();
-            esd_graph::intersect::intersect_into(g.neighbors(m), &members, &mut buf);
-            adj.push(
-                buf.iter()
-                    .map(|w| members.binary_search(w).expect("member") as u32)
-                    .collect(),
-            );
-        }
-        Self { adj }
+        let ego = EgoCsr {
+            offsets: &s.offsets,
+            adj: &s.adj,
+        };
+        Self::from_ego(ego, &mut s.work)
     }
 
-    fn len(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Connected-component label per member (BFS over the local adjacency).
-    fn component_labels(&self) -> Vec<u32> {
-        let n = self.len();
-        let mut labels = vec![u32::MAX; n];
-        let mut next = 0u32;
-        let mut queue = Vec::new();
-        for start in 0..n {
-            if labels[start] != u32::MAX {
+    /// The profile kernel: all three profiles of one ego network from its
+    /// local CSR. Components by depth-first search (parameter-free scores
+    /// them at `τ*`); per component, the members of some ego triangle
+    /// `x < y < z`, found from `x`'s marked neighbours (the 3-truss core,
+    /// see the module doc); one breadth-first search per member for the
+    /// distance mass, skipped for a member adjacent to its whole component.
+    pub(crate) fn from_ego(ego: EgoCsr<'_>, w: &mut KernelWork) -> Self {
+        const UNSEEN: u32 = u32::MAX;
+        let h = ego.offsets.len() - 1;
+        w.label.clear();
+        w.label.resize(h, UNSEEN);
+        w.sizes.clear();
+        w.queue.clear();
+        for start in 0..h as u32 {
+            if w.label[start as usize] != UNSEEN {
                 continue;
             }
-            labels[start] = next;
-            queue.push(start);
-            while let Some(x) = queue.pop() {
-                for &y in &self.adj[x] {
-                    if labels[y as usize] == u32::MAX {
-                        labels[y as usize] = next;
-                        queue.push(y as usize);
+            let c = w.sizes.len() as u32;
+            w.label[start as usize] = c;
+            w.queue.push(start);
+            let mut size = 0;
+            while let Some(x) = w.queue.pop() {
+                size += 1;
+                for &y in ego.neighbors(x) {
+                    if w.label[y as usize] == UNSEEN {
+                        w.label[y as usize] = c;
+                        w.queue.push(y);
                     }
                 }
             }
-            next += 1;
+            w.sizes.push(size);
         }
-        labels
-    }
 
-    /// Which members sit in at least one ego triangle — equivalently,
-    /// which members the ego network's 3-truss retains.
-    fn triangle_members(&self) -> Vec<bool> {
-        let n = self.len();
-        let mut in_tri = vec![false; n];
-        for x in 0..n {
-            for &y in &self.adj[x] {
-                let y = y as usize;
-                if y <= x {
-                    continue;
-                }
-                // Sorted-merge the two neighbour lists: every common
-                // entry closes a triangle {x, y, z}.
-                let (ax, ay) = (&self.adj[x], &self.adj[y]);
-                let (mut i, mut j) = (0, 0);
-                while i < ax.len() && j < ay.len() {
-                    match ax[i].cmp(&ay[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            in_tri[x] = true;
-                            in_tri[y] = true;
-                            in_tri[ax[i] as usize] = true;
-                            i += 1;
-                            j += 1;
+        w.mark.clear();
+        w.mark.resize(h, 0);
+        w.in_triangle.clear();
+        w.in_triangle.resize(h, false);
+        for x in 0..h as u32 {
+            for &y in ego.neighbors(x) {
+                w.mark[y as usize] = x + 1;
+            }
+            for &y in ego.neighbors(x).iter().filter(|&&y| y > x) {
+                for &z in ego.neighbors(y) {
+                    if z > y && w.mark[z as usize] == x + 1 {
+                        for t in [x, y, z] {
+                            w.in_triangle[t as usize] = true;
                         }
                     }
                 }
             }
         }
-        in_tri
-    }
+        w.cores.clear();
+        w.cores.resize(w.sizes.len(), 0);
+        for (&l, &t) in w.label.iter().zip(&w.in_triangle) {
+            w.cores[l as usize] += u32::from(t);
+        }
+        w.cores.retain(|&c| c > 0);
+        w.cores.sort_unstable();
 
-    /// `Σ_{s<t connected} d(s, t)` over the ego network — the total
-    /// betweenness mass — via one BFS per member, saturated at `u32::MAX`.
-    fn distance_mass(&self) -> u32 {
-        let n = self.len();
+        // `dist` is all UNSEEN between searches: each resets what it reached.
+        w.dist.resize(h, UNSEEN);
         let mut total: u64 = 0;
-        let mut dist = vec![u32::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        for s in 0..n {
-            dist.iter_mut().for_each(|d| *d = u32::MAX);
-            dist[s] = 0;
-            queue.push_back(s);
-            while let Some(x) = queue.pop_front() {
-                for &y in &self.adj[x] {
-                    if dist[y as usize] == u32::MAX {
-                        dist[y as usize] = dist[x] + 1;
-                        queue.push_back(y as usize);
+        for s in 0..h as u32 {
+            let reach = w.sizes[w.label[s as usize] as usize] - 1;
+            if ego.neighbors(s).len() == reach as usize {
+                total += u64::from(reach);
+                continue;
+            }
+            w.queue.clear();
+            w.queue.push(s);
+            w.dist[s as usize] = 0;
+            let mut head = 0;
+            while let Some(&x) = w.queue.get(head) {
+                head += 1;
+                let d = w.dist[x as usize] + 1;
+                for &y in ego.neighbors(x) {
+                    if w.dist[y as usize] == UNSEEN {
+                        w.dist[y as usize] = d;
+                        total += u64::from(d);
+                        w.queue.push(y);
                     }
                 }
             }
-            total += dist
-                .iter()
-                .filter(|&&d| d != u32::MAX)
-                .map(|&d| u64::from(d))
-                .sum::<u64>();
+            for &x in &w.queue {
+                w.dist[x as usize] = UNSEEN;
+            }
         }
-        // Every connected pair was counted once from each endpoint.
-        u32::try_from(total / 2).unwrap_or(u32::MAX)
+        w.sizes.sort_unstable();
+        Self {
+            truss_cores: w.cores.as_slice().into(),
+            pf: score_from_sizes(&w.sizes, tau_star(h)),
+            // Every connected pair was counted once from each endpoint.
+            betweenness: u32::try_from(total / 2).unwrap_or(u32::MAX),
+        }
     }
+}
+
+/// One ego network `G[N(uv)]` as a local CSR: member `i`'s neighbours, as
+/// member indices, are `adj[offsets[i]..offsets[i + 1]]`. `offsets` holds
+/// `|N(uv)| + 1` positions into `adj`, which need not start at 0, so the
+/// bulk construction hands each edge a window of one CSR over every
+/// common neighbourhood.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EgoCsr<'a> {
+    pub(crate) offsets: &'a [u32],
+    pub(crate) adj: &'a [u32],
+}
+
+impl EgoCsr<'_> {
+    fn neighbors(&self, x: u32) -> &[u32] {
+        let x = x as usize;
+        &self.adj[self.offsets[x] as usize..self.offsets[x + 1] as usize]
+    }
+}
+
+/// The profile kernel's working arrays, reused from edge to edge.
+#[derive(Debug, Default)]
+pub(crate) struct KernelWork {
+    /// Component label per member.
+    label: Vec<u32>,
+    /// Component sizes, indexed by label.
+    sizes: Vec<u32>,
+    /// Triangle members per component, indexed by label.
+    cores: Vec<u32>,
+    /// `mark[z] == x + 1` while member `x`'s neighbours are marked.
+    mark: Vec<u32>,
+    in_triangle: Vec<bool>,
+    /// Breadth-first distances, `u32::MAX` when unreached.
+    dist: Vec<u32>,
+    /// The search stack or queue.
+    queue: Vec<u32>,
+}
+
+/// [`EdgeProfiles::compute`]'s buffers: the intersected members, their
+/// local CSR and the kernel's arrays.
+#[derive(Debug, Default)]
+pub(crate) struct ProfileScratch {
+    members: Vec<VertexId>,
+    found: Vec<VertexId>,
+    offsets: Vec<u32>,
+    adj: Vec<u32>,
+    work: KernelWork,
+}
+
+/// A profile entry as a [`SizeRuns`] item: the edge and its core sizes.
+pub(crate) fn truss_item((edge, prof): &(Edge, EdgeProfiles)) -> (Edge, &[u32]) {
+    (*edge, &prof.truss_cores)
 }
 
 /// What one [`FamilySuite::apply`] window did.
@@ -440,24 +471,36 @@ impl FamilySuite {
         Self::new_owned(g, EdgeOwnership::ALL)
     }
 
-    /// Builds the suite maintaining only the edges `ownership` owns —
-    /// the sharded-serving construction, mirroring
-    /// [`MaintainedIndex::new_owned`](crate::MaintainedIndex::new_owned).
+    /// Builds the suite maintaining only the edges `ownership` owns, from
+    /// one 4-clique pass over `g`. A fleet that also needs the component
+    /// index slices both from one [`Construction`] instead.
+    ///
+    /// [`Construction`]: crate::Construction
     #[must_use]
     pub fn new_owned(g: &Graph, ownership: EdgeOwnership) -> Self {
-        Self::rebuild(&DynamicGraph::from_graph(g), ownership)
+        let owned = g
+            .edges()
+            .iter()
+            .copied()
+            .zip(crate::construct::profiles(g))
+            .filter(|(e, _)| ownership.owns_key(e.key()));
+        Self::from_profiles(ownership, owned)
     }
 
     /// From-scratch reconstruction against `g` — the recompute oracle the
-    /// agreement harness compares maintained state to, and what crash
-    /// recovery runs over the recovered graph.
+    /// agreement harness compares maintained state to.
     #[must_use]
     pub fn rebuild(g: &DynamicGraph, ownership: EdgeOwnership) -> Self {
-        let owned = g
-            .edges()
-            .into_iter()
-            .filter(|e| ownership.owns_key(e.key()))
-            .map(|e| (e.key(), (e, EdgeProfiles::compute(g, e.u, e.v))));
+        Self::new_owned(&g.to_graph(), ownership)
+    }
+
+    /// The suite over `owned` profiles — the edges `ownership` owns, each
+    /// with its profiles.
+    pub(crate) fn from_profiles(
+        ownership: EdgeOwnership,
+        owned: impl Iterator<Item = (Edge, EdgeProfiles)>,
+    ) -> Self {
+        let owned = owned.map(|(e, prof)| (e.key(), (e, prof)));
         let profiles = CowMap::from_entries(PROFILE_PAGES, owned);
         let suite = Self {
             ownership,
@@ -568,22 +611,21 @@ impl FamilySuite {
         } else {
             threads.clamp(1, recomputed)
         };
+        let recompute = |edges: &[Edge]| {
+            let mut scratch = ProfileScratch::default();
+            edges
+                .iter()
+                .map(|&e| (e, EdgeProfiles::compute(g, e.u, e.v, &mut scratch)))
+                .collect::<Vec<_>>()
+        };
         let computed: Vec<(Edge, EdgeProfiles)> = if threads == 1 {
-            live.iter()
-                .map(|&e| (e, EdgeProfiles::compute(g, e.u, e.v)))
-                .collect()
+            recompute(&live)
         } else {
             let chunk = recomputed.div_ceil(threads);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = live
                     .chunks(chunk)
-                    .map(|c| {
-                        scope.spawn(move || {
-                            c.iter()
-                                .map(|&e| (e, EdgeProfiles::compute(g, e.u, e.v)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
+                    .map(|c| scope.spawn(move || recompute(c)))
                     .collect();
                 handles
                     .into_iter()

@@ -23,6 +23,7 @@ pub struct BuildStats {
 /// Everything the 4-clique pass produces; the dynamic maintenance bootstrap
 /// consumes the neighbourhoods and the forest, the static build only the
 /// component sizes.
+#[derive(Debug)]
 pub(crate) struct FourCliqueArtifacts {
     /// Per-edge sorted component sizes.
     pub components: EdgeComponents,
@@ -81,34 +82,79 @@ pub(crate) fn neighborhoods(g: &Graph, dag: &OrientedGraph) -> (Vec<usize>, Vec<
     (offsets, nbrs)
 }
 
+/// Phase 1 of Algorithm 3 — every common neighbourhood — with the degree
+/// orientation the enumeration walks.
+pub(crate) struct Neighborhoods {
+    dag: OrientedGraph,
+    /// Per-edge offsets into `nbrs` (`m + 1` entries).
+    pub(crate) offsets: Vec<usize>,
+    /// Flat sorted common neighbourhoods.
+    pub(crate) nbrs: Vec<VertexId>,
+}
+
+impl Neighborhoods {
+    pub(crate) fn of(g: &Graph) -> Self {
+        let _span = esd_telemetry::span(esd_telemetry::Stage::BuildNeighborhoods);
+        let dag = OrientedGraph::by_degree(g);
+        let (offsets, nbrs) = neighborhoods(g, &dag);
+        esd_telemetry::add(esd_telemetry::Metric::BuildNbrTotal, nbrs.len() as u64);
+        Self { dag, offsets, nbrs }
+    }
+
+    /// The offsets alone, dropping the orientation and the members.
+    pub(crate) fn into_offsets(self) -> Vec<usize> {
+        self.offsets
+    }
+
+    /// Algorithm 3 lines 8–15: enumerates every 4-clique once and hands
+    /// `f` the ego-network edge each of its six edges gains (Observation
+    /// 1), as `(e, x, y)` with `x` and `y` the local slots of the two
+    /// endpoints in `N(e)`. Returns the number of 4-cliques.
+    pub(crate) fn for_each_ego_edge(&self, mut f: impl FnMut(usize, usize, usize)) -> u64 {
+        let _span = esd_telemetry::span(esd_telemetry::Stage::BuildEnumerate);
+        let mut four_cliques = 0;
+        cliques::for_each_four_clique(&self.dag, 0..self.dag.num_edges(), |ids, u, v, w1, w2| {
+            for (e, x, y) in ego_edges(ids, u, v, w1, w2) {
+                let slot = |x| slot_of(&self.offsets, &self.nbrs, e, x);
+                f(e as usize, slot(x), slot(y));
+            }
+            four_cliques += 1;
+        });
+        four_cliques
+    }
+}
+
 /// Algorithm 3, lines 1–22: builds per-edge disjoint-set forests by
 /// enumerating every 4-clique once and extracts the component sizes.
 pub(crate) fn components_by_four_cliques(g: &Graph) -> FourCliqueArtifacts {
-    let (dag, (nbr_offsets, nbrs)) = {
-        let _span = esd_telemetry::span(esd_telemetry::Stage::BuildNeighborhoods);
-        let dag = OrientedGraph::by_degree(g);
-        let nbrs = neighborhoods(g, &dag);
-        (dag, nbrs)
-    };
-    esd_telemetry::add(esd_telemetry::Metric::BuildNbrTotal, nbrs.len() as u64);
-    let mut arena = ArenaDsu::new(nbr_offsets.clone());
-    let mut stats = BuildStats {
-        total_neighborhood: nbrs.len(),
-        ..Default::default()
-    };
+    four_clique_pass(g, |_, _| {})
+}
 
-    let enumerate_span = esd_telemetry::span(esd_telemetry::Stage::BuildEnumerate);
-    cliques::for_each_four_clique(&dag, 0..dag.num_edges(), |ids, u, v, w1, w2| {
-        for (e, x, y) in ego_edges(ids, u, v, w1, w2) {
-            let slot = |x| slot_of(&nbr_offsets, &nbrs, e, x);
-            arena.union(e as usize, slot(x), slot(y));
-        }
-        stats.four_cliques += 1;
-        stats.union_ops += 6;
+/// [`components_by_four_cliques`] that also hands every ego-network edge
+/// it unions to `sink`, as the two global slots `offsets[e] + x` and
+/// `offsets[e] + y`. The index builds pass an empty sink.
+pub(crate) fn four_clique_pass(
+    g: &Graph,
+    mut sink: impl FnMut(usize, usize),
+) -> FourCliqueArtifacts {
+    let hoods = Neighborhoods::of(g);
+    let mut arena = ArenaDsu::new(hoods.offsets.clone());
+    let four_cliques = hoods.for_each_ego_edge(|e, x, y| {
+        arena.union(e, x, y);
+        sink(hoods.offsets[e] + x, hoods.offsets[e] + y);
     });
-    drop(enumerate_span);
+    let stats = BuildStats {
+        four_cliques,
+        union_ops: 6 * four_cliques,
+        total_neighborhood: hoods.nbrs.len(),
+    };
     esd_telemetry::add(esd_telemetry::Metric::BuildUnionOps, stats.union_ops);
-
+    let Neighborhoods {
+        dag,
+        offsets: nbr_offsets,
+        nbrs,
+    } = hoods;
+    drop(dag);
     let components = {
         let _span = esd_telemetry::span(esd_telemetry::Stage::BuildExtract);
         components_from_arena(&arena, g.num_edges())

@@ -42,6 +42,7 @@
 pub mod audit;
 pub mod baselines;
 pub mod bounds;
+pub mod construct;
 pub mod cow;
 pub mod explain;
 pub mod family;
@@ -52,6 +53,7 @@ pub mod online;
 pub mod score;
 pub mod vertex_sd;
 
+pub use construct::Construction;
 pub use family::{Family, FamilyApplyReport, FamilySuite};
 pub use index::EsdIndex;
 pub use maintain::{EdgeOwnership, MaintainedIndex};

@@ -199,6 +199,21 @@ impl GraphUpdate {
     pub fn is_insert(self) -> bool {
         matches!(self, GraphUpdate::Insert(..))
     }
+
+    /// Applies the update to `g` alone, by [`MaintainedIndex::apply_batch`]'s
+    /// rules: a self-loop is rejected, an insert first grows the vertex
+    /// range to both endpoints, and a duplicate insert or a missing removal
+    /// changes nothing. Returns whether the edge set changed.
+    pub fn apply_to(self, g: &mut DynamicGraph) -> bool {
+        match self {
+            GraphUpdate::Insert(u, v) if u != v => {
+                g.ensure_vertex(u.max(v));
+                g.insert_edge(u, v)
+            }
+            GraphUpdate::Insert(..) => false,
+            GraphUpdate::Remove(u, v) => g.remove_edge(u, v),
+        }
+    }
 }
 
 /// Page count of [`MaintainedIndex`]'s forest map. Only the writer reads
@@ -255,22 +270,38 @@ impl MaintainedIndex {
     /// this is exactly `new`. Sharded deployments give each engine the
     /// same graph with a distinct slice, so the engines' lists partition
     /// the global lists edge-for-edge.
+    ///
+    /// A fleet that also needs the family suite builds one
+    /// [`Construction`](crate::construct::Construction) and slices both
+    /// from it instead.
     pub fn new_owned(g: &Graph, ownership: EdgeOwnership) -> Self {
-        let artifacts = build::components_by_four_cliques(g);
-        let mut arena = artifacts.arena;
-        let owned_forests = g.edges().iter().enumerate().filter_map(|(eid, e)| {
+        let pass = build::components_by_four_cliques(g);
+        Self::from_pass(DynamicGraph::from_graph(g), g.edges(), &pass, ownership)
+    }
+
+    /// The index of the edges `ownership` owns, from a 4-clique pass over
+    /// `g`, whose edges by id are `edges`: each owned edge's forest is read
+    /// off the pass's arena and its component sizes go into the lists.
+    pub(crate) fn from_pass(
+        g: DynamicGraph,
+        edges: &[Edge],
+        pass: &build::FourCliqueArtifacts,
+        ownership: EdgeOwnership,
+    ) -> Self {
+        let owned_forests = edges.iter().enumerate().filter_map(|(eid, e)| {
             if !ownership.owns_key(e.key()) {
                 return None;
             }
-            let range = &artifacts.nbrs[artifacts.nbr_offsets[eid]..artifacts.nbr_offsets[eid + 1]];
+            let range = &pass.nbrs[pass.nbr_offsets[eid]..pass.nbr_offsets[eid + 1]];
             if range.is_empty() {
                 return None;
             }
             let mut dsu = EdgeDsu::default();
+            dsu.nodes.reserve(range.len());
             for (i, &w) in range.iter().enumerate() {
-                let root_slot = arena.find(eid, i);
+                let root_slot = pass.arena.root(eid, i);
                 let root_vertex = range[root_slot];
-                let count = arena.root_size(eid, root_slot);
+                let count = pass.arena.root_size(eid, root_slot);
                 dsu.nodes.insert(w, (root_vertex, count));
             }
             Some((e.key(), dsu))
@@ -278,14 +309,13 @@ impl MaintainedIndex {
         let forests = CowMap::from_entries(FOREST_PAGES, owned_forests);
 
         let lists = SizeRuns::build(
-            artifacts
-                .components
-                .items(g.edges())
+            pass.components
+                .items(edges)
                 .filter(|(e, _)| ownership.owns_key(e.key())),
         );
 
         let index = Self {
-            g: DynamicGraph::from_graph(g),
+            g,
             forests,
             lists,
             ownership,
@@ -854,6 +884,32 @@ mod tests {
             }
         }
         index.check_consistency();
+    }
+
+    #[test]
+    fn apply_to_follows_apply_batch() {
+        let mut rng = StdRng::seed_from_u64(0xA991);
+        let g = generators::erdos_renyi(20, 0.3, 9);
+        let mut index = MaintainedIndex::new(&g);
+        let mut graph = DynamicGraph::from_graph(&g);
+        for _ in 0..40 {
+            // Self-loops, fresh vertices, duplicates and missing removals.
+            let batch: Vec<GraphUpdate> = (0..6)
+                .map(|_| {
+                    let (a, b) = (rng.gen_range(0..26u32), rng.gen_range(0..26u32));
+                    if rng.gen_bool(0.5) {
+                        GraphUpdate::Insert(a, b)
+                    } else {
+                        GraphUpdate::Remove(a, b)
+                    }
+                })
+                .collect();
+            let stats = index.apply_batch(&batch);
+            let changed = batch.iter().filter(|u| u.apply_to(&mut graph)).count();
+            assert_eq!(changed, stats.applied);
+            assert_eq!(&graph, index.graph());
+            assert_eq!(graph.num_vertices(), index.graph().num_vertices());
+        }
     }
 
     #[test]

@@ -88,6 +88,21 @@ impl ArenaDsu {
         }
     }
 
+    /// Representative of local slot `x` in group `g`, read without path
+    /// compression, so a shared arena can be read by several consumers.
+    pub fn root(&self, g: usize, x: usize) -> usize {
+        let base = self.base(g);
+        debug_assert!(x < self.group_len(g));
+        let mut x = x as u32;
+        loop {
+            let p = self.parent[base + x as usize];
+            if p == x {
+                return x as usize;
+            }
+            x = p;
+        }
+    }
+
     /// Merges local slots `a` and `b` in group `g`; returns `true` if distinct.
     #[inline]
     pub fn union(&mut self, g: usize, a: usize, b: usize) -> bool {
@@ -154,6 +169,9 @@ mod tests {
         assert_eq!(dsu.group_len(2), 0, "empty group allowed");
         dsu.union(0, 0, 1);
         dsu.union(3, 1, 2);
+        assert_eq!(dsu.root(0, 0), dsu.root(0, 1));
+        assert_eq!(dsu.root(0, 1), dsu.find(0, 1));
+        assert_ne!(dsu.root(0, 0), dsu.root(0, 2));
         assert_eq!(dsu.component_sizes(0), vec![1, 1, 2]);
         assert_eq!(dsu.component_sizes(1), vec![1, 1, 1]);
         assert_eq!(dsu.component_sizes(3), vec![1, 2]);

@@ -38,10 +38,11 @@
 //!
 //! ## Recovery
 //!
-//! [`recover`] loads the newest valid checkpoint chain, rebuilds the
-//! maintained index from its edge set, then replays every WAL record with
-//! epoch greater than the chain's through the normal
-//! [`MaintainedIndex::apply_batch`] pipeline. Corruption anywhere
+//! [`recover`] loads the newest valid checkpoint chain, replays every WAL
+//! record with epoch greater than the chain's onto its edge set by
+//! [`MaintainedIndex::apply_batch`]'s rules, then builds the maintained
+//! index and the family suite from one construction pass over the final
+//! graph. Corruption anywhere
 //! (checkpoint or WAL) degrades gracefully: invalid checkpoints are
 //! skipped, WAL replay stops at the last valid record, and nothing ever
 //! panics on garbage bytes. Before the service re-opens the WAL for
@@ -51,10 +52,12 @@
 //! an un-repaired tear would hide — and a later crash would lose —
 //! batches acked and fsynced after the restart.
 
+use crate::service::Origin;
 use esd_core::index::delta::{EdgeSetDelta, EdgeSetSnapshot};
 use esd_core::maintain::GraphUpdate;
-use esd_core::MaintainedIndex;
+use esd_core::{Construction, FamilySuite, MaintainedIndex};
 use esd_durability::{CheckpointStore, WalOptions, WalWriter};
+use esd_graph::DynamicGraph;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -184,12 +187,14 @@ pub struct RecoveryReport {
     pub recovered_epoch: u64,
 }
 
-/// A recovered serving state: the rebuilt index, its epoch, and the
-/// report describing how it was reconstructed.
+/// A recovered serving state: the rebuilt index and family suite, their
+/// epoch, and the report describing how they were reconstructed.
 #[derive(Debug)]
 pub struct Recovered {
     /// The maintained index at the recovered state.
     pub index: MaintainedIndex,
+    /// The family suite at the recovered state.
+    pub families: FamilySuite,
     /// Publication epoch of that state.
     pub epoch: u64,
     /// How recovery got there.
@@ -205,8 +210,10 @@ fn invalid(e: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
-/// Loads the newest valid checkpoint chain from `dir` and replays the WAL
-/// tail through [`MaintainedIndex::apply_batch`]. Returns `None` when the
+/// Loads the newest valid checkpoint chain from `dir`, replays the WAL
+/// tail onto its edge set (by [`GraphUpdate::apply_to`], the rules of
+/// [`MaintainedIndex::apply_batch`]) and runs one construction pass over
+/// the result. Returns `None` when the
 /// directory holds no valid checkpoint (a fresh durable directory — the
 /// genesis checkpoint is written before the first WAL record, so "no
 /// checkpoint" means "no durable state").
@@ -236,7 +243,7 @@ pub fn recover_owned(
         None => base.clone(),
     };
     let checkpoint_epoch = chain.epoch();
-    let mut index = MaintainedIndex::new_owned(&state.to_graph(), ownership);
+    let mut graph = DynamicGraph::from_graph(&state.to_graph());
     let replay = esd_durability::read_dir(dir)?;
     let mut replayed = 0u64;
     let mut epoch = checkpoint_epoch;
@@ -244,14 +251,17 @@ pub fn recover_owned(
         if record.epoch <= checkpoint_epoch {
             continue;
         }
-        let updates = decode_updates(&record.payload)?;
-        index.apply_batch(&updates);
+        for update in decode_updates(&record.payload)? {
+            update.apply_to(&mut graph);
+        }
         replayed += 1;
         epoch = record.epoch;
     }
     esd_telemetry::add(esd_telemetry::Metric::WalReplayedRecords, replayed);
+    let (index, families) = Construction::new(&graph.to_graph()).slice(ownership);
     Ok(Some(Recovered {
         index,
+        families,
         epoch,
         report: RecoveryReport {
             checkpoint_epoch,
@@ -289,41 +299,45 @@ pub(crate) struct DurableState {
     pub(crate) prev_full_epoch: u64,
 }
 
-/// A durable engine's starting state: the (possibly recovered) index, its
-/// epoch, the report if recovery ran, and the open WAL/checkpoint handles.
+/// A durable engine's starting state: the (possibly recovered) index and
+/// family suite, their epoch, the report if recovery ran, and the open
+/// WAL/checkpoint handles.
 #[derive(Debug)]
 pub(crate) struct DurableInit {
     pub(crate) state: DurableState,
     pub(crate) index: MaintainedIndex,
+    pub(crate) families: FamilySuite,
     pub(crate) epoch: u64,
     pub(crate) report: Option<RecoveryReport>,
 }
 
 /// Opens (or recovers) the durable directory. A fresh directory gets a
-/// **genesis** full checkpoint of `initial` at epoch 0 — without it the
-/// graph the service started from would be unrecoverable. A non-empty
-/// directory is recovered, and the recovered state wins over `initial`.
+/// **genesis** full checkpoint of the origin graph at epoch 0 — without it
+/// the graph the service started from would be unrecoverable. A non-empty
+/// directory is recovered, and the recovered state wins over the origin.
 pub(crate) fn open_or_recover(
-    initial: &esd_graph::Graph,
+    origin: &Origin<'_>,
     cfg: &DurabilityConfig,
     ownership: esd_core::EdgeOwnership,
 ) -> io::Result<DurableInit> {
-    let (index, epoch, report, base, base_epoch) = match recover_owned(&cfg.dir, ownership)? {
-        Some(rec) => (
-            rec.index,
-            rec.epoch,
-            Some(rec.report),
-            rec.base,
-            rec.base_epoch,
-        ),
-        None => {
-            let store = CheckpointStore::open(&cfg.dir)?;
-            let index = MaintainedIndex::new_owned(initial, ownership);
-            let base = EdgeSetSnapshot::from_graph(index.graph());
-            store.write_full(0, &base.encode())?;
-            (index, 0, None, base, 0)
-        }
-    };
+    let (index, families, epoch, report, base, base_epoch) =
+        match recover_owned(&cfg.dir, ownership)? {
+            Some(rec) => (
+                rec.index,
+                rec.families,
+                rec.epoch,
+                Some(rec.report),
+                rec.base,
+                rec.base_epoch,
+            ),
+            None => {
+                let store = CheckpointStore::open(&cfg.dir)?;
+                let (index, families) = origin.slice(ownership);
+                let base = EdgeSetSnapshot::from_graph(index.graph());
+                store.write_full(0, &base.encode())?;
+                (index, families, 0, None, base, 0)
+            }
+        };
     // Physically drop any torn WAL tail before opening the writer. The
     // writer always starts a fresh segment *after* the tear, while replay
     // stops at the *first* invalid byte — so a tear left in place would
@@ -351,6 +365,7 @@ pub(crate) fn open_or_recover(
     Ok(DurableInit {
         state,
         index,
+        families,
         epoch,
         report,
     })

@@ -37,8 +37,9 @@ use crate::sync::time::Instant;
 use crate::sync::{Arc, Condvar, Mutex, Unpoison};
 use crate::vector_epoch::VectorEpoch;
 use esd_core::maintain::{BatchStats, GraphUpdate, MutationBatch, UpdateDisposition};
-use esd_core::{EdgeOwnership, Family, FamilySuite, MaintainedIndex, ScoredEdge};
+use esd_core::{Construction, EdgeOwnership, Family, FamilySuite, MaintainedIndex, ScoredEdge};
 use esd_graph::Graph;
+use std::cell::OnceCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -316,33 +317,59 @@ pub(crate) struct Engine {
     recovery: Option<RecoveryReport>,
 }
 
+/// The graph engines start from, with its one [`Construction`] pass built
+/// on first use: every engine of a fleet that starts from the graph slices
+/// the same pass, and an engine that recovers durable state never runs it.
+#[derive(Debug)]
+pub(crate) struct Origin<'a> {
+    g: &'a Graph,
+    pass: OnceCell<Construction>,
+}
+
+impl<'a> Origin<'a> {
+    pub(crate) fn new(g: &'a Graph) -> Self {
+        Self {
+            g,
+            pass: OnceCell::new(),
+        }
+    }
+
+    /// The index and family suite of `ownership`'s slice of the graph.
+    pub(crate) fn slice(&self, ownership: EdgeOwnership) -> (MaintainedIndex, FamilySuite) {
+        self.pass
+            .get_or_init(|| Construction::new(self.g))
+            .slice(ownership)
+    }
+}
+
 impl Engine {
     /// Infallible constructor for the common in-memory case; panics only
     /// if a configured durable directory cannot be opened or recovered.
     fn new(g: &Graph, cfg: &ServiceConfig, plan: FaultPlan) -> Self {
-        Self::build(g, cfg, plan).expect("durability init failed")
+        Self::build(&Origin::new(g), cfg, plan).expect("durability init failed")
     }
 
     /// Builds the engine, opening (or recovering) the durable directory
     /// when [`ServiceConfig::durability`] is set. The recovered state wins
-    /// over `g`; a fresh durable directory gets a genesis full checkpoint
-    /// of `g` so the starting graph itself is recoverable.
-    fn build(g: &Graph, cfg: &ServiceConfig, plan: FaultPlan) -> std::io::Result<Self> {
-        let (index, epoch, durable, recovery) = match &cfg.durability {
-            None => (MaintainedIndex::new_owned(g, cfg.ownership), 0, None, None),
+    /// over the origin graph; a fresh durable directory gets a genesis full
+    /// checkpoint of it so the starting graph itself is recoverable.
+    fn build(origin: &Origin<'_>, cfg: &ServiceConfig, plan: FaultPlan) -> std::io::Result<Self> {
+        let (index, families, epoch, durable, recovery) = match &cfg.durability {
+            None => {
+                let (index, families) = origin.slice(cfg.ownership);
+                (index, families, 0, None, None)
+            }
             Some(dcfg) => {
-                let init = crate::durability::open_or_recover(g, dcfg, cfg.ownership)?;
+                let init = crate::durability::open_or_recover(origin, dcfg, cfg.ownership)?;
                 (
                     init.index,
+                    init.families,
                     init.epoch,
                     Some(Mutex::new(init.state)),
                     init.report,
                 )
             }
         };
-        // Derived entirely from the graph, so the same construction covers
-        // both a fresh index and a recovered one.
-        let families = FamilySuite::rebuild(index.graph(), cfg.ownership);
         let engine = Self {
             snapshot: SnapshotCell::new(Snapshot::new(epoch, index.clone(), families.clone())),
             cache: ResultCache::new(cfg.cache_capacity),
@@ -908,7 +935,20 @@ impl Service {
         cfg: &ServiceConfig,
         plan: FaultPlan,
     ) -> std::io::Result<Self> {
-        Ok(Self::launch(Arc::new(Engine::build(g, cfg, plan)?), cfg))
+        Self::try_start_from(&Origin::new(g), cfg, plan)
+    }
+
+    /// [`try_start_with_faults`](Self::try_start_with_faults) from an
+    /// origin other engines may share.
+    pub(crate) fn try_start_from(
+        origin: &Origin<'_>,
+        cfg: &ServiceConfig,
+        plan: FaultPlan,
+    ) -> std::io::Result<Self> {
+        Ok(Self::launch(
+            Arc::new(Engine::build(origin, cfg, plan)?),
+            cfg,
+        ))
     }
 
     /// [`start`](Self::start) with a deterministic [`FaultPlan`] armed.

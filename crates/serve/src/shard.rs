@@ -48,8 +48,8 @@ use crate::durability::RecoveryReport;
 use crate::faults::FaultPlan;
 use crate::retry::RetryPolicy;
 use crate::service::{
-    BatchOutcome, EngineHandle, QueryRequest, QueryResponse, ServeError, Service, ServiceConfig,
-    ServiceHandle,
+    BatchOutcome, EngineHandle, Origin, QueryRequest, QueryResponse, ServeError, Service,
+    ServiceConfig, ServiceHandle,
 };
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::time::Instant;
@@ -188,6 +188,8 @@ impl ShardedService {
         plan: impl Fn(u32) -> FaultPlan,
     ) -> std::io::Result<Self> {
         assert!(cfg.shards >= 1, "a sharded service needs at least 1 shard");
+        // One construction pass for every shard that starts from `g`.
+        let origin = Origin::new(g);
         let mut shards = Vec::with_capacity(cfg.shards as usize);
         for i in 0..cfg.shards {
             let mut per = cfg.per_shard.clone();
@@ -195,7 +197,7 @@ impl ShardedService {
             if let Some(d) = &mut per.durability {
                 d.dir = d.dir.join(format!("shard-{i}"));
             }
-            shards.push(Service::try_start_with_faults(g, &per, plan(i))?);
+            shards.push(Service::try_start_from(&origin, &per, plan(i))?);
         }
         Ok(Self {
             shards,

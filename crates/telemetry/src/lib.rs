@@ -113,6 +113,9 @@ catalogue! {
         BuildExtract => "build.extract",
         /// `H(c)` list filling (sequential build).
         BuildFill => "build.fill",
+        /// Every edge's family profiles from the 4-clique pass's ego edges
+        /// (`Construction::new`): the ego-edge CSR and the profile kernel.
+        BuildProfiles => "build.profiles",
         /// Phase A of the parallel build: DAG orientation plus common
         /// neighbourhoods (the sequential triangle kernel).
         ParNeighborhoods => "pbuild.neighborhoods",

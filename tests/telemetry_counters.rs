@@ -13,10 +13,12 @@
 //! before touching it — without the lock, `reset()` in one test would
 //! clobber another test's measurement window.
 
+use esd::api::{ShardConfig, ShardedService};
 use esd::core::maintain::GraphUpdate;
 use esd::core::online::{online_topk_with_stats, UpperBound};
 use esd::core::{EsdIndex, Family, FamilySuite, MaintainedIndex};
 use esd::graph::{cliques, generators};
+use esd::serve::ServiceConfig;
 use esd::telemetry;
 use std::sync::{Mutex, PoisonError};
 
@@ -74,6 +76,25 @@ fn clique_counter_matches_enumerator_ground_truth() {
         expected,
         "MaintainedIndex::new"
     );
+    // The families read their profiles off one pass too, and a fleet runs
+    // one pass for all of its shards.
+    assert_eq!(
+        counted(&|| drop(FamilySuite::new(&g))),
+        expected,
+        "FamilySuite::new"
+    );
+    let fleet = ShardConfig {
+        shards: 2,
+        per_shard: ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        },
+    };
+    assert_eq!(
+        counted(&|| ShardedService::start(&g, &fleet).shutdown()),
+        expected,
+        "2-shard ShardedService::start"
+    );
 
     telemetry::reset();
     let (_, stats) = EsdIndex::build_fast_with_stats(&g);
@@ -97,6 +118,24 @@ fn clique_counter_matches_enumerator_ground_truth() {
             .stage(stage)
             .unwrap_or_else(|| panic!("{stage} missing"));
         assert!(s.count >= 1 && s.total_ns > 0, "{stage} recorded");
+    }
+    // The index build computes no profiles; the family build does, and it
+    // unions nothing.
+    assert!(snap.stage("build.profiles").is_none());
+    telemetry::reset();
+    drop(FamilySuite::new(&g));
+    let snap = telemetry::snapshot();
+    assert_eq!(snap.counter("build.union_ops"), 0);
+    for stage in [
+        "graph.orient",
+        "build.neighborhoods",
+        "build.enumerate",
+        "build.profiles",
+    ] {
+        let s = snap
+            .stage(stage)
+            .unwrap_or_else(|| panic!("{stage} missing"));
+        assert!(s.count == 1 && s.total_ns > 0, "{stage} recorded once");
     }
 }
 
