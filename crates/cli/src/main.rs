@@ -44,7 +44,7 @@
 //!
 //! With `--wal-dir` the serve engine runs durably: every acked update
 //! batch is appended to an epoch-stamped, CRC-checked write-ahead log and
-//! (by default) fsynced before the ack; incremental ESDX delta checkpoints
+//! (by default) fsynced before the ack; periodic full edge-set checkpoints
 //! bound replay time. Restarting `esd serve` with the same `--wal-dir`
 //! recovers the pre-crash published state; `esd recover` inspects a
 //! durable directory offline and can export the recovered index as an
@@ -841,15 +841,16 @@ fn durability_config(opts: &Options) -> Result<Option<DurabilityConfig>, Error> 
     Ok(Some(cfg))
 }
 
-/// Offline recovery: loads the newest valid checkpoint chain from a
-/// durable directory, replays the WAL tail, prints the report, and — with
-/// `-o` — exports the recovered state as an ESDX index.
+/// Offline recovery: loads the newest valid checkpoint from a durable
+/// directory, replays the WAL tail onto its edge set, prints the report,
+/// and — with `-o` — builds the recovered state's ESDX index (the only
+/// construction pass) and exports it.
 fn recover(opts: &Options) -> Result<(), Error> {
     let dir = opts
         .positional
         .first()
         .ok_or("missing durable directory argument")?;
-    let recovered = esd_serve::durability::recover(std::path::Path::new(dir))
+    let replayed = esd_serve::durability::replay(std::path::Path::new(dir))
         .map_err(|e| Error::from(e).context(format!("cannot recover {dir}")))?
         .ok_or_else(|| {
             // A dir without durable state is a runtime failure (exit 1),
@@ -859,7 +860,7 @@ fn recover(opts: &Options) -> Result<(), Error> {
                 format!("{dir} holds no valid durable state"),
             ))
         })?;
-    let report = &recovered.report;
+    let report = &replayed.report;
     println!("recovered {dir}:");
     println!("  checkpoint epoch        {}", report.checkpoint_epoch);
     println!("  wal records replayed    {}", report.wal_records_replayed);
@@ -877,7 +878,7 @@ fn recover(opts: &Options) -> Result<(), Error> {
         report.skipped_invalid_checkpoints
     );
     println!("  recovered epoch         {}", report.recovered_epoch);
-    let g = recovered.index.graph();
+    let g = &replayed.graph;
     println!(
         "  state                   {} vertices, {} edges",
         g.num_vertices(),

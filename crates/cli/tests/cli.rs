@@ -338,6 +338,120 @@ fn sharded_serve_answers_over_tcp() {
     assert!(rest.contains("-- shard 1 --"), "{rest}");
 }
 
+/// `esd serve --wal-dir` then `esd recover -o`: the offline report names
+/// the checkpoint and the replayed WAL tail, and the exported index ranks
+/// exactly like a fresh build of the served graph.
+#[test]
+fn recover_exports_the_served_state() {
+    let dir = temp_dir("recover_exports_the_served_state");
+    let graph = write_fig1(&dir);
+    let wal = dir.join("wal");
+    let _ = std::fs::remove_dir_all(&wal);
+    let mut child = bin()
+        .args([
+            "serve",
+            graph.to_str().unwrap(),
+            "--port",
+            "0",
+            "--wal-dir",
+            wal.to_str().unwrap(),
+            "--checkpoint-interval",
+            "2",
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut child_out = BufReader::new(child.stdout.take().unwrap());
+    let mut banner = String::new();
+    child_out.read_line(&mut banner).unwrap();
+    assert!(banner.starts_with("listening on "), "{banner}");
+    let addr = banner
+        .trim_start_matches("listening on ")
+        .split_whitespace()
+        .next()
+        .unwrap()
+        .to_string();
+
+    // The served graph in dense ids, and three writes that each publish:
+    // two removals and one insertion, in original ids.
+    let (g, ids) = esd_graph::io::load_edge_list(&graph).unwrap();
+    let mut served = esd_graph::DynamicGraph::from_graph(&g);
+    let edges = g.edges();
+    let absent = (0..g.num_vertices() as u32)
+        .flat_map(|u| (u + 1..g.num_vertices() as u32).map(move |v| (u, v)))
+        .find(|&(u, v)| !served.has_edge(u, v))
+        .unwrap();
+    let writes = [
+        ('-', edges[0].u, edges[0].v),
+        ('-', edges[3].u, edges[3].v),
+        ('+', absent.0, absent.1),
+    ];
+    let mut conn = TcpStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap(); // protocol banner
+    for &(op, u, v) in &writes {
+        writeln!(conn, "{op} {} {}", ids[u as usize], ids[v as usize]).unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains(": ok"), "{line}");
+        let changed = if op == '+' {
+            served.insert_edge(u, v)
+        } else {
+            served.remove_edge(u, v)
+        };
+        assert!(changed);
+    }
+    writeln!(conn, "quit").unwrap();
+    child.stdin.as_mut().unwrap().write_all(b"quit\n").unwrap();
+    assert!(child.wait().unwrap().success());
+
+    let out_path = dir.join("recovered.esdx");
+    let out = bin()
+        .args([
+            "recover",
+            wal.to_str().unwrap(),
+            "-o",
+            out_path.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let expected = esd_core::EsdIndex::build_fast(&served.to_graph());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!(
+            "recovered {wal}:\n\
+             \x20 checkpoint epoch        2\n\
+             \x20 wal records replayed    1\n\
+             \x20 wal segments scanned    1\n\
+             \x20 wal torn tail           no\n\
+             \x20 invalid checkpoints     0\n\
+             \x20 recovered epoch         3\n\
+             \x20 state                   {} vertices, {} edges\n\
+             wrote {out} ({} lists, {} entries)\n",
+            served.num_vertices(),
+            served.num_edges(),
+            expected.num_lists(),
+            expected.total_entries(),
+            wal = wal.display(),
+            out = out_path.display(),
+        )
+    );
+    let recovered = esd_core::EsdIndex::load(&out_path).unwrap();
+    for k in [1, 3, 10, 100] {
+        for tau in 1..=4 {
+            assert_eq!(
+                recovered.query(k, tau),
+                expected.query(k, tau),
+                "k={k} tau={tau}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn ego_renders_dot() {
     let dir = temp_dir("ego_renders_dot");

@@ -30,7 +30,7 @@ mod parallel;
 pub mod persist;
 
 pub use build::BuildStats;
-pub use delta::{DeltaError, EdgeSetDelta, EdgeSetSnapshot};
+pub use delta::{EdgeSetError, EdgeSetSnapshot};
 
 /// Assembles an [`EsdIndex`] from precomputed per-edge component sizes
 /// (Algorithm 2 lines 5–15). Exposed so callers timing or customising the

@@ -1,35 +1,36 @@
-//! The checkpoint store: atomic, fsynced, checksummed full/delta
-//! checkpoint files with crash-safe chain discovery.
+//! The checkpoint store: atomic, fsynced, checksummed full checkpoint
+//! files with crash-safe discovery of the newest valid one.
 //!
 //! ## On-disk format
 //!
-//! Each checkpoint is one file in the log directory:
-//!
-//! * `ckpt-<epoch:016x>.full` — a complete state payload at `epoch`;
-//! * `ckpt-<base:016x>-<epoch:016x>.delta` — a delta payload that, applied
-//!   to the **full** checkpoint at `base`, yields the state at `epoch`.
-//!
-//! Every delta chains directly off a full checkpoint (never off another
-//! delta), so recovery needs at most two files and one bad delta costs one
-//! checkpoint interval of extra WAL replay, not the whole chain. The file
-//! envelope is:
+//! Each checkpoint is one file in the log directory,
+//! `ckpt-<epoch:016x>.full`: a complete state payload at `epoch`. The
+//! file envelope is:
 //!
 //! ```text
-//! magic "ESDK" | u32 version | u8 kind | u64 base_epoch | u64 epoch
+//! magic "ESDK" | u32 version | u8 kind (0) | u64 base_epoch (= epoch) | u64 epoch
 //! | u64 payload_len | payload | u32 crc32
 //! ```
 //!
 //! with the CRC covering everything after the magic. Payloads are opaque
-//! bytes — the serving layer encodes them with `esd-core`'s ESDX delta
+//! bytes — the serving layer encodes them with `esd-core`'s edge-set
 //! codec, keeping this crate index-family-agnostic.
+//!
+//! Directories written by earlier versions may also hold
+//! `ckpt-<base:016x>-<epoch:016x>.delta` files: kind 1 in the same
+//! envelope, an incremental payload against the full checkpoint at
+//! `base`. They are never read — recovery starts from the newest full
+//! checkpoint and replays the WAL past it, which those versions kept from
+//! their retained fallback generation on — and
+//! [`CheckpointStore::purge_older_than`] deletes them.
 //!
 //! ## Write protocol
 //!
-//! [`CheckpointStore::write_full`]/[`write_delta`](CheckpointStore::write_delta)
-//! write to a temporary sibling, fsync **the file**, rename into place,
-//! then fsync **the directory** — the full tmp+rename+fsync dance, so a
-//! crash at any byte leaves either the old chain or the complete new file,
-//! never a torn checkpoint with a valid name.
+//! [`CheckpointStore::write_full`] writes to a temporary sibling, fsyncs
+//! **the file**, renames into place, then fsyncs **the directory** — the
+//! full tmp+rename+fsync dance, so a crash at any byte leaves either the
+//! old checkpoints or the complete new file, never a torn checkpoint with
+//! a valid name.
 
 use crate::crc32::crc32;
 use std::fs::File;
@@ -40,42 +41,25 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: &[u8; 4] = b"ESDK";
 /// Checkpoint envelope version.
 pub const VERSION: u32 = 1;
+/// The envelope's kind byte for a full checkpoint (1 marked the retired
+/// delta kind).
+const KIND_FULL: u8 = 0;
 /// Upper bound on a checkpoint payload (1 GiB) — larger length fields are
 /// treated as corruption.
 const MAX_PAYLOAD: u64 = 1 << 30;
 
-/// Whether a checkpoint file carries a complete state or a delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointKind {
-    /// Complete state at `epoch`.
-    Full,
-    /// Changes from the full checkpoint at `base_epoch` up to `epoch`.
-    Delta,
-}
-
-/// The newest valid checkpoint chain found by
-/// [`CheckpointStore::load_chain`].
+/// The newest valid full checkpoint found by
+/// [`CheckpointStore::load_newest`].
 #[derive(Debug)]
 pub struct LoadedCheckpoint {
-    /// Epoch of the full checkpoint the chain starts from.
-    pub full_epoch: u64,
-    /// Payload of that full checkpoint.
-    pub full_payload: Vec<u8>,
-    /// The newest valid delta based on that full checkpoint, if any:
-    /// `(epoch, payload)`.
-    pub delta: Option<(u64, Vec<u8>)>,
-    /// Checkpoint files that failed validation and were skipped during
-    /// discovery (corruption tolerated, surfaced for observability).
+    /// Epoch the checkpoint restores to.
+    pub epoch: u64,
+    /// Its payload.
+    pub payload: Vec<u8>,
+    /// Newer checkpoint files that failed validation and were skipped
+    /// during discovery (corruption tolerated, surfaced for
+    /// observability).
     pub skipped_invalid: usize,
-}
-
-impl LoadedCheckpoint {
-    /// The epoch the chain restores to (delta epoch if present, else the
-    /// full checkpoint's).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.delta.as_ref().map_or(self.full_epoch, |(e, _)| *e)
-    }
 }
 
 /// A directory of checkpoint files. Cheap to construct; all state is on
@@ -102,37 +86,14 @@ impl CheckpointStore {
 
     /// Durably writes a full checkpoint at `epoch`.
     pub fn write_full(&self, epoch: u64, payload: &[u8]) -> io::Result<PathBuf> {
-        self.write(CheckpointKind::Full, epoch, epoch, payload)
-    }
-
-    /// Durably writes a delta checkpoint at `epoch` based on the full
-    /// checkpoint at `base_epoch`.
-    pub fn write_delta(&self, base_epoch: u64, epoch: u64, payload: &[u8]) -> io::Result<PathBuf> {
-        self.write(CheckpointKind::Delta, base_epoch, epoch, payload)
-    }
-
-    fn write(
-        &self,
-        kind: CheckpointKind,
-        base_epoch: u64,
-        epoch: u64,
-        payload: &[u8],
-    ) -> io::Result<PathBuf> {
-        let name = match kind {
-            CheckpointKind::Full => format!("ckpt-{epoch:016x}.full"),
-            CheckpointKind::Delta => format!("ckpt-{base_epoch:016x}-{epoch:016x}.delta"),
-        };
-        let mut body = Vec::with_capacity(25 + payload.len());
-        body.push(match kind {
-            CheckpointKind::Full => 0u8,
-            CheckpointKind::Delta => 1u8,
-        });
-        body.extend_from_slice(&base_epoch.to_le_bytes());
-        body.extend_from_slice(&epoch.to_le_bytes());
-        body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let mut versioned = Vec::with_capacity(4 + body.len() + payload.len());
+        let name = format!("ckpt-{epoch:016x}.full");
+        let mut versioned = Vec::with_capacity(29 + payload.len());
         versioned.extend_from_slice(&VERSION.to_le_bytes());
-        versioned.extend_from_slice(&body);
+        versioned.push(KIND_FULL);
+        // The base epoch field equals the epoch for a full checkpoint.
+        versioned.extend_from_slice(&epoch.to_le_bytes());
+        versioned.extend_from_slice(&epoch.to_le_bytes());
+        versioned.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         versioned.extend_from_slice(payload);
         let crc = crc32(&versioned);
 
@@ -154,74 +115,47 @@ impl CheckpointStore {
         Ok(path)
     }
 
-    /// Loads the newest valid checkpoint chain: the highest-epoch full
-    /// checkpoint that validates, plus the newest valid delta based on it.
-    /// Corrupt files are skipped (counted in
-    /// [`LoadedCheckpoint::skipped_invalid`]); `None` when no valid full
-    /// checkpoint exists.
-    pub fn load_chain(&self) -> io::Result<Option<LoadedCheckpoint>> {
+    /// Loads the highest-epoch full checkpoint that validates. Corrupt
+    /// files are skipped (counted in [`LoadedCheckpoint::skipped_invalid`]);
+    /// `None` when no valid full checkpoint exists.
+    pub fn load_newest(&self) -> io::Result<Option<LoadedCheckpoint>> {
         let mut fulls: Vec<(u64, PathBuf)> = Vec::new();
-        let mut deltas: Vec<(u64, u64, PathBuf)> = Vec::new();
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             if let Some(epoch) = parse_full_name(name) {
                 fulls.push((epoch, entry.path()));
-            } else if let Some((base, epoch)) = parse_delta_name(name) {
-                deltas.push((base, epoch, entry.path()));
             }
         }
         fulls.sort_by_key(|(epoch, _)| std::cmp::Reverse(*epoch));
-        deltas.sort_by_key(|(_, epoch, _)| std::cmp::Reverse(*epoch));
-
-        let mut skipped = 0;
-        for (full_epoch, path) in fulls {
-            let Some(full_payload) =
-                read_valid(&path, CheckpointKind::Full, full_epoch, full_epoch)
-            else {
-                skipped += 1;
-                continue;
-            };
-            let mut delta = None;
-            for (base, epoch, dpath) in &deltas {
-                if *base != full_epoch || *epoch <= full_epoch {
-                    continue;
-                }
-                match read_valid(dpath, CheckpointKind::Delta, *base, *epoch) {
-                    Some(payload) => {
-                        delta = Some((*epoch, payload));
-                        break;
-                    }
-                    None => skipped += 1,
-                }
+        for (skipped_invalid, (epoch, path)) in fulls.into_iter().enumerate() {
+            if let Some(payload) = read_valid(&path, epoch) {
+                return Ok(Some(LoadedCheckpoint {
+                    epoch,
+                    payload,
+                    skipped_invalid,
+                }));
             }
-            return Ok(Some(LoadedCheckpoint {
-                full_epoch,
-                full_payload,
-                delta,
-                skipped_invalid: skipped,
-            }));
         }
         Ok(None)
     }
 
-    /// Deletes checkpoint files whose end epoch is below `epoch`, plus any
-    /// stale `.tmp` leftovers. Returns the number of files removed. Call
-    /// with the *previous* full checkpoint's epoch to always retain one
-    /// complete fallback generation.
+    /// Deletes full checkpoints whose epoch is below `epoch`, plus any
+    /// stale `.tmp` leftovers and any `.delta` file an earlier version
+    /// left (nothing reads them). Returns the number of files removed.
+    /// Call with the *previous* full checkpoint's epoch to always retain
+    /// one complete fallback generation.
     pub fn purge_older_than(&self, epoch: u64) -> io::Result<usize> {
         let mut removed = 0;
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let stale = if name.starts_with("ckpt-") && name.ends_with(".tmp") {
-                true
-            } else if let Some(e) = parse_full_name(name) {
-                e < epoch
-            } else if let Some((_, e)) = parse_delta_name(name) {
-                e < epoch
+            let stale = if name.starts_with("ckpt-") {
+                name.ends_with(".tmp")
+                    || name.ends_with(".delta")
+                    || parse_full_name(name).is_some_and(|e| e < epoch)
             } else {
                 false
             };
@@ -242,22 +176,11 @@ fn parse_full_name(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-fn parse_delta_name(name: &str) -> Option<(u64, u64)> {
-    let rest = name.strip_prefix("ckpt-")?.strip_suffix(".delta")?;
-    let (base, epoch) = rest.split_once('-')?;
-    if base.len() != 16 || epoch.len() != 16 {
-        return None;
-    }
-    Some((
-        u64::from_str_radix(base, 16).ok()?,
-        u64::from_str_radix(epoch, 16).ok()?,
-    ))
-}
-
-/// Reads and fully validates one checkpoint file: magic, version, kind,
-/// epochs matching the file name, payload length, and CRC. `None` on any
-/// mismatch — never panics, never returns partially validated bytes.
-fn read_valid(path: &Path, kind: CheckpointKind, base_epoch: u64, epoch: u64) -> Option<Vec<u8>> {
+/// Reads and fully validates one full checkpoint file: magic, version,
+/// kind, epochs matching the file name, payload length, and CRC. `None`
+/// on any mismatch — never panics, never returns partially validated
+/// bytes.
+fn read_valid(path: &Path, epoch: u64) -> Option<Vec<u8>> {
     let bytes = std::fs::read(path).ok()?;
     // magic(4) + version(4) + kind(1) + base(8) + epoch(8) + len(8) + crc(4)
     if bytes.len() < 37 || &bytes[..4] != MAGIC {
@@ -272,15 +195,10 @@ fn read_valid(path: &Path, kind: CheckpointKind, base_epoch: u64, epoch: u64) ->
         return None;
     }
     let body = &versioned[4..];
-    let file_kind = match body[0] {
-        0 => CheckpointKind::Full,
-        1 => CheckpointKind::Delta,
-        _ => return None,
-    };
     let file_base = u64::from_le_bytes(body[1..9].try_into().ok()?);
     let file_epoch = u64::from_le_bytes(body[9..17].try_into().ok()?);
     let payload_len = u64::from_le_bytes(body[17..25].try_into().ok()?);
-    if file_kind != kind || file_base != base_epoch || file_epoch != epoch {
+    if body[0] != KIND_FULL || file_base != epoch || file_epoch != epoch {
         return None;
     }
     if payload_len > MAX_PAYLOAD || payload_len != (body.len() - 25) as u64 {
@@ -299,53 +217,45 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn full_plus_delta_chain() {
-        let dir = tmp("chain");
-        let store = CheckpointStore::open(&dir).unwrap();
-        assert!(store.load_chain().unwrap().is_none());
-        store.write_full(10, b"state@10").unwrap();
-        store.write_delta(10, 14, b"delta@14").unwrap();
-        store.write_delta(10, 18, b"delta@18").unwrap();
-        let chain = store.load_chain().unwrap().unwrap();
-        assert_eq!(chain.full_epoch, 10);
-        assert_eq!(chain.full_payload, b"state@10");
-        assert_eq!(chain.delta, Some((18, b"delta@18".to_vec())));
-        assert_eq!(chain.epoch(), 18);
-        assert_eq!(chain.skipped_invalid, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
+    /// A delta checkpoint file as earlier versions wrote it: the same
+    /// envelope with kind 1, named `ckpt-<base>-<epoch>.delta`.
+    fn write_legacy_delta(dir: &Path, base: u64, epoch: u64, payload: &[u8]) -> PathBuf {
+        let mut versioned = VERSION.to_le_bytes().to_vec();
+        versioned.push(1);
+        versioned.extend_from_slice(&base.to_le_bytes());
+        versioned.extend_from_slice(&epoch.to_le_bytes());
+        versioned.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        versioned.extend_from_slice(payload);
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&versioned);
+        bytes.extend_from_slice(&crc32(&versioned).to_le_bytes());
+        let path = dir.join(format!("ckpt-{base:016x}-{epoch:016x}.delta"));
+        std::fs::write(&path, bytes).unwrap();
+        path
     }
 
     #[test]
-    fn newest_full_wins_and_foreign_deltas_ignored() {
+    fn newest_valid_full_wins_and_legacy_deltas_are_ignored() {
         let dir = tmp("newest");
         let store = CheckpointStore::open(&dir).unwrap();
+        assert!(store.load_newest().unwrap().is_none());
         store.write_full(10, b"old").unwrap();
-        store.write_delta(10, 12, b"old-delta").unwrap();
+        write_legacy_delta(&dir, 10, 12, b"old-delta");
         store.write_full(20, b"new").unwrap();
-        let chain = store.load_chain().unwrap().unwrap();
-        assert_eq!(chain.full_epoch, 20);
-        assert_eq!(
-            chain.delta, None,
-            "deltas based on the old full are not chained"
-        );
+        write_legacy_delta(&dir, 20, 24, b"new-delta");
+        let loaded = store.load_newest().unwrap().unwrap();
+        assert_eq!(loaded.epoch, 20);
+        assert_eq!(loaded.payload, b"new");
+        assert_eq!(loaded.skipped_invalid, 0, "a delta is not a checkpoint");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn corrupt_delta_falls_back_to_full() {
-        let dir = tmp("corrupt_delta");
+    fn legacy_deltas_alone_are_no_durable_state() {
+        let dir = tmp("deltas_only");
         let store = CheckpointStore::open(&dir).unwrap();
-        store.write_full(5, b"base").unwrap();
-        let dpath = store.write_delta(5, 9, b"will-corrupt").unwrap();
-        let mut bytes = std::fs::read(&dpath).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x80;
-        std::fs::write(&dpath, &bytes).unwrap();
-        let chain = store.load_chain().unwrap().unwrap();
-        assert_eq!(chain.full_epoch, 5);
-        assert_eq!(chain.delta, None);
-        assert_eq!(chain.skipped_invalid, 1);
+        write_legacy_delta(&dir, 0, 4, b"delta-bytes");
+        assert!(store.load_newest().unwrap().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -354,16 +264,15 @@ mod tests {
         let dir = tmp("corrupt_full");
         let store = CheckpointStore::open(&dir).unwrap();
         store.write_full(5, b"older").unwrap();
-        store.write_delta(5, 7, b"older-delta").unwrap();
         let fpath = store.write_full(9, b"newer").unwrap();
         let mut bytes = std::fs::read(&fpath).unwrap();
         let last = bytes.len() - 10;
         bytes[last] ^= 0xFF;
         std::fs::write(&fpath, &bytes).unwrap();
-        let chain = store.load_chain().unwrap().unwrap();
-        assert_eq!(chain.full_epoch, 5);
-        assert_eq!(chain.delta, Some((7, b"older-delta".to_vec())));
-        assert!(chain.skipped_invalid >= 1);
+        let loaded = store.load_newest().unwrap().unwrap();
+        assert_eq!(loaded.epoch, 5);
+        assert_eq!(loaded.payload, b"older");
+        assert_eq!(loaded.skipped_invalid, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -378,12 +287,12 @@ mod tests {
         for len in 0..bytes.len() {
             std::fs::write(&path, &bytes[..len]).unwrap();
             assert!(
-                store.load_chain().unwrap().is_none(),
+                store.load_newest().unwrap().is_none(),
                 "truncated to {len} bytes must not validate"
             );
         }
         std::fs::write(&path, &bytes).unwrap();
-        assert!(store.load_chain().unwrap().is_some());
+        assert!(store.load_newest().unwrap().is_some());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -392,14 +301,23 @@ mod tests {
         let dir = tmp("purge");
         let store = CheckpointStore::open(&dir).unwrap();
         store.write_full(5, b"g1").unwrap();
-        store.write_delta(5, 7, b"g1d").unwrap();
+        write_legacy_delta(&dir, 5, 7, b"g1d");
         store.write_full(10, b"g2").unwrap();
-        store.write_delta(10, 12, b"g2d").unwrap();
-        let removed = store.purge_older_than(10).unwrap();
-        assert_eq!(removed, 2);
-        let chain = store.load_chain().unwrap().unwrap();
-        assert_eq!(chain.full_epoch, 10);
-        assert_eq!(chain.delta, Some((12, b"g2d".to_vec())));
+        write_legacy_delta(&dir, 10, 12, b"g2d");
+        store.write_full(15, b"g3").unwrap();
+        std::fs::write(dir.join("ckpt-0000000000000014.full.tmp"), b"torn").unwrap();
+        // The full below the retained epoch, both deltas and the tmp go.
+        assert_eq!(store.purge_older_than(10).unwrap(), 4);
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(
+            left,
+            ["ckpt-000000000000000a.full", "ckpt-000000000000000f.full"]
+        );
+        assert_eq!(store.load_newest().unwrap().unwrap().epoch, 15);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -409,10 +327,10 @@ mod tests {
         // validation (kind and epochs are inside the checksummed body).
         let dir = tmp("confusion");
         let store = CheckpointStore::open(&dir).unwrap();
-        let dpath = store.write_delta(2, 4, b"delta-bytes").unwrap();
+        let dpath = write_legacy_delta(&dir, 4, 4, b"delta-bytes");
         let fake = dir.join(format!("ckpt-{:016x}.full", 4));
         std::fs::rename(&dpath, &fake).unwrap();
-        assert!(store.load_chain().unwrap().is_none());
+        assert!(store.load_newest().unwrap().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

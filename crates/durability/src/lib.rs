@@ -11,17 +11,16 @@
 //!   ([`wal::WalWriter::mark`]/[`wal::WalWriter::truncate_to`]), and a
 //!   corruption-tolerant reader that stops at the last valid record.
 //! * [`checkpoint`] — an atomic (tmp + file-fsync + rename + dir-fsync)
-//!   store of **full** and **delta** checkpoint files with crash-safe
-//!   newest-valid-chain discovery.
+//!   store of **full** checkpoint files with crash-safe discovery of the
+//!   newest valid one.
 //! * [`crc32`] — the hand-rolled CRC-32 both formats share (the build
 //!   environment is offline; no external crates).
 //!
 //! The crate is deliberately **index-family-agnostic**: it speaks epochs
 //! and byte payloads only. `esd-serve` supplies the payload codecs
-//! (serialized update batches for WAL records, `esd-core`'s ESDX delta
+//! (serialized update batches for WAL records, `esd-core`'s edge-set
 //! codec for checkpoints) and drives recovery by replaying WAL records
-//! with epoch greater than the loaded checkpoint's through its normal
-//! apply pipeline. The same machinery can therefore back the truss-based
+//! with epoch greater than the loaded checkpoint's onto its edge set. The same machinery can therefore back the truss-based
 //! or parameter-free diversity variants without modification.
 //!
 //! ```
@@ -46,7 +45,7 @@ pub mod crc32;
 pub(crate) mod sync;
 pub mod wal;
 
-pub use checkpoint::{CheckpointKind, CheckpointStore, LoadedCheckpoint};
+pub use checkpoint::{CheckpointStore, LoadedCheckpoint};
 pub use wal::{
     read_dir, repair_dir, sync_dir, WalMark, WalOptions, WalRecord, WalReplay, WalWriter,
 };

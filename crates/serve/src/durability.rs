@@ -1,5 +1,5 @@
 //! Durable serving: the glue between the index-family-agnostic
-//! `esd-durability` primitives (epoch-stamped WAL, full/delta checkpoint
+//! `esd-durability` primitives (epoch-stamped WAL, full checkpoint
 //! store) and this crate's engine.
 //!
 //! ## Ack contract
@@ -25,24 +25,21 @@
 //!
 //! WAL payloads are the window's [`GraphUpdate`] list in a tiny versioned
 //! codec ([`encode_updates`]/[`decode_updates`]); the WAL frame's CRC
-//! covers them. Checkpoint payloads are `esd-core`'s ESDX edge-set codec
-//! ([`EdgeSetSnapshot`]/[`EdgeSetDelta`]): deltas chain off the last
-//! *full* checkpoint (never delta-of-delta), and a delta whose change
-//! ratio exceeds [`DurabilityConfig::delta_ratio_permille`] falls back to
-//! a fresh full checkpoint, which also lets old WAL segments and the
-//! oldest checkpoint generation be purged. The WAL is only purged up to
-//! the *retained fallback* generation's epoch — one generation behind the
-//! checkpoint just written — so that if the newest full checkpoint is
-//! later found corrupt, the fallback chain plus the surviving WAL can
-//! still reconstruct every acked batch.
+//! covers them. Every checkpoint is a full edge set in `esd-core`'s
+//! codec ([`EdgeSetSnapshot`]); writing one lets the oldest checkpoint
+//! generation and old WAL segments be purged. The WAL is only purged up
+//! to the *retained fallback* generation's epoch — one generation behind
+//! the checkpoint just written — so that if the newest checkpoint is
+//! later found corrupt, the fallback plus the surviving WAL can still
+//! reconstruct every acked batch.
 //!
 //! ## Recovery
 //!
-//! [`recover`] loads the newest valid checkpoint chain, replays every WAL
-//! record with epoch greater than the chain's onto its edge set by
-//! [`MaintainedIndex::apply_batch`]'s rules, then builds the maintained
-//! index and the family suite from one construction pass over the final
-//! graph. Corruption anywhere
+//! [`replay`] loads the newest valid full checkpoint and replays every WAL
+//! record with a greater epoch onto its edge set by
+//! [`MaintainedIndex::apply_batch`]'s rules; [`recover`] then builds the
+//! maintained index and the family suite from one construction pass over
+//! the final graph. Corruption anywhere
 //! (checkpoint or WAL) degrades gracefully: invalid checkpoints are
 //! skipped, WAL replay stops at the last valid record, and nothing ever
 //! panics on garbage bytes. Before the service re-opens the WAL for
@@ -53,7 +50,7 @@
 //! batches acked and fsynced after the restart.
 
 use crate::service::Origin;
-use esd_core::index::delta::{EdgeSetDelta, EdgeSetSnapshot};
+use esd_core::index::delta::EdgeSetSnapshot;
 use esd_core::maintain::GraphUpdate;
 use esd_core::{Construction, FamilySuite, MaintainedIndex};
 use esd_durability::{CheckpointStore, WalOptions, WalWriter};
@@ -89,9 +86,6 @@ pub struct DurabilityConfig {
     pub checkpoint_interval: u64,
     /// WAL segment rotation threshold in bytes.
     pub segment_bytes: u64,
-    /// Delta checkpoints whose `(added + removed) / base_edges` ratio
-    /// exceeds this many per-mille fall back to a full checkpoint.
-    pub delta_ratio_permille: u32,
     /// Under [`AckPolicy::Enqueue`], fsync once this many un-synced WAL
     /// bytes accumulate.
     pub group_bytes: u64,
@@ -106,7 +100,6 @@ impl DurabilityConfig {
             ack_policy: AckPolicy::Fsync,
             checkpoint_interval: 32,
             segment_bytes: 8 << 20,
-            delta_ratio_permille: 250,
             group_bytes: 256 << 10,
         }
     }
@@ -171,7 +164,7 @@ pub fn decode_updates(payload: &[u8]) -> io::Result<Vec<GraphUpdate>> {
 /// [`crate::Service::recovery_report`] and printed by `esd recover`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Epoch the loaded checkpoint chain restored (full, or full + delta).
+    /// Epoch of the full checkpoint recovery started from.
     pub checkpoint_epoch: u64,
     /// WAL records replayed on top of the checkpoint.
     pub wal_records_replayed: u64,
@@ -187,6 +180,17 @@ pub struct RecoveryReport {
     pub recovered_epoch: u64,
 }
 
+/// The durable edge set after replay: the newest valid full checkpoint
+/// with the WAL tail applied, and the report describing how it was
+/// reconstructed. No index is built.
+#[derive(Debug)]
+pub struct Replayed {
+    /// The recovered graph.
+    pub graph: DynamicGraph,
+    /// How replay got there.
+    pub report: RecoveryReport,
+}
+
 /// A recovered serving state: the rebuilt index and family suite, their
 /// epoch, and the report describing how they were reconstructed.
 #[derive(Debug)]
@@ -199,24 +203,52 @@ pub struct Recovered {
     pub epoch: u64,
     /// How recovery got there.
     pub report: RecoveryReport,
-    /// The last *full* checkpoint's edge set — the base future delta
-    /// checkpoints diff against.
-    pub(crate) base: EdgeSetSnapshot,
-    /// Epoch of that full checkpoint.
-    pub(crate) base_epoch: u64,
 }
 
-fn invalid(e: impl std::fmt::Display) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-}
-
-/// Loads the newest valid checkpoint chain from `dir`, replays the WAL
+/// Loads the newest valid full checkpoint from `dir` and replays the WAL
 /// tail onto its edge set (by [`GraphUpdate::apply_to`], the rules of
-/// [`MaintainedIndex::apply_batch`]) and runs one construction pass over
-/// the result. Returns `None` when the
-/// directory holds no valid checkpoint (a fresh durable directory — the
-/// genesis checkpoint is written before the first WAL record, so "no
-/// checkpoint" means "no durable state").
+/// [`MaintainedIndex::apply_batch`]). Returns `None` when the directory
+/// holds no valid checkpoint (a fresh durable directory — the genesis
+/// checkpoint is written before the first WAL record, so "no checkpoint"
+/// means "no durable state").
+pub fn replay(dir: &Path) -> io::Result<Option<Replayed>> {
+    let _span = esd_telemetry::span(esd_telemetry::Stage::WalReplay);
+    let store = CheckpointStore::open(dir)?;
+    let Some(checkpoint) = store.load_newest()? else {
+        return Ok(None);
+    };
+    let state = EdgeSetSnapshot::decode(&checkpoint.payload)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let mut graph = DynamicGraph::from_graph(&state.to_graph());
+    let wal = esd_durability::read_dir(dir)?;
+    let mut replayed = 0u64;
+    let mut epoch = checkpoint.epoch;
+    for record in &wal.records {
+        if record.epoch <= checkpoint.epoch {
+            continue;
+        }
+        for update in decode_updates(&record.payload)? {
+            update.apply_to(&mut graph);
+        }
+        replayed += 1;
+        epoch = record.epoch;
+    }
+    esd_telemetry::add(esd_telemetry::Metric::WalReplayedRecords, replayed);
+    Ok(Some(Replayed {
+        graph,
+        report: RecoveryReport {
+            checkpoint_epoch: checkpoint.epoch,
+            wal_records_replayed: replayed,
+            wal_truncated: wal.truncated,
+            wal_segments: wal.segments,
+            skipped_invalid_checkpoints: checkpoint.skipped_invalid,
+            recovered_epoch: epoch,
+        },
+    }))
+}
+
+/// [`replay`], then one construction pass over the result. Returns `None`
+/// when the directory holds no durable state.
 pub fn recover(dir: &Path) -> io::Result<Option<Recovered>> {
     recover_owned(dir, esd_core::EdgeOwnership::ALL)
 }
@@ -229,50 +261,15 @@ pub fn recover_owned(
     dir: &Path,
     ownership: esd_core::EdgeOwnership,
 ) -> io::Result<Option<Recovered>> {
-    let _span = esd_telemetry::span(esd_telemetry::Stage::WalReplay);
-    let store = CheckpointStore::open(dir)?;
-    let Some(chain) = store.load_chain()? else {
+    let Some(Replayed { graph, report }) = replay(dir)? else {
         return Ok(None);
     };
-    let base = EdgeSetSnapshot::decode(&chain.full_payload).map_err(invalid)?;
-    let state = match &chain.delta {
-        Some((_, payload)) => EdgeSetDelta::decode(payload)
-            .map_err(invalid)?
-            .apply(&base)
-            .map_err(invalid)?,
-        None => base.clone(),
-    };
-    let checkpoint_epoch = chain.epoch();
-    let mut graph = DynamicGraph::from_graph(&state.to_graph());
-    let replay = esd_durability::read_dir(dir)?;
-    let mut replayed = 0u64;
-    let mut epoch = checkpoint_epoch;
-    for record in &replay.records {
-        if record.epoch <= checkpoint_epoch {
-            continue;
-        }
-        for update in decode_updates(&record.payload)? {
-            update.apply_to(&mut graph);
-        }
-        replayed += 1;
-        epoch = record.epoch;
-    }
-    esd_telemetry::add(esd_telemetry::Metric::WalReplayedRecords, replayed);
     let (index, families) = Construction::new(&graph.to_graph()).slice(ownership);
     Ok(Some(Recovered {
         index,
         families,
-        epoch,
-        report: RecoveryReport {
-            checkpoint_epoch,
-            wal_records_replayed: replayed,
-            wal_truncated: replay.truncated,
-            wal_segments: replay.segments,
-            skipped_invalid_checkpoints: chain.skipped_invalid,
-            recovered_epoch: epoch,
-        },
-        base,
-        base_epoch: chain.full_epoch,
+        epoch: report.recovered_epoch,
+        report,
     }))
 }
 
@@ -286,16 +283,13 @@ pub(crate) struct DurableState {
     pub(crate) ckpts: CheckpointStore,
     pub(crate) policy: AckPolicy,
     pub(crate) checkpoint_interval: u64,
-    pub(crate) delta_ratio_permille: u32,
     pub(crate) group_bytes: u64,
-    /// Publications since the last checkpoint (full or delta).
+    /// Publications since the last checkpoint.
     pub(crate) publications: u64,
-    /// Edge set of the last *full* checkpoint — what deltas diff against.
-    pub(crate) base: EdgeSetSnapshot,
-    /// Epoch of that full checkpoint.
-    pub(crate) base_epoch: u64,
-    /// Epoch of the *previous* full checkpoint generation, retained as a
-    /// fallback until the next full checkpoint supersedes it.
+    /// Epoch of the newest checkpoint.
+    pub(crate) full_epoch: u64,
+    /// Epoch of the *previous* checkpoint generation, retained as a
+    /// fallback until the next checkpoint supersedes it.
     pub(crate) prev_full_epoch: u64,
 }
 
@@ -320,24 +314,16 @@ pub(crate) fn open_or_recover(
     cfg: &DurabilityConfig,
     ownership: esd_core::EdgeOwnership,
 ) -> io::Result<DurableInit> {
-    let (index, families, epoch, report, base, base_epoch) =
-        match recover_owned(&cfg.dir, ownership)? {
-            Some(rec) => (
-                rec.index,
-                rec.families,
-                rec.epoch,
-                Some(rec.report),
-                rec.base,
-                rec.base_epoch,
-            ),
-            None => {
-                let store = CheckpointStore::open(&cfg.dir)?;
-                let (index, families) = origin.slice(ownership);
-                let base = EdgeSetSnapshot::from_graph(index.graph());
-                store.write_full(0, &base.encode())?;
-                (index, families, 0, None, base, 0)
-            }
-        };
+    let (index, families, epoch, report) = match recover_owned(&cfg.dir, ownership)? {
+        Some(rec) => (rec.index, rec.families, rec.epoch, Some(rec.report)),
+        None => {
+            let store = CheckpointStore::open(&cfg.dir)?;
+            let (index, families) = origin.slice(ownership);
+            store.write_full(0, &EdgeSetSnapshot::from_graph(index.graph()).encode())?;
+            (index, families, 0, None)
+        }
+    };
+    let full_epoch = report.as_ref().map_or(0, |r| r.checkpoint_epoch);
     // Physically drop any torn WAL tail before opening the writer. The
     // writer always starts a fresh segment *after* the tear, while replay
     // stops at the *first* invalid byte — so a tear left in place would
@@ -355,12 +341,10 @@ pub(crate) fn open_or_recover(
         ckpts: CheckpointStore::open(&cfg.dir)?,
         policy: cfg.ack_policy,
         checkpoint_interval: cfg.checkpoint_interval.max(1),
-        delta_ratio_permille: cfg.delta_ratio_permille,
         group_bytes: cfg.group_bytes.max(1),
         publications: 0,
-        base,
-        base_epoch,
-        prev_full_epoch: base_epoch,
+        full_epoch,
+        prev_full_epoch: full_epoch,
     };
     Ok(DurableInit {
         state,
@@ -403,6 +387,34 @@ mod tests {
         // Empty and header-only inputs.
         assert!(decode_updates(&[]).is_err());
         assert!(decode_updates(&[UPDATES_VERSION]).is_err());
+    }
+
+    /// A full checkpoint's file bytes are pinned: directories written by
+    /// this version and by earlier ones (which also wrote delta
+    /// checkpoints) stay readable by both.
+    #[test]
+    fn full_checkpoint_file_bytes_are_pinned() {
+        let dir = std::env::temp_dir().join(format!("esd_ckpt_pin_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).unwrap();
+        let state = EdgeSetSnapshot::new(
+            4,
+            vec![esd_graph::Edge::new(0, 1), esd_graph::Edge::new(1, 3)],
+        );
+        let path = store.write_full(7, &state.encode()).unwrap();
+        let hex: String = std::fs::read(&path)
+            .unwrap()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "4553444b01000000000700000000000000070000000000000\
+             02c00000000000000455344460100000004000000020000000\
+             000000000000000010000000100000003000000874a5e9d860\
+             2ae7279f018df"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -159,10 +159,8 @@ pub struct MetricsRegistry {
     pub wal_truncations: Counter,
     /// WAL records replayed during crash recovery at startup.
     pub wal_replayed_records: Counter,
-    /// Full checkpoints written.
+    /// Checkpoints written (every checkpoint is a full edge set).
     pub ckpt_full: Counter,
-    /// Delta checkpoints written.
-    pub ckpt_delta: Counter,
     /// Checkpoint attempts that failed (retried at the next interval).
     pub ckpt_failures: Counter,
     /// End-to-end query latency (enqueue to response).
@@ -195,7 +193,6 @@ impl Default for MetricsRegistry {
             wal_truncations: Counter::default(),
             wal_replayed_records: Counter::default(),
             ckpt_full: Counter::default(),
-            ckpt_delta: Counter::default(),
             ckpt_failures: Counter::default(),
             query_latency: LatencyHistogram::default(),
             update_latency: LatencyHistogram::default(),
@@ -261,7 +258,6 @@ impl MetricsRegistry {
             self.wal_replayed_records.get().to_string(),
         );
         line("ckpt_full", self.ckpt_full.get().to_string());
-        line("ckpt_delta", self.ckpt_delta.get().to_string());
         line("ckpt_failures", self.ckpt_failures.get().to_string());
         line(
             "query_p50_us",

@@ -637,14 +637,12 @@ impl Engine {
     }
 
     /// Checkpoint cadence: every `checkpoint_interval` publications, write
-    /// an incremental delta against the last full checkpoint — or a fresh
-    /// full checkpoint when the change ratio exceeds the threshold, which
-    /// also lets the WAL prefix (up to the retained fallback generation's
-    /// epoch) and the oldest checkpoint generation be purged. Runs
-    /// *after* the window published, under its own panic
-    /// containment: a checkpoint failure (injected at `checkpoint_write`
-    /// or real) must never turn an already-acked batch into an error. It
-    /// is counted and retried at the next interval.
+    /// a full checkpoint of the edge set, then purge the checkpoints older
+    /// than the one two generations back and the WAL prefix up to the
+    /// retained fallback's epoch (one generation back). Runs *after* the window published, under
+    /// its own panic containment: a checkpoint failure (injected at
+    /// `checkpoint_write` or real) must never turn an already-acked batch
+    /// into an error. It is counted and retried at the next interval.
     fn maybe_checkpoint(&self, durable: &mut DurableState, index: &MaintainedIndex, epoch: u64) {
         durable.publications += 1;
         if durable.publications < durable.checkpoint_interval {
@@ -654,31 +652,18 @@ impl Engine {
             let _span = esd_telemetry::span(esd_telemetry::Stage::CkptWrite);
             self.fault(FaultPoint::CheckpointWrite)?;
             let current = esd_core::index::delta::EdgeSetSnapshot::from_graph(index.graph());
-            let delta = durable.base.diff(&current);
-            let go_full = delta.change_ratio(&durable.base) * 1000.0
-                >= f64::from(durable.delta_ratio_permille);
-            if go_full {
-                durable.ckpts.write_full(epoch, &current.encode())?;
-                durable.ckpts.purge_older_than(durable.prev_full_epoch)?;
-                durable.prev_full_epoch = durable.base_epoch;
-                durable.base = current;
-                durable.base_epoch = epoch;
-                // Purge the WAL only up to the *retained fallback*
-                // generation's epoch, not this one's: if the checkpoint
-                // just written later fails validation (bit rot),
-                // `load_chain` falls back to the previous full chain,
-                // which needs the WAL records above its epoch to
-                // reconstruct the acked state.
-                durable.wal.purge_up_to(durable.prev_full_epoch)?;
-                self.metrics.ckpt_full.incr();
-                esd_telemetry::add(esd_telemetry::Metric::CkptFull, 1);
-            } else {
-                durable
-                    .ckpts
-                    .write_delta(durable.base_epoch, epoch, &delta.encode())?;
-                self.metrics.ckpt_delta.incr();
-                esd_telemetry::add(esd_telemetry::Metric::CkptDelta, 1);
-            }
+            durable.ckpts.write_full(epoch, &current.encode())?;
+            durable.ckpts.purge_older_than(durable.prev_full_epoch)?;
+            durable.prev_full_epoch = durable.full_epoch;
+            durable.full_epoch = epoch;
+            // Purge the WAL only up to the *retained fallback*
+            // generation's epoch, not this one's: if the checkpoint just
+            // written later fails validation (bit rot), recovery falls
+            // back to the previous checkpoint, which needs the WAL
+            // records above its epoch to reconstruct the acked state.
+            durable.wal.purge_up_to(durable.prev_full_epoch)?;
+            self.metrics.ckpt_full.incr();
+            esd_telemetry::add(esd_telemetry::Metric::CkptFull, 1);
             Ok(())
         }));
         match result {
@@ -1858,62 +1843,49 @@ mod tests {
         let mut cfg = durable_cfg(&dir);
         let dcfg = cfg.durability.as_mut().unwrap();
         dcfg.checkpoint_interval = 4;
-        dcfg.delta_ratio_permille = 1_000_000; // force deltas
-        let mut published = 0u64;
+        dcfg.segment_bytes = 1; // one WAL record per segment, so purges show
         {
             let service = Service::try_start(&g, &cfg).unwrap();
             let handle = service.handle();
-            for i in 0..12u32 {
-                let mut batch = MutationBatch::new();
-                batch.insert(i, 200 + i); // vertex 200+i is fresh → always applies
-                if handle.submit(batch).unwrap().applied > 0 {
-                    published += 1;
-                }
-            }
-            assert_eq!(published, 12);
-            assert!(handle.metrics().ckpt_delta.get() >= 2);
-            service.shutdown();
-        }
-        let service = Service::try_start(&g, &cfg).unwrap();
-        let report = service.recovery_report().unwrap();
-        assert!(
-            report.checkpoint_epoch >= 8,
-            "latest delta checkpoint bounds replay, got {report:?}"
-        );
-        assert!(report.wal_records_replayed <= 4);
-        assert_eq!(report.recovered_epoch, 12);
-        service.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn durable_full_fallback_purges_the_wal_prefix() {
-        let g = test_graph();
-        let dir = temp_dir("full");
-        let mut cfg = durable_cfg(&dir);
-        let dcfg = cfg.durability.as_mut().unwrap();
-        dcfg.checkpoint_interval = 2;
-        dcfg.delta_ratio_permille = 0; // every checkpoint goes full
-        {
-            let service = Service::try_start(&g, &cfg).unwrap();
-            let handle = service.handle();
-            for i in 0..8u32 {
+            for i in 0..14u32 {
                 let mut batch = MutationBatch::new();
                 batch.insert(i, 200 + i); // vertex 200+i is fresh → always applies
                 assert_eq!(handle.submit(batch).unwrap().applied, 1);
             }
-            assert!(handle.metrics().ckpt_full.get() >= 3);
-            assert_eq!(handle.metrics().ckpt_delta.get(), 0);
+            assert_eq!(handle.metrics().ckpt_full.get(), 3, "at epochs 4, 8, 12");
             service.shutdown();
         }
+        // The checkpoint at 12 purges the generations below 4 (genesis),
+        // keeps 8 as its fallback and purges the WAL prefix up to 8 — not
+        // up to 12, which the fallback would need.
+        let ckpts: Vec<String> = {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|n| n.starts_with("ckpt-"))
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(
+            ckpts,
+            [
+                "ckpt-0000000000000004.full",
+                "ckpt-0000000000000008.full",
+                "ckpt-000000000000000c.full"
+            ]
+        );
+        let wal = esd_durability::read_dir(&dir).unwrap();
+        let epochs: Vec<u64> = wal.records.iter().map(|r| r.epoch).collect();
+        assert_eq!(epochs, (9..=14).collect::<Vec<u64>>(), "WAL prefix purged");
         let service = Service::try_start(&g, &cfg).unwrap();
         let report = service.recovery_report().unwrap();
-        assert!(report.checkpoint_epoch >= 6);
         assert!(
-            report.wal_records_replayed <= 2,
-            "prefix purged: {report:?}"
+            report.checkpoint_epoch >= 8,
+            "the latest checkpoint bounds replay, got {report:?}"
         );
-        assert_eq!(report.recovered_epoch, 8);
+        assert!(report.wal_records_replayed <= 4);
+        assert_eq!(report.recovered_epoch, 14);
         service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -254,10 +254,8 @@ catalogue! {
         WalTruncations => "wal.truncations",
         /// WAL records replayed during crash recovery.
         WalReplayedRecords => "wal.replayed_records",
-        /// Full checkpoints written.
+        /// Checkpoints written (every checkpoint is a full edge set).
         CkptFull => "ckpt.full",
-        /// Delta checkpoints written.
-        CkptDelta => "ckpt.delta",
         /// Checkpoint attempts that failed (counted and retried at the
         /// next interval; never surfaced to the acked client).
         CkptFailures => "ckpt.failures",

@@ -538,7 +538,6 @@ fn run_durable_chaos(
     plan: FaultPlan,
     writes: usize,
     checkpoint_interval: u64,
-    delta_ratio_permille: u32,
 ) -> DurableOutcome {
     quiet_injected_panics();
     println!("chaos[{label}]: seed={seed:#x} plan={plan:?}");
@@ -548,7 +547,6 @@ fn run_durable_chaos(
     let mut durability = DurabilityConfig::new(&dir);
     durability.ack_policy = AckPolicy::Fsync;
     durability.checkpoint_interval = checkpoint_interval;
-    durability.delta_ratio_permille = delta_ratio_permille;
     cfg.durability = Some(durability);
     let service =
         Service::try_start_with_faults(&g, &cfg, plan).expect("a fresh durable directory opens");
@@ -633,7 +631,7 @@ fn chaos_wal_fsync_fault_kill_and_recover() {
         Trigger::EveryNth(4),
         FaultKind::IoError,
     );
-    let outcome = run_durable_chaos("wal_fsync", seed, plan, 48, 8, 250);
+    let outcome = run_durable_chaos("wal_fsync", seed, plan, 48, 8);
     assert!(outcome.faults_injected > 0, "the plan must actually fire");
     assert!(
         outcome.write_errors > 0,
@@ -666,7 +664,7 @@ fn chaos_wal_append_panic_kill_and_recover() {
             FaultKind::Panic,
         )
         .rule(FaultPoint::WalAppend, Trigger::Nth(7), FaultKind::IoError);
-    let outcome = run_durable_chaos("wal_append", seed, plan, 48, 8, 250);
+    let outcome = run_durable_chaos("wal_append", seed, plan, 48, 8);
     assert!(outcome.faults_injected > 0, "the plan must actually fire");
     assert!(outcome.write_errors > 0, "append faults fail their windows");
     assert!(
@@ -701,7 +699,7 @@ fn chaos_checkpoint_faults_never_fail_acked_windows() {
             Trigger::Nth(5),
             FaultKind::Panic,
         );
-    let outcome = run_durable_chaos("ckpt_fault", seed, plan, 48, 3, 1_000_000);
+    let outcome = run_durable_chaos("ckpt_fault", seed, plan, 48, 3);
     assert!(outcome.faults_injected > 0, "the plan must actually fire");
     assert_eq!(
         outcome.write_errors, 0,
@@ -750,7 +748,7 @@ fn chaos_durable_mixed_storm() {
             Trigger::EveryNth(3),
             FaultKind::IoError,
         );
-    let outcome = run_durable_chaos("durable_storm", seed, plan, 64, 4, 250);
+    let outcome = run_durable_chaos("durable_storm", seed, plan, 64, 4);
     assert!(outcome.faults_injected > 0);
     assert!(outcome.write_errors > 0, "some windows fail");
     assert!(outcome.acked.len() >= 30, "most writes still land");
@@ -779,7 +777,7 @@ fn chaos_restart_then_crash_keeps_second_life_acks() {
         Trigger::EveryNth(6),
         FaultKind::IoError,
     );
-    let outcome = run_durable_chaos("restart_crash", seed, plan, 48, 8, 250);
+    let outcome = run_durable_chaos("restart_crash", seed, plan, 48, 8);
     assert!(outcome.acked.len() >= 20, "most writes still land");
 
     // Kill mid-append: a partial frame (prefix bytes only, bogus length)

@@ -60,7 +60,6 @@ fn durable_shard_config(root: &Path, shards: u32) -> ShardConfig {
     let mut durability = DurabilityConfig::new(root);
     durability.ack_policy = AckPolicy::Fsync;
     durability.checkpoint_interval = 6;
-    durability.delta_ratio_permille = 250;
     ShardConfig {
         shards,
         per_shard: ServiceConfig {

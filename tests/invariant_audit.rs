@@ -187,7 +187,7 @@ fn esdx_semantically_corrupt_but_checksummed_file_is_rejected() {
 // * recovery NEVER panics and NEVER errors on corrupt contents;
 // * a corrupt WAL yields exactly a valid *prefix* of the acked batches
 //   (stop at the last valid record, nothing fabricated after it);
-// * a corrupt checkpoint degrades recovery (older chain + longer WAL
+// * a corrupt checkpoint degrades recovery (older checkpoint + longer WAL
 //   replay, or no state at all when the genesis full is the victim) but
 //   never fabricates state.
 
@@ -214,9 +214,6 @@ fn build_durable_dir(tag: &str, checkpoint_interval: u64) -> PathBuf {
     let mut durability = DurabilityConfig::new(&dir);
     durability.ack_policy = AckPolicy::Fsync;
     durability.checkpoint_interval = checkpoint_interval;
-    // Force delta checkpoints: the WAL is then never purged, so the
-    // genesis full + the complete WAL cover every prefix.
-    durability.delta_ratio_permille = 1_000_000;
     let cfg = ServiceConfig {
         workers: 0,
         durability: Some(durability),
@@ -349,79 +346,203 @@ fn wal_every_truncation_recovers_a_valid_prefix() {
 }
 
 /// Exhaustive single-byte corruption of every checkpoint file: a corrupt
-/// delta falls back to an older chain plus a longer WAL replay (same
-/// final state, because the WAL was never purged); a corrupt genesis full
-/// removes the only chain, and recovery reports *no* durable state rather
-/// than inventing one.
+/// checkpoint falls back to an older one plus a longer WAL replay (same
+/// final state: the workload fits one WAL segment, and the open segment
+/// is never purged). A corrupt genesis checkpoint with nothing after it
+/// removes the only checkpoint, and recovery reports *no* durable state
+/// rather than inventing one.
 #[test]
 fn checkpoint_corruption_degrades_recovery_never_fabricates() {
-    let dir = build_durable_dir("ckpt_flip", 5);
     let prefixes = prefix_edge_sets();
     let full_state = &prefixes[FUZZ_BATCHES as usize];
-    let ckpts: Vec<PathBuf> = {
-        let mut v: Vec<PathBuf> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| {
-                let name = p.file_name().unwrap().to_string_lossy().into_owned();
-                name.starts_with("ckpt-")
-            })
-            .collect();
-        v.sort();
-        v
-    };
-    let fulls = ckpts
-        .iter()
-        .filter(|p| p.extension().is_some_and(|e| e == "full"))
-        .count();
-    let deltas = ckpts.len() - fulls;
-    assert_eq!(fulls, 1, "delta-forcing config keeps only the genesis full");
-    assert!(
-        deltas >= 2,
-        "interval 5 over 16 epochs writes several deltas"
-    );
-    for path in &ckpts {
-        let is_full = path.extension().is_some_and(|e| e == "full");
-        let pristine = std::fs::read(path).unwrap();
-        for pos in 0..pristine.len() {
-            for mask in [0x01u8, 0x80, 0xFF] {
-                let mut bad = pristine.clone();
-                bad[pos] ^= mask;
-                std::fs::write(path, &bad).unwrap();
-                let what = format!("{} byte {pos} ^ {mask:#04x}", path.display());
-                let rec = esd_serve::durability::recover(&dir)
-                    .unwrap_or_else(|e| panic!("{what}: corruption must not error recovery: {e}"));
-                match rec {
-                    None => assert!(
-                        is_full,
-                        "{what}: only losing the genesis full may erase all durable state"
-                    ),
-                    Some(rec) => {
-                        // Only the newest delta is guaranteed to be *read*
-                        // (discovery walks newest-first and stops at the
-                        // first valid chain); corrupting it must be noticed.
-                        if Some(path) == ckpts.last() {
-                            assert!(
-                                rec.report.skipped_invalid_checkpoints > 0,
-                                "{what}: the corrupt newest delta must be noticed and skipped"
+    // Interval 5 over 16 epochs keeps the checkpoints at 5, 10 and 15 (the
+    // one at 15 purged genesis); no interval keeps genesis alone.
+    for (tag, interval, kept) in [("ckpt_flip", 5, 3), ("ckpt_flip_genesis", u64::MAX, 1)] {
+        let dir = build_durable_dir(tag, interval);
+        let ckpts: Vec<PathBuf> = {
+            let mut v: Vec<PathBuf> = std::fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(Result::ok)
+                .map(|e| e.path())
+                .filter(|p| {
+                    let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                    name.starts_with("ckpt-")
+                })
+                .collect();
+            v.sort();
+            v
+        };
+        assert!(
+            ckpts
+                .iter()
+                .all(|p| p.extension().is_some_and(|e| e == "full")),
+            "every checkpoint is full"
+        );
+        assert_eq!(ckpts.len(), kept, "{tag}: checkpoints kept");
+        for path in &ckpts {
+            let pristine = std::fs::read(path).unwrap();
+            for pos in 0..pristine.len() {
+                for mask in [0x01u8, 0x80, 0xFF] {
+                    let mut bad = pristine.clone();
+                    bad[pos] ^= mask;
+                    std::fs::write(path, &bad).unwrap();
+                    let what = format!("{} byte {pos} ^ {mask:#04x}", path.display());
+                    let rec = esd_serve::durability::recover(&dir).unwrap_or_else(|e| {
+                        panic!("{what}: corruption must not error recovery: {e}")
+                    });
+                    match rec {
+                        None => assert_eq!(
+                            ckpts.len(),
+                            1,
+                            "{what}: only losing the only checkpoint may erase all durable state"
+                        ),
+                        Some(rec) => {
+                            // Only the newest checkpoint is guaranteed to be
+                            // *read* (discovery walks newest-first and stops
+                            // at the first valid one); corrupting it must be
+                            // noticed.
+                            if Some(path) == ckpts.last() {
+                                assert!(
+                                    rec.report.skipped_invalid_checkpoints > 0,
+                                    "{what}: the corrupt newest checkpoint must be noticed and skipped"
+                                );
+                            }
+                            assert_eq!(
+                                rec.report.recovered_epoch,
+                                u64::from(FUZZ_BATCHES),
+                                "{what}: the un-purged WAL must bridge to the final epoch"
+                            );
+                            assert_eq!(
+                                &recovered_edges(&rec.index),
+                                full_state,
+                                "{what}: degraded recovery must still reach the exact final state"
                             );
                         }
-                        assert_eq!(
-                            rec.report.recovered_epoch,
-                            u64::from(FUZZ_BATCHES),
-                            "{what}: the un-purged WAL must bridge to the final epoch"
-                        );
-                        assert_eq!(
-                            &recovered_edges(&rec.index),
-                            full_state,
-                            "{what}: degraded recovery must still reach the exact final state"
-                        );
                     }
                 }
             }
+            std::fs::write(path, &pristine).unwrap();
         }
-        std::fs::write(path, &pristine).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A delta checkpoint file in the layout earlier versions wrote: the
+/// `ESDK` envelope with kind 1 and base/epoch fields, named
+/// `ckpt-<base>-<epoch>.delta`, around an `ESDD` payload
+/// (`magic | u32 version | u32 n | u64 +m | u64 -m | added | removed |
+/// u64 fnv1a`).
+fn write_legacy_delta(dir: &Path, base: u64, epoch: u64, n: u32, added: &[(u32, u32)]) {
+    let mut payload = b"ESDD".to_vec();
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(&n.to_le_bytes());
+    payload.extend_from_slice(&(added.len() as u64).to_le_bytes());
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    for &(u, v) in added {
+        payload.extend_from_slice(&u.to_le_bytes());
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in &payload {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    payload.extend_from_slice(&h.to_le_bytes());
+    let mut versioned = 1u32.to_le_bytes().to_vec();
+    versioned.push(1); // kind: delta
+    versioned.extend_from_slice(&base.to_le_bytes());
+    versioned.extend_from_slice(&epoch.to_le_bytes());
+    versioned.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    versioned.extend_from_slice(&payload);
+    let mut file = b"ESDK".to_vec();
+    file.extend_from_slice(&versioned);
+    file.extend_from_slice(&esd_durability::crc32::crc32(&versioned).to_le_bytes());
+    std::fs::write(
+        dir.join(format!("ckpt-{base:016x}-{epoch:016x}.delta")),
+        file,
+    )
+    .unwrap();
+}
+
+/// A directory in the layout earlier versions wrote — genesis full
+/// checkpoint, a delta checkpoint against it, and the WAL — recovers
+/// through a longer WAL replay that ignores the delta, and the next full
+/// checkpoint's purge deletes the delta.
+#[test]
+fn legacy_delta_checkpoint_is_ignored_and_purged() {
+    use esd_core::maintain::GraphUpdate;
+    let dir = std::env::temp_dir().join(format!("esd_fuzz_legacy_delta_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let g = fuzz_graph();
+    let store = esd_durability::CheckpointStore::open(&dir).unwrap();
+    let genesis =
+        esd_core::index::delta::EdgeSetSnapshot::new(g.num_vertices() as u32, g.edges().to_vec());
+    store.write_full(0, &genesis.encode()).unwrap();
+    {
+        let wal =
+            esd_durability::WalWriter::open(&dir, esd_durability::WalOptions::default()).unwrap();
+        for i in 0..FUZZ_BATCHES {
+            let batch = [GraphUpdate::Insert(i, 100 + i)];
+            wal.append(
+                u64::from(i) + 1,
+                &esd_serve::durability::encode_updates(&batch),
+            )
+            .unwrap();
+        }
+        wal.sync().unwrap();
+    }
+    let delta_epoch = 8u32;
+    let added: Vec<(u32, u32)> = (0..delta_epoch).map(|i| (i, 100 + i)).collect();
+    write_legacy_delta(&dir, 0, u64::from(delta_epoch), 100 + delta_epoch, &added);
+    let delta_name = format!("ckpt-{:016x}-{:016x}.delta", 0, delta_epoch);
+    assert!(dir.join(&delta_name).exists());
+
+    let prefixes = prefix_edge_sets();
+    let rec = esd_serve::durability::recover(&dir).unwrap().unwrap();
+    assert_eq!(rec.report.checkpoint_epoch, 0, "recovery starts at genesis");
+    assert_eq!(
+        rec.report.wal_records_replayed,
+        u64::from(FUZZ_BATCHES),
+        "the WAL replays what the delta held"
+    );
+    assert_eq!(rec.report.skipped_invalid_checkpoints, 0);
+    assert_eq!(rec.epoch, u64::from(FUZZ_BATCHES));
+    assert_eq!(recovered_edges(&rec.index), prefixes[FUZZ_BATCHES as usize]);
+
+    // A served restart on the directory, one write and a checkpoint.
+    let mut durability = DurabilityConfig::new(&dir);
+    durability.checkpoint_interval = 1;
+    let cfg = ServiceConfig {
+        workers: 0,
+        durability: Some(durability),
+        ..ServiceConfig::default()
+    };
+    let service = Service::try_start(&fuzz_graph(), &cfg).expect("legacy dir recovers");
+    assert_eq!(service.recovery_report(), Some(&rec.report));
+    let mut batch = MutationBatch::new();
+    batch.insert(FUZZ_BATCHES, 100 + FUZZ_BATCHES);
+    assert_eq!(service.handle().submit(batch).unwrap().applied, 1);
+    service.shutdown();
+    let mut ckpts: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("ckpt-"))
+        .collect();
+    ckpts.sort();
+    let last = u64::from(FUZZ_BATCHES) + 1;
+    assert_eq!(
+        ckpts,
+        [
+            format!("ckpt-{:016x}.full", 0),
+            format!("ckpt-{last:016x}.full")
+        ],
+        "the checkpoint's purge deleted {delta_name}"
+    );
+    let rec = esd_serve::durability::recover(&dir).unwrap().unwrap();
+    assert_eq!(rec.report.checkpoint_epoch, last);
+    assert_eq!(rec.report.wal_records_replayed, 0);
+    let mut expected = prefixes[FUZZ_BATCHES as usize].clone();
+    expected.insert(esd_graph::Edge::new(FUZZ_BATCHES, 100 + FUZZ_BATCHES).key());
+    assert_eq!(recovered_edges(&rec.index), expected);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -192,29 +192,33 @@ fn coalesced_batches_reach_the_same_final_state() {
 // ---------------------------------------------------------------------------
 //
 // The durable engine appends one WAL record per *publishing* batch
-// (epochs 1, 2, 3, …) and interleaves checkpoint writes. A real crash can
-// land between any two of those I/O steps. With ack-after-fsync, the
-// filesystem state at each such instant is fully determined: the WAL cut
-// at a record boundary plus exactly the checkpoints written so far. The
-// property below reconstructs every one of those crash images from a
-// completed run and recovers each — under `strict-invariants`, with the
-// full query grid compared — against an independent sequential replay.
+// (epochs 1, 2, 3, …) and interleaves checkpoint writes (each of which
+// may purge older checkpoints). A real crash can land between any two of
+// those I/O steps. With ack-after-fsync, the filesystem state at each
+// such instant is fully determined: the WAL cut at a record boundary plus
+// exactly the checkpoints on disk at that moment. The property below
+// images the live directory after every ack, reconstructs every crash
+// image from those and recovers each — under `strict-invariants`, with
+// the full query grid compared — against an independent sequential
+// replay.
 
 use esd_serve::{AckPolicy, DurabilityConfig, Service, ServiceConfig};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Epoch a checkpoint file name commits to (`ckpt-<e>.full` or
-/// `ckpt-<base>-<e>.delta`); `None` for non-checkpoint files.
-fn ckpt_epoch(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("ckpt-")?;
-    if let Some(hex) = rest.strip_suffix(".full") {
-        u64::from_str_radix(hex, 16).ok()
-    } else if let Some(hex) = rest.strip_suffix(".delta") {
-        u64::from_str_radix(hex.split_once('-')?.1, 16).ok()
-    } else {
-        None
-    }
+/// A directory's files by name.
+type DirImage = BTreeMap<String, Vec<u8>>;
+
+fn image_dir(dir: &Path) -> DirImage {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
 }
 
 /// Byte offsets of every record boundary in one WAL segment:
@@ -235,32 +239,20 @@ fn wal_boundaries(bytes: &[u8]) -> Vec<usize> {
     out
 }
 
-/// Builds the crash image for a kill at WAL boundary `epoch`:
-/// the WAL truncated to `wal_len` bytes plus every checkpoint written
-/// strictly before the kill (`epoch` itself included only *after* its
-/// checkpoint write, controlled by `include_ckpt_at_epoch`).
-fn build_crash_image(
-    dir: &Path,
-    wal_name: &str,
-    wal_bytes: &[u8],
-    wal_len: usize,
-    epoch: u64,
-    include_ckpt_at_epoch: bool,
-) -> PathBuf {
+/// Writes the crash image for a kill at WAL boundary `epoch`: the WAL
+/// segment holding exactly the first `epoch` records plus the checkpoint
+/// files of `ckpts` (the directory image from before or after the
+/// checkpoint step at `epoch`).
+fn write_crash_image(dir: &Path, wal_name: &str, wal_prefix: &[u8], ckpts: &DirImage) -> PathBuf {
     let image = dir.with_file_name(format!(
         "{}_img",
         dir.file_name().unwrap().to_string_lossy()
     ));
     std::fs::remove_dir_all(&image).ok();
     std::fs::create_dir_all(&image).unwrap();
-    std::fs::write(image.join(wal_name), &wal_bytes[..wal_len]).unwrap();
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let entry = entry.unwrap();
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let Some(e) = ckpt_epoch(&name) else { continue };
-        if e < epoch || (e == epoch && include_ckpt_at_epoch) {
-            std::fs::copy(entry.path(), image.join(&name)).unwrap();
-        }
+    std::fs::write(image.join(wal_name), wal_prefix).unwrap();
+    for (name, bytes) in ckpts.iter().filter(|(n, _)| n.starts_with("ckpt-")) {
+        std::fs::write(image.join(name), bytes).unwrap();
     }
     image
 }
@@ -294,50 +286,59 @@ fn recovery_equivalence_case(seed: u64) {
     let mut durability = DurabilityConfig::new(&dir);
     durability.ack_policy = AckPolicy::Fsync;
     durability.checkpoint_interval = 3;
-    // Deltas only: the WAL is never purged, so every boundary image is
-    // recoverable from the genesis full plus the WAL prefix alone even
-    // when the image drops later checkpoints.
-    durability.delta_ratio_permille = 1_000_000;
     let cfg = ServiceConfig {
         workers: 0,
         durability: Some(durability),
         ..ServiceConfig::default()
     };
     let service = Service::try_start(&g, &cfg).expect("fresh durable dir opens");
+    // `images[e]` = the live directory once epoch `e` is acked, including
+    // whatever checkpoint (and purge) that epoch's publication triggered.
+    let mut images: Vec<DirImage> = vec![image_dir(&dir)];
     let mut rng = StdRng::seed_from_u64(seed);
     let mut acked: Vec<Vec<GraphUpdate>> = Vec::new();
     for _ in 0..10 {
         let ops = random_batch(&mut rng, 70, 12);
-        service
+        let ack = service
             .handle()
             .submit(MutationBatch::from_raw(ops.clone()))
             .expect("batch acked");
+        if ack.applied > 0 {
+            images.push(image_dir(&dir));
+        }
         acked.push(ops);
     }
     service.shutdown();
 
-    let wal: Vec<PathBuf> = std::fs::read_dir(&dir)
+    let wal: Vec<String> = images
+        .last()
         .unwrap()
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == "log"))
+        .keys()
+        .filter(|n| n.ends_with(".log"))
+        .cloned()
         .collect();
     assert_eq!(wal.len(), 1, "the workload fits one WAL segment");
-    let wal_name = wal[0].file_name().unwrap().to_string_lossy().into_owned();
-    let wal_bytes = std::fs::read(&wal[0]).unwrap();
+    let wal_name = &wal[0];
+    let wal_bytes = std::fs::read(dir.join(wal_name)).unwrap();
     let boundaries = wal_boundaries(&wal_bytes);
+    assert_eq!(boundaries.len(), images.len(), "one image per WAL boundary");
 
     for (epoch, &wal_len) in boundaries.iter().enumerate() {
+        let wal_prefix = &wal_bytes[..wal_len];
+        if let Some(live) = images[epoch].get(wal_name) {
+            assert_eq!(live.as_slice(), wal_prefix, "live WAL at epoch {epoch}");
+        }
         let epoch = epoch as u64;
         for include_ckpt_at_epoch in [false, true] {
-            let image = build_crash_image(
-                &dir,
-                &wal_name,
-                &wal_bytes,
-                wal_len,
-                epoch,
-                include_ckpt_at_epoch,
-            );
+            // Before the checkpoint step at `epoch` the checkpoint files are
+            // those of the previous ack (none before genesis).
+            let empty = DirImage::new();
+            let ckpts = match (include_ckpt_at_epoch, epoch) {
+                (true, e) => &images[e as usize],
+                (false, 0) => &empty,
+                (false, e) => &images[e as usize - 1],
+            };
+            let image = write_crash_image(&dir, wal_name, wal_prefix, ckpts);
             let what = format!(
                 "seed {seed:#x}, kill at epoch {epoch} ({}checkpoint)",
                 if include_ckpt_at_epoch {
