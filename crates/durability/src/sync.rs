@@ -1,13 +1,4 @@
-//! The loom-checkable synchronization facade for the durability crate.
-//!
-//! Mirrors `esd-serve`'s facade: every lock and condvar used by the
-//! group-commit machinery is imported from here, never from `std`
-//! directly — the `sync-facade` pass of `cargo xtask analyze` enforces
-//! it for `crates/durability/src/` exactly as it does for the serve and
-//! telemetry crates. In ordinary builds the facade is a zero-cost
-//! re-export of `std::sync`; under `RUSTFLAGS="--cfg loom"` it swaps to
-//! the model-checker types (file I/O itself is not modelled — only the
-//! commit-index bookkeeping around it is).
+//! The crate's lock-poisoning policy.
 //!
 //! Lock poisoning carries no protocol meaning here: the WAL keeps its own
 //! explicit `poisoned` flag for states where the on-disk tail may not
@@ -15,21 +6,9 @@
 //! [`Unpoison::unpoison`] (the `lock-unwrap` analyze pass forbids
 //! `unwrap`/`expect` on lock results).
 
-#[cfg(loom)]
-pub(crate) use loom::sync::{Condvar, Mutex};
-#[cfg(not(loom))]
-pub(crate) use std::sync::{Condvar, Mutex};
-
-// Only the test suite shares the writer across threads; the library
-// itself hands out `&WalWriter` and leaves ownership to the caller.
-#[cfg(all(test, loom))]
-pub(crate) use loom::sync::Arc;
-#[cfg(all(test, not(loom)))]
-pub(crate) use std::sync::Arc;
-
 /// Recovery from lock poisoning: the WAL's explicit `poisoned` flag is the
 /// authoritative "state may be torn" signal, so a `PoisonError` on the
-/// facade locks is recovered rather than propagated.
+/// group-commit lock is recovered rather than propagated.
 pub(crate) trait Unpoison {
     /// The guard (or guard tuple) inside the `LockResult`.
     type Inner;

@@ -43,10 +43,11 @@
 //! never reach it.
 
 use crate::crc32::crc32;
-use crate::sync::{Condvar, Mutex, Unpoison};
+use crate::sync::Unpoison;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Condvar, Mutex};
 
 /// Segment header magic.
 pub const MAGIC: &[u8; 4] = b"ESDW";
@@ -883,41 +884,53 @@ mod tests {
         // fsync. A truncate_to racing that fsync could shrink `appended`
         // below `high`, after which records appended post-truncation were
         // counted durable without ever being fsynced.
+        //
+        // Both sides start on a barrier, the syncer runs until the writer
+        // is done, and both yield between steps, so fsyncs keep
+        // overlapping truncations.
+        const ROUNDS: u64 = 5_000;
         let dir = tmp("sync_vs_truncate");
-        let wal = crate::sync::Arc::new(
-            WalWriter::open(&dir, WalOptions { segment_bytes: 256 }).unwrap(),
-        );
-        let syncer = {
-            let wal = crate::sync::Arc::clone(&wal);
-            std::thread::spawn(move || {
-                for _ in 0..2_000 {
-                    wal.sync().unwrap();
-                    let (appended, durable) = wal.accounting();
-                    assert!(
-                        durable <= appended,
-                        "durable watermark outran the log: {durable} > {appended}"
-                    );
-                }
-            })
+        let wal = WalWriter::open(&dir, WalOptions { segment_bytes: 256 }).unwrap();
+        let assert_accounting = || {
+            let (appended, durable) = wal.accounting();
+            assert!(
+                durable <= appended,
+                "durable watermark outran the log: {durable} > {appended}"
+            );
         };
-        let mut epoch = 0u64;
-        for _ in 0..300 {
-            let mark = wal.mark();
-            wal.append(epoch + 1, &[0xAA; 48]).unwrap();
-            wal.append(epoch + 2, &[0xBB; 48]).unwrap();
-            wal.truncate_to(&mark).unwrap();
-            epoch += 1;
-            wal.append(epoch, &[0xCC; 16]).unwrap();
-        }
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                    wal.sync().unwrap();
+                    assert_accounting();
+                    std::thread::yield_now();
+                }
+            });
+            start.wait();
+            for epoch in 1..=ROUNDS {
+                let mark = wal.mark();
+                wal.append(epoch, &[0xAA; 48]).unwrap();
+                std::thread::yield_now();
+                wal.append(epoch + 1, &[0xBB; 48]).unwrap();
+                std::thread::yield_now();
+                wal.truncate_to(&mark).unwrap();
+                assert_accounting();
+                wal.append(epoch, &[0xCC; 16]).unwrap();
+                assert_accounting();
+            }
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+        });
         wal.sync().unwrap();
-        syncer.join().unwrap();
         assert!(!wal.poisoned());
         let (appended, durable) = wal.accounting();
-        assert_eq!(appended, 300);
-        assert_eq!(durable, 300, "the final sync covers every survivor");
+        assert_eq!(appended, ROUNDS);
+        assert_eq!(durable, ROUNDS, "the final sync covers every survivor");
         let replay = read_dir(&dir).unwrap();
         assert!(!replay.truncated);
-        assert_eq!(replay.records.len(), 300);
+        assert_eq!(replay.records.len(), ROUNDS as usize);
         assert!(replay.records.iter().all(|r| r.payload == [0xCC; 16]));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -945,10 +958,10 @@ mod tests {
     #[test]
     fn group_commit_covers_concurrent_appends() {
         let dir = tmp("group");
-        let wal = crate::sync::Arc::new(WalWriter::open(&dir, WalOptions::default()).unwrap());
+        let wal = std::sync::Arc::new(WalWriter::open(&dir, WalOptions::default()).unwrap());
         let mut handles = Vec::new();
         for t in 0..4u64 {
-            let wal = crate::sync::Arc::clone(&wal);
+            let wal = std::sync::Arc::clone(&wal);
             handles.push(std::thread::spawn(move || {
                 // Appends race on epochs, so retry on the ordering error;
                 // every thread then syncs — group commit means most calls

@@ -7,10 +7,11 @@
 //! out of the LRU anyway). Sharding keeps the per-lookup critical section
 //! from serialising the worker pool.
 
-use crate::sync::{Arc, Mutex, Unpoison};
+use crate::sync::Unpoison;
 use esd_core::{Family, ScoredEdge};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex};
 
 /// Cache key: the full query identity against one snapshot. Results are
 /// never shared across families — each family ranks by its own score.
@@ -204,6 +205,89 @@ mod tests {
         assert!(cache.get(&a).is_some());
         assert!(cache.get(&b).is_some());
         assert_eq!(cache.len(), 2);
+    }
+
+    /// Every shard holds one recency stamp per entry, each pointing at
+    /// its live entry.
+    fn assert_shards_consistent(cache: &ResultCache) {
+        for shard in &cache.shards {
+            let shard = shard.lock().unpoison();
+            assert_eq!(shard.order.len(), shard.map.len(), "one stamp per entry");
+            for (stamp, key) in &shard.order {
+                assert_eq!(
+                    shard.map.get(key).map(|(_, s)| s),
+                    Some(stamp),
+                    "a stamp points at a live entry"
+                );
+            }
+        }
+    }
+
+    /// A writer re-inserts one key with rising values while readers look
+    /// it up: a hit only surfaces an inserted value, no reader sees the
+    /// value move backwards, and the last insert wins.
+    #[test]
+    fn concurrent_insert_lookup_stays_consistent() {
+        const ROUNDS: usize = 2_000;
+        const READERS: usize = 3;
+        const VALUES: u32 = 6;
+        let k = key(5, 2, 0);
+        for _ in 0..ROUNDS {
+            let cache = ResultCache::new(64);
+            let start = std::sync::Barrier::new(READERS + 1);
+            std::thread::scope(|s| {
+                for _ in 0..READERS {
+                    s.spawn(|| {
+                        start.wait();
+                        let mut last = 0;
+                        for _ in 0..2 * VALUES {
+                            if let Some(v) = cache.get(&k) {
+                                let score = v[0].score;
+                                assert!((1..=VALUES).contains(&score), "torn value {score}");
+                                assert!(score >= last, "value went backwards: {last} -> {score}");
+                                last = score;
+                            }
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+                start.wait();
+                for n in 1..=VALUES {
+                    cache.insert(k, val(n));
+                    std::thread::yield_now();
+                }
+            });
+            assert_eq!(cache.get(&k).expect("entry present")[0].score, VALUES);
+            assert_eq!(cache.len(), 1, "re-insert replaced, not duplicated");
+            assert_shards_consistent(&cache);
+        }
+    }
+
+    /// Writers racing to insert one key leave exactly one entry and one
+    /// recency stamp behind.
+    #[test]
+    fn racing_inserts_of_one_key_keep_one_entry() {
+        const ROUNDS: usize = 300;
+        const WRITERS: u32 = 3;
+        let k = key(5, 2, 0);
+        for _ in 0..ROUNDS {
+            let cache = ResultCache::new(64);
+            let start = std::sync::Barrier::new(WRITERS as usize);
+            std::thread::scope(|s| {
+                for w in 0..WRITERS {
+                    let (cache, start) = (&cache, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for n in 0..4 {
+                            cache.insert(k, val(w * 10 + n));
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+            });
+            assert_eq!(cache.len(), 1);
+            assert_shards_consistent(&cache);
+        }
     }
 
     #[test]

@@ -210,7 +210,8 @@ pub struct Recovered {
 /// [`MaintainedIndex::apply_batch`]). Returns `None` when the directory
 /// holds no valid checkpoint (a fresh durable directory — the genesis
 /// checkpoint is written before the first WAL record, so "no checkpoint"
-/// means "no durable state").
+/// means "no durable state"), and an `InvalidData` error when the WAL
+/// records above the checkpoint do not run consecutively from its epoch.
 pub fn replay(dir: &Path) -> io::Result<Option<Replayed>> {
     let _span = esd_telemetry::span(esd_telemetry::Stage::WalReplay);
     let store = CheckpointStore::open(dir)?;
@@ -226,6 +227,19 @@ pub fn replay(dir: &Path) -> io::Result<Option<Replayed>> {
     for record in &wal.records {
         if record.epoch <= checkpoint.epoch {
             continue;
+        }
+        // Each record is one publication, so the tail above the checkpoint
+        // runs epoch by epoch. A jump means the records in between were
+        // purged or lost: replaying past it would report an epoch whose
+        // state is missing their edits.
+        if record.epoch != epoch + 1 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "wal gap above checkpoint epoch {}: epoch {} follows epoch {epoch}",
+                    checkpoint.epoch, record.epoch
+                ),
+            ));
         }
         for update in decode_updates(&record.payload)? {
             update.apply_to(&mut graph);

@@ -211,7 +211,7 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 #[derive(Debug)]
 pub(crate) struct FaultInjector {
     plan: FaultPlan,
-    calls: [crate::sync::atomic::AtomicU64; FaultPoint::COUNT],
+    calls: [std::sync::atomic::AtomicU64; FaultPoint::COUNT],
 }
 
 #[cfg(feature = "fault-injection")]
@@ -219,7 +219,7 @@ impl FaultInjector {
     pub(crate) fn from_plan(plan: FaultPlan) -> Self {
         Self {
             plan,
-            calls: std::array::from_fn(|_| crate::sync::atomic::AtomicU64::new(0)),
+            calls: std::array::from_fn(|_| std::sync::atomic::AtomicU64::new(0)),
         }
     }
 
@@ -229,7 +229,7 @@ impl FaultInjector {
         if self.plan.is_empty() {
             return None;
         }
-        let n = self.calls[point.index()].fetch_add(1, crate::sync::atomic::Ordering::Relaxed) + 1;
+        let n = self.calls[point.index()].fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
         self.plan
             .rules
             .iter()

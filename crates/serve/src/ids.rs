@@ -6,8 +6,9 @@
 //! the TCP server and the stdin loop share one [`IdMap`] to keep the
 //! assignment consistent.
 
-use crate::sync::{Mutex, Unpoison};
+use crate::sync::Unpoison;
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 #[derive(Debug, Default)]
 struct IdMapInner {

@@ -59,8 +59,6 @@ mod cache;
 pub mod durability;
 pub mod faults;
 pub mod ids;
-#[cfg(all(loom, test))]
-mod loom_models;
 pub mod metrics;
 pub mod protocol;
 mod queue;

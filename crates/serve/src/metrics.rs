@@ -6,9 +6,8 @@
 //! latencies it measures. Readers (`metrics` command, shutdown report)
 //! tolerate the slight skew of unsynchronised snapshots.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::time::Instant;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// A monotonically increasing event counter (also usable as a high-water
 /// mark via [`Counter::record_max`]).

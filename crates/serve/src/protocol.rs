@@ -214,7 +214,7 @@ pub fn format_error(msg: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::Arc;
+    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]

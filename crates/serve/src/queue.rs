@@ -2,8 +2,9 @@
 //! producers never block — a full queue is an error the caller turns into
 //! load shedding — while consumers park until work or shutdown arrives.
 
-use crate::sync::{Condvar, Mutex, Unpoison};
+use crate::sync::Unpoison;
 use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex};
 
 /// Why a `try_push` was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +92,8 @@ impl<T> BoundedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::Arc;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn backpressure_refuses_when_full() {
@@ -112,6 +114,84 @@ mod tests {
         assert_eq!(q.try_push(8), Err(PushRefused::Closed));
         assert_eq!(q.pop(), Some(7), "closed queues still drain");
         assert_eq!(q.pop(), None, "then report shutdown");
+    }
+
+    /// Producers push through a small bound while consumers drain: no
+    /// item is lost or duplicated, no push overfills the bound, and `pop`
+    /// reports shutdown only once the queue is closed.
+    #[test]
+    fn concurrent_push_pop_neither_loses_nor_duplicates() {
+        const ROUNDS: usize = 3_000;
+        const CAP: usize = 2;
+        const PRODUCERS: u32 = 3;
+        const CONSUMERS: usize = 2;
+        const ITEMS: u32 = 8;
+        for _ in 0..ROUNDS {
+            let q = BoundedQueue::new(CAP);
+            let closed = AtomicBool::new(false);
+            let start = std::sync::Barrier::new(PRODUCERS as usize + CONSUMERS);
+            // Threads report instead of asserting, so a violation cannot
+            // strand a peer blocked on the queue.
+            let (depths, consumed) = std::thread::scope(|s| {
+                let consumers: Vec<_> = (0..CONSUMERS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            let (mut got, mut early_none) = (Vec::new(), 0);
+                            loop {
+                                match q.pop() {
+                                    Some(v) => got.push(v),
+                                    None if closed.load(Ordering::SeqCst) => break,
+                                    None => early_none += 1,
+                                }
+                            }
+                            (got, early_none)
+                        })
+                    })
+                    .collect();
+                let producers: Vec<_> = (0..PRODUCERS)
+                    .map(|p| {
+                        let (q, start) = (&q, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            let mut max_depth = 0;
+                            for v in p * 100..p * 100 + ITEMS {
+                                loop {
+                                    match q.try_push(v) {
+                                        Ok(depth) => {
+                                            max_depth = max_depth.max(depth);
+                                            break;
+                                        }
+                                        Err(_) => std::thread::yield_now(),
+                                    }
+                                }
+                            }
+                            max_depth
+                        })
+                    })
+                    .collect();
+                let depths: Vec<usize> = producers.into_iter().map(|h| h.join().unwrap()).collect();
+                closed.store(true, Ordering::SeqCst);
+                q.close();
+                let consumed: Vec<_> = consumers.into_iter().map(|h| h.join().unwrap()).collect();
+                (depths, consumed)
+            });
+            assert!(
+                depths.iter().all(|&d| d <= CAP),
+                "a push overfilled the bound: depths {depths:?}"
+            );
+            assert!(
+                consumed.iter().all(|(_, early)| *early == 0),
+                "pop reported shutdown on an open queue"
+            );
+            let mut got: Vec<u32> = consumed.into_iter().flat_map(|(got, _)| got).collect();
+            got.sort_unstable();
+            let want: Vec<u32> = (0..PRODUCERS)
+                .flat_map(|p| p * 100..p * 100 + ITEMS)
+                .collect();
+            assert_eq!(got, want, "every item popped exactly once");
+            assert_eq!(q.len(), 0);
+        }
     }
 
     #[test]

@@ -14,11 +14,11 @@
 
 use crate::service::EngineHandle;
 use crate::session::{LineOutcome, Session};
-use crate::sync::atomic::{AtomicBool, Ordering};
-use crate::sync::Arc;
 use crate::IdMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// The longest request line a connection may send, in bytes, without its
 /// line terminator. A longer line gets `error: line too long` and the

@@ -33,15 +33,15 @@ use crate::metrics::MetricsRegistry;
 use crate::queue::{BoundedQueue, PushRefused};
 use crate::retry::RetryPolicy;
 use crate::snapshot::{Snapshot, SnapshotCell};
-use crate::sync::time::Instant;
-use crate::sync::{Arc, Condvar, Mutex, Unpoison};
+use crate::sync::Unpoison;
 use crate::vector_epoch::VectorEpoch;
 use esd_core::maintain::{BatchStats, GraphUpdate, MutationBatch, UpdateDisposition};
 use esd_core::{Construction, EdgeOwnership, Family, FamilySuite, MaintainedIndex, ScoredEdge};
 use esd_graph::Graph;
 use std::cell::OnceCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`Service::start`].
 #[derive(Debug, Clone)]
@@ -407,7 +407,7 @@ impl Engine {
         esd_telemetry::add(esd_telemetry::Metric::ServeFaultsInjected, 1);
         match kind {
             FaultKind::Latency(d) => {
-                crate::sync::thread::sleep(d);
+                std::thread::sleep(d);
                 Ok(())
             }
             FaultKind::IoError => Err(std::io::Error::other(format!(
@@ -637,12 +637,13 @@ impl Engine {
     }
 
     /// Checkpoint cadence: every `checkpoint_interval` publications, write
-    /// a full checkpoint of the edge set, then purge the checkpoints older
-    /// than the one two generations back and the WAL prefix up to the
-    /// retained fallback's epoch (one generation back). Runs *after* the window published, under
-    /// its own panic containment: a checkpoint failure (injected at
-    /// `checkpoint_write` or real) must never turn an already-acked batch
-    /// into an error. It is counted and retried at the next interval.
+    /// a full checkpoint of the edge set; the previous checkpoint becomes
+    /// the retained fallback, and every older checkpoint and the WAL prefix
+    /// up to the fallback's epoch are purged, so exactly two generations
+    /// remain. Runs *after* the window published, under its own panic
+    /// containment: a checkpoint failure (injected at `checkpoint_write`
+    /// or real) must never turn an already-acked batch into an error. It
+    /// is counted and retried at the next interval.
     fn maybe_checkpoint(&self, durable: &mut DurableState, index: &MaintainedIndex, epoch: u64) {
         durable.publications += 1;
         if durable.publications < durable.checkpoint_interval {
@@ -653,14 +654,16 @@ impl Engine {
             self.fault(FaultPoint::CheckpointWrite)?;
             let current = esd_core::index::delta::EdgeSetSnapshot::from_graph(index.graph());
             durable.ckpts.write_full(epoch, &current.encode())?;
-            durable.ckpts.purge_older_than(durable.prev_full_epoch)?;
             durable.prev_full_epoch = durable.full_epoch;
             durable.full_epoch = epoch;
-            // Purge the WAL only up to the *retained fallback*
-            // generation's epoch, not this one's: if the checkpoint just
+            // Purge only below the *retained fallback* generation, in the
+            // checkpoints and in the WAL alike: if the checkpoint just
             // written later fails validation (bit rot), recovery falls
             // back to the previous checkpoint, which needs the WAL
-            // records above its epoch to reconstruct the acked state.
+            // records above its epoch to reconstruct the acked state. An
+            // older checkpoint kept past this point would be a fallback
+            // whose WAL tail is gone.
+            durable.ckpts.purge_older_than(durable.prev_full_epoch)?;
             durable.wal.purge_up_to(durable.prev_full_epoch)?;
             self.metrics.ckpt_full.incr();
             esd_telemetry::add(esd_telemetry::Metric::CkptFull, 1);
@@ -1166,7 +1169,7 @@ impl ServiceHandle {
             Some(d) => {
                 self.engine.metrics.retries.incr();
                 esd_telemetry::add(esd_telemetry::Metric::ServeRetries, 1);
-                crate::sync::thread::sleep(d);
+                std::thread::sleep(d);
                 true
             }
             None => false,
@@ -1855,9 +1858,9 @@ mod tests {
             assert_eq!(handle.metrics().ckpt_full.get(), 3, "at epochs 4, 8, 12");
             service.shutdown();
         }
-        // The checkpoint at 12 purges the generations below 4 (genesis),
-        // keeps 8 as its fallback and purges the WAL prefix up to 8 — not
-        // up to 12, which the fallback would need.
+        // The checkpoint at 12 keeps 8 as its fallback and purges what lies
+        // below it: the checkpoint at 4 and the WAL prefix up to 8 — not up
+        // to 12, which the fallback would need.
         let ckpts: Vec<String> = {
             let mut names: Vec<String> = std::fs::read_dir(&dir)
                 .unwrap()
@@ -1869,11 +1872,7 @@ mod tests {
         };
         assert_eq!(
             ckpts,
-            [
-                "ckpt-0000000000000004.full",
-                "ckpt-0000000000000008.full",
-                "ckpt-000000000000000c.full"
-            ]
+            ["ckpt-0000000000000008.full", "ckpt-000000000000000c.full"]
         );
         let wal = esd_durability::read_dir(&dir).unwrap();
         let epochs: Vec<u64> = wal.records.iter().map(|r| r.epoch).collect();

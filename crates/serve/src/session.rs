@@ -6,11 +6,11 @@
 use crate::protocol::{self, Request};
 use crate::retry::RetryPolicy;
 use crate::service::{EngineHandle, QueryRequest, ServiceHandle};
-use crate::sync::Arc;
 use crate::IdMap;
 use esd_core::maintain::MutationBatch;
 use esd_core::Family;
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// What a handled line produced.
 #[derive(Debug, Clone, PartialEq, Eq)]

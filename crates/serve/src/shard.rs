@@ -51,14 +51,15 @@ use crate::service::{
     BatchOutcome, EngineHandle, Origin, QueryRequest, QueryResponse, ServeError, Service,
     ServiceConfig, ServiceHandle,
 };
-use crate::sync::atomic::{AtomicBool, Ordering};
-use crate::sync::time::Instant;
-use crate::sync::{Arc, Mutex, Unpoison};
+use crate::sync::Unpoison;
 use crate::vector_epoch::VectorEpoch;
 use esd_core::maintain::MutationBatch;
 use esd_core::{EdgeOwnership, Family, ScoredEdge};
 use esd_graph::Graph;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Tuning knobs for [`ShardedService::start`].
 #[derive(Debug, Clone)]

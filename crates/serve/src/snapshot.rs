@@ -4,8 +4,9 @@
 //! current snapshot and keep using it for the whole query — they can never
 //! observe a half-applied batch, only the state before or after one.
 
-use crate::sync::{Arc, RwLock, Unpoison};
+use crate::sync::Unpoison;
 use esd_core::{Family, FamilySuite, MaintainedIndex, ScoredEdge};
+use std::sync::{Arc, RwLock};
 
 /// An immutable, epoch-stamped view of the index and family suite.
 #[derive(Debug)]
@@ -124,6 +125,44 @@ mod tests {
             before,
             "the windows changed the answers"
         );
+    }
+
+    /// A reader never observes an older epoch than one it already saw,
+    /// while a writer publishes epoch after epoch. Rounds, several readers
+    /// and a yield between steps widen the interleavings a short run
+    /// reaches.
+    #[test]
+    fn epoch_reads_are_monotonic_across_publication() {
+        const ROUNDS: usize = 300;
+        const READERS: usize = 3;
+        const EPOCHS: u64 = 6;
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
+        let (index, families) = (MaintainedIndex::new(&g), FamilySuite::new(&g));
+        let snap = |epoch| Snapshot::new(epoch, index.clone(), families.clone());
+        for _ in 0..ROUNDS {
+            let cell = SnapshotCell::new(snap(0));
+            let start = std::sync::Barrier::new(READERS + 1);
+            std::thread::scope(|s| {
+                for _ in 0..READERS {
+                    s.spawn(|| {
+                        start.wait();
+                        let mut last = 0;
+                        while last < EPOCHS {
+                            let epoch = cell.load().epoch();
+                            assert!(epoch >= last, "epoch went backwards: {last} -> {epoch}");
+                            last = epoch;
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+                start.wait();
+                for epoch in 1..=EPOCHS {
+                    cell.store(Arc::new(snap(epoch)));
+                    std::thread::yield_now();
+                }
+            });
+            assert_eq!(cell.load().epoch(), EPOCHS, "a read sees the last publish");
+        }
     }
 
     #[test]

@@ -1,16 +1,4 @@
-//! The loom-checkable synchronization facade.
-//!
-//! Every synchronization primitive, sleep, and monotonic-clock read used
-//! by this crate is imported from here, never from `std` directly — the
-//! `sync-facade` pass of `cargo xtask analyze` enforces it. In ordinary
-//! builds the facade is a zero-cost re-export of `std::sync` /
-//! `std::sync::atomic`; under `RUSTFLAGS="--cfg loom"` it swaps to the
-//! `loom` model-checker types so the concurrency cores (`snapshot`,
-//! `cache`, `queue`, `metrics`) can be exhaustively perturbed by
-//! `loom::model` without touching production code. DESIGN.md §13 is the
-//! architecture note.
-//!
-//! ## Lock poisoning
+//! The crate's lock-poisoning policy.
 //!
 //! The engine's invariant since the fault-injection PR is that **no panic
 //! crosses a lock boundary**: the writer contains panics *inside* its
@@ -22,49 +10,6 @@
 //! `lock-unwrap` analyze pass forbids): readers continue against state
 //! that is consistent by construction, rather than cascading a contained
 //! failure into every thread that touches the same lock.
-
-#[cfg(loom)]
-pub(crate) use loom::sync::{Arc, Condvar, Mutex, RwLock};
-#[cfg(not(loom))]
-pub(crate) use std::sync::{Arc, Condvar, Mutex, RwLock};
-
-pub(crate) mod atomic {
-    //! Facade over `std::sync::atomic` (or `loom::sync::atomic`).
-
-    #[cfg(loom)]
-    pub(crate) use loom::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    #[cfg(not(loom))]
-    pub(crate) use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-}
-
-pub(crate) mod thread {
-    //! Facade over the scheduling-relevant subset of `std::thread`.
-    //!
-    //! Only `sleep` (and under loom, yields) must route through here;
-    //! spawning real OS threads is allowed directly because the loom
-    //! models drive the extracted cores, not the full `Service` loops.
-
-    #[cfg(not(loom))]
-    pub(crate) use std::thread::sleep;
-
-    /// Time is not modelled under loom: a sleep is just a preemption
-    /// opportunity for the schedule explorer.
-    #[cfg(loom)]
-    pub(crate) fn sleep(_d: std::time::Duration) {
-        loom::thread::yield_now();
-    }
-}
-
-pub(crate) mod time {
-    //! Facade over monotonic time.
-    //!
-    //! Loom does not model time; the facade pins `std`'s `Instant` in both
-    //! configurations so deadline arithmetic is unchanged, and exists so
-    //! the `sync-facade` lint has a single audited import site for the
-    //! monotonic clock (a prerequisite for virtualising it later).
-
-    pub(crate) use std::time::Instant;
-}
 
 /// Recovery from lock poisoning, per the module-level argument: panics
 /// never cross lock boundaries in this crate, so a `PoisonError` carries

@@ -14,7 +14,7 @@
 //! ([`VectorEpoch::max_lag_behind`]) — the scalar delta is meaningless once
 //! shards advance independently.
 
-use crate::sync::Arc;
+use std::sync::Arc;
 
 /// A per-shard epoch vector, scalar-collapsed for single-engine services.
 ///

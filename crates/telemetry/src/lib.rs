@@ -34,16 +34,13 @@
 //! environment is offline, so serde is not an option.
 
 pub mod json;
-#[cfg(all(loom, test, feature = "enabled"))]
-mod loom_models;
-pub(crate) mod sync;
 
 use json::Json;
 
 #[cfg(feature = "enabled")]
-use crate::sync::atomic::Ordering;
+use std::sync::atomic::Ordering;
 #[cfg(feature = "enabled")]
-use crate::sync::time::Instant;
+use std::time::Instant;
 
 /// Schema identifier stamped into [`Snapshot::to_json`] output.
 pub const SCHEMA: &str = "esd-telemetry/v1";
@@ -162,7 +159,7 @@ catalogue! {
         WalFsync => "wal.fsync",
         /// Durability: one recovery replay (checkpoint load + WAL replay).
         WalReplay => "wal.replay",
-        /// Durability: one checkpoint written (full or delta).
+        /// Durability: one full checkpoint written.
         CkptWrite => "ckpt.write",
         /// Query-family layer: one `FamilySuite::apply` window (blast-radius
         /// planning plus per-edge profile recompute for every family).
@@ -275,7 +272,7 @@ catalogue! {
 #[cfg(feature = "enabled")]
 mod reg {
     use super::{Metric, Stage};
-    use crate::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     pub(crate) struct StageCell {
         pub(crate) total_ns: AtomicU64,
@@ -637,30 +634,35 @@ mod tests {
     // Registry tests share process-global state; each takes this lock so
     // reset() from one test cannot clobber another's window.
     #[cfg(feature = "enabled")]
-    static REGISTRY_LOCK: crate::sync::Mutex<()> = crate::sync::Mutex::new(());
+    static REGISTRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Takes [`REGISTRY_LOCK`]; a test that panicked while holding it
+    /// leaves nothing to protect, so poisoning is recovered.
+    #[cfg(feature = "enabled")]
+    fn registry_guard() -> std::sync::MutexGuard<'static, ()> {
+        REGISTRY_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[cfg(feature = "enabled")]
     mod enabled_behaviour {
         use super::super::*;
-        use super::REGISTRY_LOCK;
-        use crate::sync::Unpoison;
+        use super::registry_guard;
 
         #[test]
         fn spans_and_counters_record_and_reset() {
-            let _guard = REGISTRY_LOCK.lock().unpoison();
+            let _guard = registry_guard();
             reset();
             {
                 let _span = span(Stage::BuildEnumerate);
-                crate::sync::thread::sleep(std::time::Duration::from_millis(1));
+                std::thread::sleep(std::time::Duration::from_millis(1));
             }
             add(Metric::CliquesEnumerated, 5);
             add(Metric::CliquesEnumerated, 2);
             let snap = snapshot();
             let stage = snap.stage("build.enumerate").expect("span recorded");
             assert_eq!(stage.count, 1);
-            // Under loom the facade sleep is a logical yield, not wall
-            // time, so the duration floor only holds in normal builds.
-            #[cfg(not(loom))]
             assert!(stage.total_ns >= 1_000_000, "slept ≥ 1 ms");
             assert_eq!(stage.max_ns, stage.total_ns);
             assert_eq!(snap.counter("cliques.enumerated"), 7);
@@ -671,7 +673,7 @@ mod tests {
 
         #[test]
         fn delta_since_windows_the_registry() {
-            let _guard = REGISTRY_LOCK.lock().unpoison();
+            let _guard = registry_guard();
             reset();
             add(Metric::OnlineHeapPops, 10);
             drop(span(Stage::OnlineTopk));
@@ -688,23 +690,38 @@ mod tests {
             assert!(snap.delta_since(&snap).is_empty());
         }
 
+        /// Concurrent writers: no counter add and no span record may be
+        /// lost or double-counted under any interleaving. Each thread adds
+        /// its own amount, and a barrier starts the threads together so
+        /// their loops overlap.
         #[test]
         fn concurrent_spans_sum_across_threads() {
-            let _guard = REGISTRY_LOCK.lock().unpoison();
+            const THREADS: u64 = 4;
+            const ROUNDS: u64 = 200_000;
+            let _guard = registry_guard();
             reset();
+            let start = std::sync::Barrier::new(THREADS as usize);
             std::thread::scope(|scope| {
-                for _ in 0..4 {
-                    scope.spawn(|| {
-                        for _ in 0..100 {
+                for t in 0..THREADS {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        for _ in 0..ROUNDS {
                             let _span = span(Stage::ParEnumerate);
-                            add(Metric::ParOpsApplied, 2);
+                            add(Metric::ParOpsApplied, t + 1);
                         }
                     });
                 }
             });
             let snap = snapshot();
-            assert_eq!(snap.stage("pbuild.enumerate").unwrap().count, 400);
-            assert_eq!(snap.counter("pbuild.ops_applied"), 800);
+            assert_eq!(
+                snap.stage("pbuild.enumerate").unwrap().count,
+                THREADS * ROUNDS
+            );
+            assert_eq!(
+                snap.counter("pbuild.ops_applied"),
+                ROUNDS * (1..=THREADS).sum::<u64>()
+            );
         }
     }
 

@@ -208,12 +208,23 @@ fn fuzz_graph() -> esd_graph::Graph {
 /// Runs a real durable service over `FUZZ_BATCHES` acked batches and
 /// returns the directory its WAL + checkpoints live in.
 fn build_durable_dir(tag: &str, checkpoint_interval: u64) -> PathBuf {
+    build_durable_dir_with(
+        tag,
+        checkpoint_interval,
+        DurabilityConfig::new("").segment_bytes,
+    )
+}
+
+/// [`build_durable_dir`] with a WAL segment size: a size of 1 puts every
+/// record in its own segment, so checkpoints visibly purge the WAL.
+fn build_durable_dir_with(tag: &str, checkpoint_interval: u64, segment_bytes: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("esd_fuzz_{tag}"));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let mut durability = DurabilityConfig::new(&dir);
     durability.ack_policy = AckPolicy::Fsync;
     durability.checkpoint_interval = checkpoint_interval;
+    durability.segment_bytes = segment_bytes;
     let cfg = ServiceConfig {
         workers: 0,
         durability: Some(durability),
@@ -230,15 +241,23 @@ fn build_durable_dir(tag: &str, checkpoint_interval: u64) -> PathBuf {
 }
 
 fn recovered_edges(index: &MaintainedIndex) -> BTreeSet<u64> {
-    index
-        .graph()
-        .edges()
-        .iter()
-        .map(esd_graph::Edge::key)
-        .collect()
+    edge_keys(&index.graph().edges())
+}
+
+fn edge_keys(edges: &[esd_graph::Edge]) -> BTreeSet<u64> {
+    edges.iter().map(esd_graph::Edge::key).collect()
 }
 
 /// `prefixes[e]` = the exact edge set after the first `e` batches.
+/// The index after the first `batches` acked batches of the fuzz workload.
+fn acked_index(batches: u32) -> MaintainedIndex {
+    let mut index = MaintainedIndex::new(&fuzz_graph());
+    for i in 0..batches {
+        index.apply_batch(&[esd_core::maintain::GraphUpdate::Insert(i, 100 + i)]);
+    }
+    index
+}
+
 fn prefix_edge_sets() -> Vec<BTreeSet<u64>> {
     let mut replay = MaintainedIndex::new(&fuzz_graph());
     let mut out = vec![recovered_edges(&replay)];
@@ -345,33 +364,40 @@ fn wal_every_truncation_recovers_a_valid_prefix() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+fn checkpoint_files_in(dir: &Path) -> Vec<PathBuf> {
+    let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            name.starts_with("ckpt-")
+        })
+        .collect();
+    out.sort();
+    out
+}
+
 /// Exhaustive single-byte corruption of every checkpoint file: a corrupt
 /// checkpoint falls back to an older one plus a longer WAL replay (same
 /// final state: the workload fits one WAL segment, and the open segment
 /// is never purged). A corrupt genesis checkpoint with nothing after it
 /// removes the only checkpoint, and recovery reports *no* durable state
 /// rather than inventing one.
+///
+/// Each flip is checked on [`esd_serve::durability::replay`]'s epoch and
+/// edge set, which determine the index; one full `recover()` per pristine
+/// directory pins the rebuilt index to a fresh build of the acked graph.
 #[test]
 fn checkpoint_corruption_degrades_recovery_never_fabricates() {
     let prefixes = prefix_edge_sets();
     let full_state = &prefixes[FUZZ_BATCHES as usize];
-    // Interval 5 over 16 epochs keeps the checkpoints at 5, 10 and 15 (the
-    // one at 15 purged genesis); no interval keeps genesis alone.
-    for (tag, interval, kept) in [("ckpt_flip", 5, 3), ("ckpt_flip_genesis", u64::MAX, 1)] {
+    // Interval 5 over 16 epochs keeps the checkpoints at 10 and 15 (the
+    // one at 15 purged those below its fallback at 10); no interval keeps
+    // genesis alone.
+    for (tag, interval, kept) in [("ckpt_flip", 5, 2), ("ckpt_flip_genesis", u64::MAX, 1)] {
         let dir = build_durable_dir(tag, interval);
-        let ckpts: Vec<PathBuf> = {
-            let mut v: Vec<PathBuf> = std::fs::read_dir(&dir)
-                .unwrap()
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| {
-                    let name = p.file_name().unwrap().to_string_lossy().into_owned();
-                    name.starts_with("ckpt-")
-                })
-                .collect();
-            v.sort();
-            v
-        };
+        let ckpts = checkpoint_files_in(&dir);
         assert!(
             ckpts
                 .iter()
@@ -379,6 +405,7 @@ fn checkpoint_corruption_degrades_recovery_never_fabricates() {
             "every checkpoint is full"
         );
         assert_eq!(ckpts.len(), kept, "{tag}: checkpoints kept");
+        assert_recovery_matches_a_fresh_build(&dir, tag);
         for path in &ckpts {
             let pristine = std::fs::read(path).unwrap();
             for pos in 0..pristine.len() {
@@ -387,33 +414,33 @@ fn checkpoint_corruption_degrades_recovery_never_fabricates() {
                     bad[pos] ^= mask;
                     std::fs::write(path, &bad).unwrap();
                     let what = format!("{} byte {pos} ^ {mask:#04x}", path.display());
-                    let rec = esd_serve::durability::recover(&dir).unwrap_or_else(|e| {
+                    let replayed = esd_serve::durability::replay(&dir).unwrap_or_else(|e| {
                         panic!("{what}: corruption must not error recovery: {e}")
                     });
-                    match rec {
+                    match replayed {
                         None => assert_eq!(
                             ckpts.len(),
                             1,
                             "{what}: only losing the only checkpoint may erase all durable state"
                         ),
-                        Some(rec) => {
+                        Some(rep) => {
                             // Only the newest checkpoint is guaranteed to be
                             // *read* (discovery walks newest-first and stops
                             // at the first valid one); corrupting it must be
                             // noticed.
                             if Some(path) == ckpts.last() {
                                 assert!(
-                                    rec.report.skipped_invalid_checkpoints > 0,
+                                    rep.report.skipped_invalid_checkpoints > 0,
                                     "{what}: the corrupt newest checkpoint must be noticed and skipped"
                                 );
                             }
                             assert_eq!(
-                                rec.report.recovered_epoch,
+                                rep.report.recovered_epoch,
                                 u64::from(FUZZ_BATCHES),
                                 "{what}: the un-purged WAL must bridge to the final epoch"
                             );
                             assert_eq!(
-                                &recovered_edges(&rec.index),
+                                &edge_keys(&rep.graph.edges()),
                                 full_state,
                                 "{what}: degraded recovery must still reach the exact final state"
                             );
@@ -425,6 +452,87 @@ fn checkpoint_corruption_degrades_recovery_never_fabricates() {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// `recover(dir)` reaches the final acked epoch, and its index and family
+/// suite equal a fresh build of the acked graph.
+fn assert_recovery_matches_a_fresh_build(dir: &Path, what: &str) {
+    let rec = esd_serve::durability::recover(dir)
+        .unwrap_or_else(|e| panic!("{what}: recovery errored: {e}"))
+        .unwrap_or_else(|| panic!("{what}: durable state vanished"));
+    assert_eq!(
+        rec.epoch,
+        u64::from(FUZZ_BATCHES),
+        "{what}: recovered epoch"
+    );
+    let acked = acked_index(FUZZ_BATCHES).graph().to_graph();
+    let fresh = MaintainedIndex::new(&acked);
+    assert_eq!(
+        rec.index.graph().edges(),
+        fresh.graph().edges(),
+        "{what}: edge set"
+    );
+    assert_eq!(
+        rec.index.component_sizes(),
+        fresh.component_sizes(),
+        "{what}: component catalogue"
+    );
+    for tau in 1..=4 {
+        assert_eq!(
+            rec.index.query(usize::MAX, tau),
+            fresh.query(usize::MAX, tau),
+            "{what}: ranking at tau={tau}"
+        );
+    }
+    assert_eq!(
+        rec.families,
+        esd_core::FamilySuite::new(&acked),
+        "{what}: family suite"
+    );
+}
+
+/// A fallback checkpoint older than the WAL's purge point must never be
+/// replayed across the gap. The directory purges its WAL up to epoch 10
+/// (one record per segment); a checkpoint at epoch 5 — which versions that
+/// purged checkpoints before rotating the generations left on disk — is
+/// the only valid one once the checkpoints at 10 and 15 rot. Replaying its
+/// WAL tail from 11 would skip the edits of epochs 6–10 and still report
+/// the final epoch, so recovery must refuse rather than return that state.
+#[test]
+fn stale_fallback_checkpoint_never_bridges_a_purged_wal_gap() {
+    let dir = build_durable_dir_with("ckpt_gap", 5, 1);
+    let wal = esd_durability::read_dir(&dir).unwrap();
+    assert_eq!(
+        wal.records.first().map(|r| r.epoch),
+        Some(11),
+        "the WAL is purged up to the fallback at 10"
+    );
+    let store = esd_durability::CheckpointStore::open(&dir).unwrap();
+    let at_5 = esd_core::index::delta::EdgeSetSnapshot::from_graph(acked_index(5).graph());
+    store.write_full(5, &at_5.encode()).unwrap();
+    for path in checkpoint_files_in(&dir) {
+        if !path.ends_with("ckpt-0000000000000005.full") {
+            let mut bytes = std::fs::read(&path).unwrap();
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0xFF;
+            std::fs::write(&path, bytes).unwrap();
+        }
+    }
+    let full_state = recovered_edges(&acked_index(FUZZ_BATCHES));
+    match esd_serve::durability::recover(&dir) {
+        Ok(Some(rec)) => {
+            assert_eq!(rec.epoch, u64::from(FUZZ_BATCHES), "recovered epoch");
+            assert_eq!(
+                recovered_edges(&rec.index),
+                full_state,
+                "recovery from the stale fallback fabricated epoch {}",
+                rec.epoch
+            );
+        }
+        Ok(None) => {}
+        Err(e) => assert!(e.to_string().contains("wal gap"), "unexpected error: {e}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A delta checkpoint file in the layout earlier versions wrote: the

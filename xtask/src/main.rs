@@ -1,6 +1,6 @@
 //! `cargo xtask analyze` — the workspace's custom static-analysis gate.
 //!
-//! Runs six project-specific passes (see the `passes` module) over the
+//! Runs five project-specific passes (see the `passes` module) over the
 //! first-party sources and exits non-zero when any invariant is violated.
 //! The passes are textual with lexical masking (the `scan` module) — the
 //! offline build environment has no `syn` — which is exact enough for the

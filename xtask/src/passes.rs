@@ -6,7 +6,6 @@
 //! |------|-----------|
 //! | `docs-sync` | telemetry catalogue ↔ `docs/observability.md`, both directions; `intersect.*` kernel counters additionally documented in `docs/kernels.md` |
 //! | `fault-coverage` | every named fault point exercised by ≥1 chaos scenario |
-//! | `sync-facade` | no direct `std::sync` / `std::thread::sleep` / `std::time::Instant` in serve/telemetry outside the `sync` facades |
 //! | `lock-unwrap` | no `.unwrap()` / `.expect()` on lock results (use `Unpoison`) |
 //! | `allow-reason` | every `#[allow(...)]` carries a `reason = "..."` |
 //! | `zst-disarmed` | feature-disarmed types are zero-sized (unit structs or all-fields-gated) |
@@ -30,7 +29,6 @@ pub(crate) struct Finding {
 pub(crate) const PASS_NAMES: &[&str] = &[
     "docs-sync",
     "fault-coverage",
-    "sync-facade",
     "lock-unwrap",
     "allow-reason",
     "zst-disarmed",
@@ -41,7 +39,6 @@ pub(crate) fn run_all(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     findings.extend(docs_sync(ws));
     findings.extend(fault_coverage(ws));
-    findings.extend(sync_facade(ws));
     findings.extend(lock_unwrap(ws));
     findings.extend(allow_reason(ws));
     findings.extend(zst_disarmed(ws));
@@ -251,52 +248,10 @@ pub(crate) fn fault_coverage(ws: &Workspace) -> Vec<Finding> {
     findings
 }
 
-/// Files the facade discipline applies to: serve, telemetry, and
-/// durability sources, minus the facades themselves (they are the one
-/// sanctioned doorway).
-fn facade_scoped(file: &SourceFile) -> bool {
-    (file.rel.starts_with("crates/serve/src/")
-        || file.rel.starts_with("crates/telemetry/src/")
-        || file.rel.starts_with("crates/durability/src/"))
-        && !file.rel.ends_with("/sync.rs")
-}
-
-/// `sync-facade`: inside serve/telemetry, synchronisation primitives come
-/// from the crate's `sync` facade, never from `std` directly — otherwise
-/// loom model checking silently loses coverage of that site.
-pub(crate) fn sync_facade(ws: &Workspace) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for file in ws.files.iter().filter(|f| facade_scoped(f)) {
-        for (idx, line) in file.masked.lines().enumerate() {
-            let hit = if line.contains("std::sync") {
-                Some("std::sync")
-            } else if line.contains("std::thread::sleep") {
-                Some("std::thread::sleep")
-            } else if line.contains("std::time::") && line.contains("Instant") {
-                Some("std::time::Instant")
-            } else {
-                None
-            };
-            if let Some(what) = hit {
-                findings.push(Finding {
-                    pass: "sync-facade",
-                    file: file.rel.clone(),
-                    line: idx + 1,
-                    message: format!(
-                        "direct use of {what}; import it from the crate's `sync` facade so \
-                         loom model checking covers this site"
-                    ),
-                });
-            }
-        }
-    }
-    findings
-}
-
 /// `lock-unwrap`: `.unwrap()`/`.expect()` on a lock result either panics
 /// on poison (crashing the service for a contained fault) or hides a
-/// poisoning-policy decision; the facades' `Unpoison` makes the policy
-/// explicit.
+/// poisoning-policy decision; the crate's `sync::Unpoison` makes the
+/// policy explicit.
 pub(crate) fn lock_unwrap(ws: &Workspace) -> Vec<Finding> {
     const LOCK_CALLS: &[&str] = &[
         ".lock()",
@@ -320,8 +275,8 @@ pub(crate) fn lock_unwrap(ws: &Workspace) -> Vec<Finding> {
                         file: file.rel.clone(),
                         line: file.line_of(at),
                         message: format!(
-                            "`{}` followed by unwrap/expect on the lock result; use the sync \
-                             facade's `.unpoison()` instead",
+                            "`{}` followed by unwrap/expect on the lock result; recover the \
+                             guard with the crate's `Unpoison::unpoison()` instead",
                             &call[1..call.len() - 2]
                         ),
                     });

@@ -220,31 +220,6 @@ fn scenarios() -> Vec<Scenario> {
             run: passes::fault_coverage,
         },
         Scenario {
-            pass: "sync-facade",
-            violating: ws(
-                vec![SourceFile::from_text(
-                    "crates/serve/src/bad.rs",
-                    "use std::sync::Mutex;\n",
-                )],
-                None,
-            ),
-            clean: ws(
-                vec![
-                    SourceFile::from_text(
-                        "crates/serve/src/good.rs",
-                        "use crate::sync::Mutex;\n// std::sync in a comment is fine\n",
-                    ),
-                    SourceFile::from_text(
-                        "crates/serve/src/sync.rs",
-                        "pub(crate) use std::sync::Mutex;\n",
-                    ),
-                ],
-                None,
-            ),
-            expect_file: "crates/serve/src/bad.rs",
-            run: passes::sync_facade,
-        },
-        Scenario {
             pass: "lock-unwrap",
             violating: ws(
                 vec![SourceFile::from_text(
