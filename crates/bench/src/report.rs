@@ -107,21 +107,12 @@ fn check_counter_rows(errors: &mut Vec<String>, at: &str, rows: &Json) {
     }
 }
 
-/// A `work_balance` block comes in two shapes: the parallel *build* reports
-/// per-worker clique counts and per-shard ops; the parallel *batch pipeline*
-/// reports conflict-group count and per-worker recompute/union work. Both
-/// must carry `threads` plus their shape's per-worker arrays.
+/// A `work_balance` block is the parallel build's report: `threads` plus
+/// its per-worker clique counts and per-shard ops.
 fn check_work_balance(errors: &mut Vec<String>, at: &str, wb: &Json) {
     let at = format!("{at}.work_balance");
     expect_u64(errors, &at, wb.get("threads"), "threads");
-    let build_shape = wb.get("cliques_per_worker").is_some() || wb.get("ops_per_shard").is_some();
-    let arrays: &[&str] = if build_shape {
-        &["cliques_per_worker", "ops_per_shard"]
-    } else {
-        expect_u64(errors, &at, wb.get("groups"), "groups");
-        &["recomputed_per_worker", "union_ops_per_worker"]
-    };
-    for &field in arrays {
+    for field in ["cliques_per_worker", "ops_per_shard"] {
         match wb.get(field).and_then(Json::as_arr) {
             Some(arr) => {
                 if arr.iter().any(|v| v.as_u64().is_none()) {
@@ -169,11 +160,11 @@ fn check_benchmark(errors: &mut Vec<String>, i: usize, b: &Json) {
     match b.get("work_balance") {
         Some(wb) => check_work_balance(errors, &at, wb),
         None => {
-            // The two parallel benchmarks must prove how their work was
-            // spread: a report without the block is a schema violation, so
+            // The parallel build must prove how its work was spread: a
+            // report without the block is a schema violation, so
             // `esd bench --check` (and the CI bench-smoke job) fails fast.
             let name = b.get("name").and_then(Json::as_str).unwrap_or("");
-            if matches!(name, "build_parallel" | "churn_batch_parallel") {
+            if name == "build_parallel" {
                 errors.push(format!(
                     "{at}: benchmark {name:?} must carry a \"work_balance\" block"
                 ));
@@ -317,25 +308,23 @@ mod tests {
     }
 
     #[test]
-    fn validator_requires_work_balance_on_parallel_benchmarks() {
-        // The pipeline shape (groups + per-worker recompute arrays) passes.
+    fn validator_requires_work_balance_on_the_parallel_build() {
+        // The build shape (threads + per-worker clique and op arrays) passes.
         let text = minimal_report().render_compact().replace(
             "\"counters\":[]",
-            "\"counters\":[],\"work_balance\":{\"threads\":2,\"groups\":3,\
-             \"recomputed_per_worker\":[4,5],\"union_ops_per_worker\":[6,7]}",
+            "\"counters\":[],\"work_balance\":{\"threads\":2,\
+             \"cliques_per_worker\":[4,5],\"ops_per_shard\":[6,7]}",
         );
         assert_eq!(validate(&Json::parse(&text).unwrap()), Vec::<String>::new());
-        // A parallel benchmark with no work_balance block at all is rejected.
-        for name in ["build_parallel", "churn_batch_parallel"] {
-            let text = minimal_report()
-                .render_compact()
-                .replace("\"build_seq\"", &format!("{name:?}"));
-            let errors = validate(&Json::parse(&text).unwrap());
-            assert!(
-                errors.iter().any(|e| e.contains("work_balance")),
-                "{name}: {errors:?}"
-            );
-        }
+        // The parallel build with no work_balance block at all is rejected.
+        let text = minimal_report()
+            .render_compact()
+            .replace("\"build_seq\"", "\"build_parallel\"");
+        let errors = validate(&Json::parse(&text).unwrap());
+        assert!(
+            errors.iter().any(|e| e.contains("work_balance")),
+            "{errors:?}"
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::report::{counters_json, stages_json, wall_json, BENCH_SCHEMA};
 use crate::time_stats;
 use esd_core::index::ParallelBuildReport;
-use esd_core::maintain::{GraphUpdate, MutationBatch, PipelineReport};
+use esd_core::maintain::{GraphUpdate, MutationBatch};
 use esd_core::online::{online_topk, UpperBound};
 use esd_core::{EsdIndex, Family, FamilySuite, MaintainedIndex};
 use esd_datasets::churn::{churn_trace, ChurnEvent, ChurnMix};
@@ -120,15 +120,6 @@ fn work_balance_json(report: &ParallelBuildReport) -> Json {
     ])
 }
 
-fn pipeline_balance_json(report: &PipelineReport) -> Json {
-    Json::obj(vec![
-        ("threads", Json::num_u64(report.threads as u64)),
-        ("groups", Json::num_u64(report.groups as u64)),
-        ("recomputed_per_worker", u64s(&report.recomputed_per_worker)),
-        ("union_ops_per_worker", u64s(&report.union_ops_per_worker)),
-    ])
-}
-
 /// The benchmarks run for one dataset. Appends records to `out`.
 fn run_dataset(out: &mut Vec<Json>, g: &Graph, dataset: &str, cfg: &SuiteConfig) {
     let reps = cfg.reps;
@@ -168,9 +159,7 @@ fn run_dataset(out: &mut Vec<Json>, g: &Graph, dataset: &str, cfg: &SuiteConfig)
 
     // Churn batches: a realistic mixed insert/remove trace applied as one
     // batch, then undone by the exact inverse batch (reversed order, flipped
-    // ops) so every repetition starts from the same graph. Run through the
-    // sequential path and the parallel pipeline so the report exposes the
-    // speedup and the `pbatch.*` per-phase breakdown side by side.
+    // ops) so every repetition starts from the same graph.
     let events = churn_trace(g, 64, ChurnMix::default(), 0x5EED);
     let flip = |e: &ChurnEvent, invert: bool| match (e, invert) {
         (ChurnEvent::Insert(u, v), false) | (ChurnEvent::Remove(u, v), true) => {
@@ -188,19 +177,6 @@ fn run_dataset(out: &mut Vec<Json>, g: &Graph, dataset: &str, cfg: &SuiteConfig)
         let _ = maintained.apply_batch(&forward);
         let _ = maintained.apply_batch(&inverse);
     })));
-
-    let mut maintained = MaintainedIndex::new(g);
-    let mut last_pipeline: Option<PipelineReport> = None;
-    let mut fields = bench("churn_batch_parallel", dataset, reps, || {
-        let outcome = maintained.apply_batch_parallel(&forward, cfg.threads);
-        let undo = maintained.apply_batch_parallel(&inverse, cfg.threads);
-        last_pipeline = Some(outcome.report);
-        let _ = undo;
-    });
-    if let Some(report) = &last_pipeline {
-        fields.push(("work_balance", pipeline_balance_json(report)));
-    }
-    out.push(Json::obj(fields));
 
     let index = EsdIndex::build_fast(g);
     out.push(Json::obj(bench("query_topk", dataset, reps, || {
@@ -223,7 +199,6 @@ fn run_dataset(out: &mut Vec<Json>, g: &Graph, dataset: &str, cfg: &SuiteConfig)
         shards: 2,
         per_shard: ServiceConfig {
             workers: 0,
-            pipeline_threads: cfg.threads,
             ..ServiceConfig::default()
         },
     };
@@ -257,7 +232,6 @@ fn run_dataset(out: &mut Vec<Json>, g: &Graph, dataset: &str, cfg: &SuiteConfig)
         g,
         &ServiceConfig {
             workers: 0,
-            pipeline_threads: cfg.threads,
             ..ServiceConfig::default()
         },
     );
@@ -398,7 +372,6 @@ mod tests {
                 "build_parallel",
                 "maintain",
                 "churn_batch_seq",
-                "churn_batch_parallel",
                 "query_topk",
                 "online_topk",
                 "family_build",
@@ -414,31 +387,6 @@ mod tests {
         let parallel = &benches[1];
         let wb = parallel.get("work_balance").expect("work balance");
         assert_eq!(wb.get("threads").and_then(Json::as_u64), Some(2));
-
-        // …and so does the parallel churn-batch pipeline, in its own shape.
-        let churn = &benches[4];
-        let wb = churn.get("work_balance").expect("pipeline work balance");
-        assert!(wb.get("groups").and_then(Json::as_u64).is_some());
-        assert!(wb
-            .get("recomputed_per_worker")
-            .and_then(Json::as_arr)
-            .is_some());
-        assert!(wb
-            .get("union_ops_per_worker")
-            .and_then(Json::as_arr)
-            .is_some());
-        if esd_telemetry::enabled() {
-            // The pipeline's per-phase spans must show up as stage rows.
-            let stages = churn.get("stages").and_then(Json::as_arr).unwrap();
-            for phase in ["pbatch.plan", "pbatch.recompute", "pbatch.commit"] {
-                assert!(
-                    stages
-                        .iter()
-                        .any(|s| s.get("name").and_then(Json::as_str) == Some(phase)),
-                    "missing stage {phase}"
-                );
-            }
-        }
 
         // With telemetry armed, the counters must reflect real kernel work;
         // without it, the arrays must be empty rather than fabricated.

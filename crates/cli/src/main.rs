@@ -90,8 +90,8 @@ usage:
              F: component (default) | truss | parameter-free | ego-betweenness
   esd build  <graph.txt> -o <index.esdx>
   esd query  <index.esdx> [-k N] [--tau T]
-  esd stream <graph.txt> [--pipeline-threads N]
-  esd serve  <graph.txt> [--port P] [--threads N] [--pipeline-threads N]
+  esd stream <graph.txt>
+  esd serve  <graph.txt> [--port P] [--threads N]
              [--shards S] [--wal-dir DIR] [--checkpoint-interval N] [--ack fsync|enqueue]
   esd recover <wal-dir> [-o <out.esdx>]           inspect/replay durable state
   esd ego    <graph.txt> <u> <v> [-o <out.dot>]   render an edge ego-network
@@ -111,7 +111,6 @@ struct Options {
     port: u16,
     threads: usize,
     shards: u32,
-    pipeline_threads: usize,
     suite: String,
     json: bool,
     reps: usize,
@@ -135,7 +134,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         port: 7687,
         threads: 4,
         shards: 1,
-        pipeline_threads: 2,
         suite: "smoke".into(),
         json: false,
         reps: 3,
@@ -187,11 +185,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 opts.shards = value("--shards")?
                     .parse()
                     .map_err(|e| format!("bad --shards: {e}"))?;
-            }
-            "--pipeline-threads" => {
-                opts.pipeline_threads = value("--pipeline-threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --pipeline-threads: {e}"))?;
             }
             "--suite" => opts.suite = value("--suite")?,
             "--json" => opts.json = true,
@@ -711,7 +704,6 @@ fn stream(opts: &Options) -> Result<(), Error> {
         &g,
         &ServiceConfig {
             workers: 0,
-            pipeline_threads: opts.pipeline_threads.max(1),
             ..ServiceConfig::default()
         },
     );
@@ -746,7 +738,6 @@ fn serve(opts: &Options) -> Result<(), Error> {
     let ids = Arc::new(IdMap::from_original(original));
     let per_shard = ServiceConfig {
         workers: opts.threads,
-        pipeline_threads: opts.pipeline_threads.max(1),
         durability: durability_config(opts)?,
         ..ServiceConfig::default()
     };

@@ -356,7 +356,7 @@ pub(crate) fn truss_item((edge, prof): &(Edge, EdgeProfiles)) -> (Edge, &[u32]) 
     (*edge, &prof.truss_cores)
 }
 
-/// What one [`FamilySuite::apply`] window did.
+/// What one [`FamilySuite::apply_window`] window did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FamilyApplyReport {
     /// Owned edges in the window's blast radius (recomputed + deleted).
@@ -376,7 +376,7 @@ const PROFILE_PAGES: usize = 512;
 
 /// Maintained score state for every non-component [`Family`], kept beside
 /// the component index: one score profile per **owned** edge, updated
-/// per window by [`FamilySuite::apply`], and the ranked runs
+/// per window by [`FamilySuite::apply_window`], and the ranked runs
 /// [`FamilySuite::query`] reads (see the module docs). The profiles live in
 /// a copy-on-write [`CowMap`] and the rankings in [`CowRun`]s, so a clone
 /// shares their pages until a window rewrites them.
@@ -549,22 +549,16 @@ impl FamilySuite {
     /// Incorporates one applied update window. `g` must be the graph
     /// **after** the window (the component index's
     /// [`graph()`](crate::MaintainedIndex::graph) right after
-    /// `apply_batch_parallel`). A profile of an edge `(a, b)` depends only
-    /// on its ego network `G[N(ab)]`, so each update `(u, v)` reaches the
-    /// component index's own radius (`Ĝ_{N(uv)}`, Observations 2–3), taken
-    /// in `g` over the members `N(u) ∩ N(v)` plus every `w` the same window
-    /// updates `(u, w)` or `(v, w)` for — a common neighbour before the
-    /// window that the window cut off is one of those. Affected edges no
-    /// longer present are dropped; the rest are recomputed, on the calling
-    /// thread for a small window and fanned out over `threads` workers for
-    /// a large one. Only the dropped profiles and the recomputed ones that
-    /// changed are re-ranked.
-    pub fn apply(
-        &mut self,
-        g: &DynamicGraph,
-        updates: &[GraphUpdate],
-        threads: usize,
-    ) -> FamilyApplyReport {
+    /// [`apply_window`](crate::MaintainedIndex::apply_window)). A profile of
+    /// an edge `(a, b)` depends only on its ego network `G[N(ab)]`, so each
+    /// update `(u, v)` reaches the component index's own radius
+    /// (`Ĝ_{N(uv)}`, Observations 2–3), taken in `g` over the members
+    /// `N(u) ∩ N(v)` plus every `w` the same window updates `(u, w)` or
+    /// `(v, w)` for — a common neighbour before the window that the window
+    /// cut off is one of those. Affected edges no longer present are
+    /// dropped; the rest are recomputed. Only the dropped profiles and the
+    /// recomputed ones that changed are re-ranked.
+    pub fn apply_window(&mut self, g: &DynamicGraph, updates: &[GraphUpdate]) -> FamilyApplyReport {
         let _span = esd_telemetry::span(esd_telemetry::Stage::FamilyApply);
         let in_range = |x: VertexId| (x as usize) < g.num_vertices();
         // Each endpoint's partners in this window: the batch term of the
@@ -606,33 +600,6 @@ impl FamilySuite {
             .into_iter()
             .partition(|e| in_range(e.u) && in_range(e.v) && g.has_edge(e.u, e.v));
         let recomputed = live.len();
-        let threads = if recomputed < crate::maintain::INLINE_RECOMPUTE {
-            1
-        } else {
-            threads.clamp(1, recomputed)
-        };
-        let recompute = |edges: &[Edge]| {
-            let mut scratch = ProfileScratch::default();
-            edges
-                .iter()
-                .map(|&e| (e, EdgeProfiles::compute(g, e.u, e.v, &mut scratch)))
-                .collect::<Vec<_>>()
-        };
-        let computed: Vec<(Edge, EdgeProfiles)> = if threads == 1 {
-            recompute(&live)
-        } else {
-            let chunk = recomputed.div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = live
-                    .chunks(chunk)
-                    .map(|c| scope.spawn(move || recompute(c)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("family recompute worker panicked"))
-                    .collect()
-            })
-        };
         // Retire the dropped profiles and every stored profile a changed
         // one replaces; an unchanged profile is neither rewritten nor
         // re-ranked.
@@ -642,7 +609,9 @@ impl FamilySuite {
             .collect();
         let deleted = retired.len();
         let mut changed: Vec<Edge> = Vec::new();
-        for (e, prof) in computed {
+        let mut scratch = ProfileScratch::default();
+        for e in live {
+            let prof = EdgeProfiles::compute(g, e.u, e.v, &mut scratch);
             if self
                 .profiles
                 .get(e.key())
@@ -927,27 +896,14 @@ mod tests {
             }
         }
         let rebuilt = FamilySuite::rebuild(&dg, EdgeOwnership::ALL);
-        for threads in [1, 3] {
-            let mut maintained = suite.clone();
-            let report = maintained.apply(&dg, &updates, threads);
-            assert!(report.affected >= report.recomputed);
-            assert!(report.reranked > 0 && report.reranked <= report.affected);
-            // `PartialEq` compares the profiles and every ranked run.
-            assert_eq!(maintained, rebuilt, "threads={threads}");
-            assert_eq!(
-                maintained.rankings.truss, rebuilt.rankings.truss,
-                "threads={threads}"
-            );
-            assert_eq!(
-                maintained.rankings.pf, rebuilt.rankings.pf,
-                "threads={threads}"
-            );
-            assert_eq!(
-                maintained.rankings.betweenness, rebuilt.rankings.betweenness,
-                "threads={threads}"
-            );
-        }
-        suite.apply(&dg, &updates, 2);
+        let report = suite.apply_window(&dg, &updates);
+        assert!(report.affected >= report.recomputed);
+        assert!(report.reranked > 0 && report.reranked <= report.affected);
+        // `PartialEq` compares the profiles and every ranked run.
+        assert_eq!(suite, rebuilt);
+        assert_eq!(suite.rankings.truss, rebuilt.rankings.truss);
+        assert_eq!(suite.rankings.pf, rebuilt.rankings.pf);
+        assert_eq!(suite.rankings.betweenness, rebuilt.rankings.betweenness);
         assert_eq!(suite.len(), dg.num_edges());
     }
 
@@ -985,7 +941,7 @@ mod tests {
             dg.insert_edge(a, b);
         }
         let before = suite.clone();
-        let report = suite.apply(&dg, &updates, 1);
+        let report = suite.apply_window(&dg, &updates);
         assert_eq!(suite.rankings.truss.sizes().collect::<Vec<_>>(), [4, 5, 6]);
         assert_eq!(suite, FamilySuite::rebuild(&dg, EdgeOwnership::ALL));
         // The K8 kept its profiles: only the two grown cliques re-ranked.
@@ -1020,7 +976,7 @@ mod tests {
         dg.ensure_vertex(500);
         dg.insert_edge(0, 500);
         let before = suite.clone();
-        let report = suite.apply(&dg, &[update], 1);
+        let report = suite.apply_window(&dg, &[update]);
         assert_eq!(report.recomputed, 1);
         assert_eq!(report.reranked, 1, "only the new edge is ranked");
         assert_eq!(suite.pages_unshared_with(&before), 1);
@@ -1035,10 +991,10 @@ mod tests {
             .map(|e| {
                 let cut = [GraphUpdate::Remove(e.u, e.v)];
                 dg.remove_edge(e.u, e.v);
-                suite.apply(&dg, &cut, 1);
+                suite.apply_window(&dg, &cut);
                 let back = [GraphUpdate::Insert(e.u, e.v)];
                 dg.insert_edge(e.u, e.v);
-                let report = suite.apply(&dg, &back, 1);
+                let report = suite.apply_window(&dg, &back);
                 report.recomputed - report.reranked
             })
             .sum();
@@ -1047,7 +1003,7 @@ mod tests {
     }
 
     #[test]
-    fn large_windows_fan_out_and_match_rebuild() {
+    fn large_windows_match_rebuild() {
         let g = generators::clique_overlap(200, 160, 6, 31);
         let mut suite = FamilySuite::new(&g);
         let mut dg = DynamicGraph::from_graph(&g);
@@ -1061,11 +1017,7 @@ mod tests {
             let (u, v) = update.endpoints();
             dg.remove_edge(u, v);
         }
-        let report = suite.apply(&dg, &window, 2);
-        assert!(
-            report.recomputed >= crate::maintain::INLINE_RECOMPUTE,
-            "{report:?} does not reach the worker path"
-        );
+        suite.apply_window(&dg, &window);
         assert_eq!(suite, FamilySuite::rebuild(&dg, EdgeOwnership::ALL));
     }
 

@@ -1,7 +1,8 @@
-//! The batch-mutation vocabulary shared by every write path: per-update
+//! The batch-mutation vocabulary of the write path: per-update
 //! [`UpdateDisposition`]s, the [`BatchStats`] roll-up returned by
 //! [`MaintainedIndex::apply_batch`](super::MaintainedIndex::apply_batch) and
-//! the pipeline, and the [`MutationBatch`] builder that `esd-serve` and the
+//! [`apply_window`](super::MaintainedIndex::apply_window), and the
+//! [`MutationBatch`] builder that `esd-serve` and the
 //! CLI hand to
 //! [`ServiceHandle::submit`](../../../esd_serve/struct.ServiceHandle.html).
 //!

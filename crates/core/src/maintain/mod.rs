@@ -24,28 +24,14 @@ use crate::cow::{CowMap, SizeRuns};
 use crate::index::build;
 use crate::ScoredEdge;
 use esd_graph::{DynamicGraph, Edge, Graph, VertexId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 pub mod batch;
-pub mod parallel;
+mod compat;
 
 pub use batch::{BatchStats, MutationBatch, UpdateDisposition};
-pub use parallel::{PipelineOutcome, PipelineReport};
-
-/// Below this many edges to recompute, a write window — the pipeline's
-/// forests and [`FamilySuite::apply`](crate::FamilySuite::apply)'s
-/// profiles — recomputes on the calling thread: spawning scoped workers
-/// costs more than the work they would share. On one shard of two of
-/// LiveJournal Small (2-vCPU host, churn windows of 1 to 64 updates), two
-/// family workers were slower than one at every median window size from 3
-/// to 58 profiles (45 → 210 µs at 3, 2.1 → 2.7 ms at 58), and an inline
-/// pipeline recompute was faster up to 27 forests (0.6–0.9 against
-/// 1.2–1.4 ms there); from about 60 to 270 edges the two were within
-/// run-to-run spread. Above the cut-off no measurement shows the workers
-/// winning: on the same host a build that never spawns them served
-/// 32-edge durable windows (about 215 profiles and 224 forests each)
-/// faster, so whether the cut-off pays on more cores is unmeasured.
-pub(crate) const INLINE_RECOMPUTE: usize = 128;
+#[doc(hidden)]
+pub use compat::{PipelineOutcome, PipelineReport};
 
 /// Which slice of the edge space a [`MaintainedIndex`] maintains score
 /// state for. The graph replica is always complete — adjacency must be
@@ -376,11 +362,15 @@ impl MaintainedIndex {
     /// batch. Returns `false` if the edge already exists or is a self-loop.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> bool {
         let _span = esd_telemetry::span(esd_telemetry::Stage::MaintainInsert);
-        self.apply_updates(&[GraphUpdate::Insert(u, v)]).applied == 1
+        self.apply_updates(&[GraphUpdate::Insert(u, v)])
+            .stats
+            .applied
+            == 1
     }
 
     /// The graph + forest mutations of Algorithm 4 (no list bookkeeping).
-    fn mutate_insert(&mut self, u: VertexId, v: VertexId, nuv: &[VertexId]) {
+    /// Returns the unions performed on owned forests.
+    fn mutate_insert(&mut self, u: VertexId, v: VertexId, nuv: &[VertexId]) -> u64 {
         self.g.insert_edge(u, v);
 
         // Algorithm 4 lines 3–9: fresh singletons. Forests are created or
@@ -405,103 +395,116 @@ impl MaintainedIndex {
 
         // Algorithm 4 lines 10–19: one union per member edge of each new
         // 4-clique {u, v, w1, w2}.
-        let ego = ego_edges(&self.g, nuv);
-        esd_telemetry::add(
-            esd_telemetry::Metric::MaintainUnionOps,
-            6 * ego.len() as u64,
-        );
-        for (w1, w2) in ego {
-            self.union_in(Edge::new(u, v), w1, w2);
-            self.union_in(Edge::new(w1, w2), u, v);
-            self.union_in(Edge::new(u, w1), v, w2);
-            self.union_in(Edge::new(v, w1), u, w2);
-            self.union_in(Edge::new(u, w2), v, w1);
-            self.union_in(Edge::new(v, w2), u, w1);
+        let mut unions = 0;
+        for (w1, w2) in ego_edges(&self.g, nuv) {
+            unions += self.union_in(Edge::new(u, v), w1, w2)
+                + self.union_in(Edge::new(w1, w2), u, v)
+                + self.union_in(Edge::new(u, w1), v, w2)
+                + self.union_in(Edge::new(v, w1), u, w2)
+                + self.union_in(Edge::new(u, w2), v, w1)
+                + self.union_in(Edge::new(v, w2), u, w1);
         }
+        unions
     }
 
     /// Deletes `(u, v)` and repairs the index (Algorithm 5) — a one-update
     /// batch. Returns `false` if the edge is absent.
     pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
         let _span = esd_telemetry::span(esd_telemetry::Stage::MaintainRemove);
-        self.apply_updates(&[GraphUpdate::Remove(u, v)]).applied == 1
+        self.apply_updates(&[GraphUpdate::Remove(u, v)])
+            .stats
+            .applied
+            == 1
     }
 
     /// The graph + forest mutations of Algorithm 5 (no list bookkeeping).
-    fn mutate_remove(&mut self, u: VertexId, v: VertexId, affected: &[u64]) {
+    /// Returns the unions performed on owned forests.
+    fn mutate_remove(&mut self, u: VertexId, v: VertexId, affected: &[u64]) -> u64 {
         self.g.remove_edge(u, v);
         self.forests.remove(Edge::new(u, v).key());
 
         // Union–find cannot split: rebuild every affected forest from its
         // post-deletion ego-network (Algorithm 5's Update, applied per edge).
-        for &key in affected {
-            let e = Edge::from_key(key);
-            if e == Edge::new(u, v) {
-                continue;
-            }
-            self.rebuild_forest(e);
-        }
+        affected
+            .iter()
+            .map(|&key| Edge::from_key(key))
+            .filter(|&e| e != Edge::new(u, v))
+            .map(|e| self.rebuild_forest(e))
+            .sum()
     }
 
-    /// Applies a batch of updates, retracting each affected list entry once
-    /// and restoring once at the end — updates with overlapping blast radii
-    /// (`Ĝ_{N(uv)}` regions) share the list bookkeeping, which dominates the
-    /// per-update cost. Equivalent to applying the updates one by one.
-    ///
-    /// Returns a [`BatchStats`] classifying every update: `applied`, `noop`
-    /// (duplicate insert / missing removal — the graph already satisfies the
-    /// request), or `rejected` (structurally invalid: a self-loop).
+    /// Applies a batch of updates and returns how each one was handled:
+    /// `applied`, `noop` (duplicate insert / missing removal — the graph
+    /// already satisfies the request), or `rejected` (structurally invalid:
+    /// a self-loop). The [`apply_window`](Self::apply_window) roll-up.
     pub fn apply_batch(&mut self, updates: &[GraphUpdate]) -> BatchStats {
+        self.apply_window(updates).stats
+    }
+
+    /// Applies one update window, the one write path every caller shares:
+    /// each update in order by Algorithm 4 or 5 against the evolving graph,
+    /// then one commit of the `H(c)` lists for the whole window. Equivalent
+    /// to applying the updates one by one. The commit moves only the
+    /// radius edges whose sorted component sizes the window changed, so
+    /// updates with overlapping radii (`Ĝ_{N(uv)}` regions) share the list
+    /// bookkeeping, which dominates the per-update cost.
+    pub fn apply_window(&mut self, updates: &[GraphUpdate]) -> WindowOutcome {
         let _span = esd_telemetry::span(esd_telemetry::Stage::MaintainBatch);
         self.apply_updates(updates)
     }
 
-    /// [`apply_batch`](Self::apply_batch) without its span, so each entry
+    /// [`apply_window`](Self::apply_window) without its span, so each entry
     /// point records its own.
-    fn apply_updates(&mut self, updates: &[GraphUpdate]) -> BatchStats {
-        let mut retracted: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut order: Vec<u64> = Vec::new();
-        let mut stats = BatchStats::default();
+    fn apply_updates(&mut self, updates: &[GraphUpdate]) -> WindowOutcome {
+        let mut dispositions = Vec::with_capacity(updates.len());
+        let mut radius: Vec<u64> = Vec::new();
+        // Each radius edge's sorted sizes before the window, taken when an
+        // update first touches it: `before[i]` belongs to `radius[i]`.
+        let mut before: Vec<Vec<u32>> = Vec::new();
+        let mut seen: HashSet<u64> = HashSet::new();
+        let mut union_ops = 0;
         for &update in updates {
-            match self.classify(update) {
-                UpdateDisposition::Rejected => stats.rejected += 1,
-                UpdateDisposition::Noop => stats.noop += 1,
-                UpdateDisposition::Applied => {
-                    let (u, v) = update.endpoints();
-                    let nuv = self.g.common_neighbors(u, v);
-                    let affected = affected_edges(&self.g, u, v, &nuv);
-                    let start = order.len();
-                    if start == 0 {
-                        // One update's keys are distinct; the set only
-                        // dedups a later update's keys against earlier ones.
-                        order.extend_from_slice(&affected);
-                    } else {
-                        if retracted.is_empty() {
-                            retracted.extend(order.iter().copied());
-                        }
-                        order.extend(affected.iter().filter(|&&key| retracted.insert(key)));
-                    }
-                    self.retract_entries(&order[start..]);
-                    match update {
-                        GraphUpdate::Insert(..) => self.mutate_insert(u, v, &nuv),
-                        GraphUpdate::Remove(..) => self.mutate_remove(u, v, &affected),
-                    }
-                    stats.applied += 1;
-                }
+            let disposition = self.classify(update);
+            dispositions.push(disposition);
+            if disposition != UpdateDisposition::Applied {
+                continue;
             }
+            let (u, v) = update.endpoints();
+            let nuv = self.g.common_neighbors(u, v);
+            let affected = affected_edges(&self.g, u, v, &nuv);
+            let start = radius.len();
+            if start == 0 {
+                // One update's keys are distinct; the set only dedups a
+                // later update's keys against earlier ones.
+                radius.extend_from_slice(&affected);
+            } else {
+                if seen.is_empty() {
+                    seen.extend(radius.iter().copied());
+                }
+                radius.extend(affected.iter().filter(|&&key| seen.insert(key)));
+            }
+            before.extend(radius[start..].iter().map(|&key| self.sizes_of(key)));
+            union_ops += match update {
+                GraphUpdate::Insert(..) => self.mutate_insert(u, v, &nuv),
+                GraphUpdate::Remove(..) => self.mutate_remove(u, v, &affected),
+            };
         }
-        esd_telemetry::add(esd_telemetry::Metric::MaintainAffected, order.len() as u64);
-        self.restore_entries(&order);
+        self.commit(&radius, &before);
+        esd_telemetry::add(esd_telemetry::Metric::MaintainAffected, radius.len() as u64);
+        esd_telemetry::add(esd_telemetry::Metric::MaintainUnionOps, union_ops);
         self.strict_audit();
-        stats
+        WindowOutcome {
+            stats: BatchStats::from_dispositions(&dispositions),
+            dispositions,
+            radius,
+            union_ops,
+        }
     }
 
     /// Classifies `update` against the current graph, growing the vertex set
-    /// for in-range inserts exactly as the apply path would. Shared by the
-    /// sequential batch loop and the pipeline planner so both paths agree on
-    /// applied/noop/rejected — and on the side effect that even a no-op
+    /// for in-range inserts exactly as the apply would — so even a no-op
     /// insert of `(u, v)` leaves vertices `u` and `v` allocated.
-    pub(crate) fn classify(&mut self, update: GraphUpdate) -> UpdateDisposition {
+    fn classify(&mut self, update: GraphUpdate) -> UpdateDisposition {
         match update {
             GraphUpdate::Insert(u, v) => {
                 if u == v {
@@ -555,41 +558,45 @@ impl MaintainedIndex {
         self.apply_batch(&updates).applied
     }
 
-    /// Retracts the affected edges from the `H(c)` lists under their
-    /// current forest sizes ([`SizeRuns::retract`]).
-    fn retract_entries(&mut self, affected: &[u64]) {
-        let mut removed = 0;
-        for &key in affected {
-            if let Some(forest) = self.forests.get(key) {
-                removed += self
-                    .lists
-                    .retract(Edge::from_key(key), &forest.component_sizes());
-            }
-        }
-        esd_telemetry::add(esd_telemetry::Metric::TreapRemoves, removed);
+    /// Edge `key`'s sorted component sizes: empty when it has no forest
+    /// (absent, non-owned, or with an empty common neighbourhood).
+    fn sizes_of(&self, key: u64) -> Vec<u32> {
+        self.forests
+            .get(key)
+            .map_or_else(Vec::new, EdgeDsu::component_sizes)
     }
 
-    /// Restores the affected edges to the `H(c)` lists under their new
-    /// forest sizes ([`SizeRuns::restore`]).
-    fn restore_entries(&mut self, affected: &[u64]) {
-        let sized: Vec<(Edge, Vec<u32>)> = affected
-            .iter()
-            .filter_map(|&key| {
-                let forest = self.forests.get(key)?;
-                Some((Edge::from_key(key), forest.component_sizes()))
-            })
-            .collect();
-        let inserted = self
-            .lists
-            .restore(sized.iter().map(|(edge, sizes)| (*edge, sizes.as_slice())));
+    /// The window's list commit: every radius edge whose sorted sizes
+    /// differ from `before` is retracted under its old sizes
+    /// ([`SizeRuns::retract`]) and restored under its new ones
+    /// ([`SizeRuns::restore`]). An edge whose sizes came back unchanged
+    /// keeps its keys, since they would be rewritten to themselves.
+    fn commit(&mut self, radius: &[u64], before: &[Vec<u32>]) {
+        let mut changed: Vec<(Edge, Vec<u32>)> = Vec::new();
+        let mut removed = 0;
+        for (&key, old) in radius.iter().zip(before) {
+            let new = self.sizes_of(key);
+            if new != *old {
+                let edge = Edge::from_key(key);
+                removed += self.lists.retract(edge, old);
+                changed.push((edge, new));
+            }
+        }
+        let inserted = self.lists.restore(
+            changed
+                .iter()
+                .map(|(edge, sizes)| (*edge, sizes.as_slice())),
+        );
+        esd_telemetry::add(esd_telemetry::Metric::TreapRemoves, removed);
         esd_telemetry::add(esd_telemetry::Metric::TreapInserts, inserted);
     }
 
     /// One `Union` in edge `e`'s forest (Algorithm 4's `M_xy.Union`).
     /// No-op for non-owned edges, whose forests live on another shard.
-    fn union_in(&mut self, e: Edge, a: VertexId, b: VertexId) {
+    /// Returns the unions performed: 1, or 0 for a non-owned edge.
+    fn union_in(&mut self, e: Edge, a: VertexId, b: VertexId) -> u64 {
         if !self.ownership.owns_key(e.key()) {
-            return;
+            return 0;
         }
         let forest = self
             .forests
@@ -597,24 +604,35 @@ impl MaintainedIndex {
             .expect("forest exists for every 4-clique member edge");
         debug_assert!(forest.contains(a) && forest.contains(b));
         forest.union(a, b);
+        1
     }
 
-    /// Recomputes edge `e`'s forest from its current ego-network.
-    /// No-op for non-owned edges, whose forests live on another shard.
-    fn rebuild_forest(&mut self, e: Edge) {
-        if !self.ownership.owns_key(e.key()) {
-            return;
+    /// Recomputes edge `e`'s forest from its current ego-network: none is
+    /// stored when its common neighbourhood is empty. No-op for non-owned
+    /// edges, whose forests live on another shard. Returns the unions
+    /// performed.
+    fn rebuild_forest(&mut self, e: Edge) -> u64 {
+        let key = e.key();
+        if !self.ownership.owns_key(key) {
+            return 0;
         }
-        let (forest, union_ops) = compute_forest(&self.g, e);
-        esd_telemetry::add(esd_telemetry::Metric::MaintainUnionOps, union_ops);
-        match forest {
-            Some(dsu) => {
-                self.forests.insert(e.key(), dsu);
-            }
-            None => {
-                self.forests.remove(e.key());
-            }
+        let g = &self.g;
+        debug_assert!(g.has_edge(e.u, e.v), "rebuilding the forest of absent {e}");
+        let members = g.common_neighbors(e.u, e.v);
+        if members.is_empty() {
+            self.forests.remove(key);
+            return 0;
         }
+        let mut dsu = EdgeDsu::default();
+        for &w in &members {
+            dsu.insert_singleton(w);
+        }
+        let ego = ego_edges(g, &members);
+        for &(w1, w2) in &ego {
+            dsu.union(w1, w2);
+        }
+        self.forests.insert(key, dsu);
+        ego.len() as u64
     }
 
     /// Exhaustive consistency check; used by the differential tests and
@@ -644,31 +662,19 @@ impl MaintainedIndex {
     fn strict_audit(&self) {}
 }
 
-/// Computes edge `e`'s forest from scratch against `g` — the pure-function
-/// core of [`MaintainedIndex::rebuild_forest`], shared with the pipeline's
-/// parallel recompute workers (which call it against the post-batch graph).
-/// Returns `(None, 0)` when the edge is absent or its common neighbourhood
-/// is empty (no forest is stored for such edges), otherwise the forest plus
-/// the number of union operations performed.
-pub(crate) fn compute_forest(g: &DynamicGraph, e: Edge) -> (Option<EdgeDsu>, u64) {
-    if e.u as usize >= g.num_vertices() || e.v as usize >= g.num_vertices() || !g.has_edge(e.u, e.v)
-    {
-        return (None, 0);
-    }
-    let members = g.common_neighbors(e.u, e.v);
-    if members.is_empty() {
-        return (None, 0);
-    }
-    let mut dsu = EdgeDsu::default();
-    for &w in &members {
-        dsu.insert_singleton(w);
-    }
-    let ego = ego_edges(g, &members);
-    let union_ops = ego.len() as u64;
-    for (w1, w2) in ego {
-        dsu.union(w1, w2);
-    }
-    (Some(dsu), union_ops)
+/// What one window through [`MaintainedIndex::apply_window`] did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WindowOutcome {
+    /// Applied/noop/rejected totals: the roll-up of `dispositions`.
+    pub stats: BatchStats,
+    /// One disposition per input update, in input order.
+    pub dispositions: Vec<UpdateDisposition>,
+    /// The window's radius: every edge key in an applied update's
+    /// `Ĝ_{N(uv)}`, once each, in first-touch order. Keys another shard
+    /// owns are included; this index keeps no state for them.
+    pub radius: Vec<u64>,
+    /// Union operations performed on this index's forests.
+    pub union_ops: u64,
 }
 
 /// The edge set of `Ĝ_{N(uv)}` (Observations 2–3) for the update `(u, v)`,
@@ -676,8 +682,8 @@ pub(crate) fn compute_forest(g: &DynamicGraph, e: Edge) -> (Option<EdgeDsu>, u64
 /// `w` in `members`, and every edge of `g` between two members. With
 /// `members = N(u) ∩ N(v)` this is the update's blast radius: every edge
 /// whose ego network `G[N(ab)]` the update can change. It is the one
-/// radius every write path uses — the sequential and pipelined component
-/// maintenance and [`FamilySuite::apply`](crate::FamilySuite::apply). One
+/// radius every write path uses — the component maintenance and
+/// [`FamilySuite::apply_window`](crate::FamilySuite::apply_window). One
 /// update's keys are distinct; `members` must be sorted.
 pub(crate) fn affected_edges(
     g: &DynamicGraph,
@@ -1103,37 +1109,69 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pipeline_matches_sharded_sequential() {
-        let g = generators::clique_overlap(30, 25, 4, 7);
-        let mut rng = StdRng::seed_from_u64(0x0DD);
-        let mut ops = Vec::new();
-        for _ in 0..40 {
-            let (a, b) = (rng.gen_range(0..30u32), rng.gen_range(0..30u32));
-            if a == b {
-                continue;
-            }
-            ops.push(if rng.gen_bool(0.5) {
-                GraphUpdate::Insert(a, b)
-            } else {
-                GraphUpdate::Remove(a, b)
-            });
-        }
-        let own = EdgeOwnership::of(1, 3);
-        let mut sequential = MaintainedIndex::new_owned(&g, own);
-        sequential.apply_batch(&ops);
-        let mut piped = MaintainedIndex::new_owned(&g, own);
-        let outcome = piped.apply_batch_parallel(&ops, 2);
-        piped.check_consistency();
+    fn window_reports_dispositions_radius_and_unions() {
+        let (g, n) = fig1();
+        let mut index = MaintainedIndex::new(&g);
+        let outcome = index.apply_window(&[]);
+        assert_eq!(outcome.stats, BatchStats::default());
+        assert!(outcome.dispositions.is_empty() && outcome.radius.is_empty());
+        assert_eq!(outcome.union_ops, 0);
+        let outcome = index.apply_window(&[
+            GraphUpdate::Insert(n["f"], n["g"]), // present → noop
+            GraphUpdate::Insert(9, 9),           // self-loop → rejected
+        ]);
         assert_eq!(
-            outcome.report.recomputed_per_worker.iter().sum::<u64>(),
-            outcome.report.recomputed_edges,
-            "owned keys recomputed exactly once"
+            outcome.dispositions,
+            [UpdateDisposition::Noop, UpdateDisposition::Rejected]
         );
-        assert_eq!(piped.graph().edges(), sequential.graph().edges());
-        assert_eq!(piped.component_sizes(), sequential.component_sizes());
-        for tau in [1, 2, 3] {
-            assert_eq!(piped.query(100, tau), sequential.query(100, tau), "τ={tau}");
-        }
+        assert!(
+            outcome.radius.is_empty(),
+            "an all-skipped window touches nothing"
+        );
+        assert_eq!(outcome.union_ops, 0);
+        // Example 6: inserting (c, d) closes 4-cliques, so it unions.
+        let outcome = index.apply_window(&[GraphUpdate::Insert(n["c"], n["d"])]);
+        assert_eq!(outcome.dispositions, [UpdateDisposition::Applied]);
+        assert_eq!(outcome.radius[0], Edge::new(n["c"], n["d"]).key());
+        assert!(outcome.union_ops > 0);
+        index.check_consistency();
+    }
+
+    #[test]
+    fn batch_remove_then_insert_round_trips() {
+        let (g, n) = fig1();
+        let mut index = MaintainedIndex::new(&g);
+        let before = index.query(40, 1);
+        let outcome = index.apply_window(&[
+            GraphUpdate::Remove(n["u"], n["k"]),
+            GraphUpdate::Insert(n["u"], n["k"]),
+        ]);
+        assert_eq!(outcome.stats.applied, 2);
+        index.check_consistency();
+        assert_eq!(index.query(40, 1), before, "net no-op batch");
+    }
+
+    #[test]
+    fn window_grows_the_vertex_set_mid_batch() {
+        let g = Graph::from_edges(3, &[(0, 1)]);
+        let mut index = MaintainedIndex::new(&g);
+        let outcome = index.apply_window(&[
+            GraphUpdate::Insert(7, 0),
+            GraphUpdate::Insert(7, 1),
+            GraphUpdate::Remove(9, 0), // out of range even after growth → noop
+        ]);
+        assert_eq!(
+            outcome.dispositions,
+            [
+                UpdateDisposition::Applied,
+                UpdateDisposition::Applied,
+                UpdateDisposition::Noop
+            ]
+        );
+        assert_eq!(index.graph().num_vertices(), 8);
+        index.check_consistency();
+        // The second insert closes the triangle {0, 1, 7}.
+        assert_eq!(index.component_sizes(), vec![1]);
     }
 
     #[test]

@@ -205,6 +205,11 @@ pub struct WalWriter {
     segment_bytes: u64,
     inner: Mutex<Inner>,
     synced: Condvar,
+    /// Test hook: when set, [`sync`](Self::sync) waits on this barrier
+    /// twice while its fsync is in flight (lock released, `sync_data` not
+    /// yet called), so a test can append in between.
+    #[cfg(test)]
+    fsync_gate: Mutex<Option<std::sync::Arc<std::sync::Barrier>>>,
 }
 
 impl WalWriter {
@@ -231,6 +236,8 @@ impl WalWriter {
                 last_epoch: None,
             }),
             synced: Condvar::new(),
+            #[cfg(test)]
+            fsync_gate: Mutex::new(None),
         })
     }
 
@@ -326,6 +333,8 @@ impl WalWriter {
             let generation = inner.truncations;
             inner.syncing = true;
             drop(inner);
+            #[cfg(test)]
+            self.pass_fsync_gate();
             let result = clone.sync_data();
             inner = self.inner.lock().unpoison();
             inner.syncing = false;
@@ -361,6 +370,17 @@ impl WalWriter {
     /// [`truncate_to`](Self::truncate_to)).
     pub fn poisoned(&self) -> bool {
         self.inner.lock().unpoison().poisoned
+    }
+
+    /// Waits twice on the fsync gate, if one is set: once to say the fsync
+    /// is in flight, once to be let through.
+    #[cfg(test)]
+    fn pass_fsync_gate(&self) {
+        let gate = self.fsync_gate.lock().unpoison().clone();
+        if let Some(gate) = gate {
+            gate.wait();
+            gate.wait();
+        }
     }
 
     /// `(appended, durable)` under one lock acquisition, for invariant
@@ -932,6 +952,41 @@ mod tests {
         assert!(!replay.truncated);
         assert_eq!(replay.records.len(), ROUNDS as usize);
         assert!(replay.records.iter().all(|r| r.payload == [0xCC; 16]));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn records_appended_during_an_fsync_are_not_counted_durable() {
+        // The fsync started before these appends, so it proves nothing
+        // about them: crediting them (`durable = appended` after the
+        // fsync) would ack records a crash can still lose.
+        let dir = tmp("append_during_fsync");
+        let wal = WalWriter::open(&dir, WalOptions::default()).unwrap();
+        for epoch in 1..=3u64 {
+            wal.append(epoch, b"before").unwrap();
+        }
+        let gate = std::sync::Arc::new(std::sync::Barrier::new(2));
+        *wal.fsync_gate.lock().unpoison() = Some(std::sync::Arc::clone(&gate));
+        std::thread::scope(|s| {
+            let syncer = s.spawn(|| wal.sync());
+            gate.wait(); // the fsync of records 1..=3 is in flight
+            for epoch in 4..=5u64 {
+                wal.append(epoch, b"during").unwrap();
+            }
+            assert_eq!(wal.accounting(), (5, 0));
+            gate.wait(); // let it finish
+            syncer.join().unwrap().unwrap();
+        });
+        assert_eq!(
+            wal.accounting(),
+            (5, 3),
+            "only the records the fsync covered are durable"
+        );
+        assert!(wal.unsynced_bytes() > 0, "records 4 and 5 await an fsync");
+        *wal.fsync_gate.lock().unpoison() = None;
+        wal.sync().unwrap();
+        assert_eq!(wal.accounting(), (5, 5));
+        assert_eq!(wal.unsynced_bytes(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -378,7 +378,7 @@ mod tests {
         let updates = vec![
             GraphUpdate::Insert(3, 9),
             GraphUpdate::Remove(0, 4),
-            GraphUpdate::Insert(7, 7), // self-loops survive the codec; the pipeline rejects them
+            GraphUpdate::Insert(7, 7), // self-loops survive the codec; the apply rejects them
         ];
         let bytes = encode_updates(&updates);
         assert_eq!(decode_updates(&bytes).unwrap(), updates);

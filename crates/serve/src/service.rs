@@ -9,12 +9,12 @@
 //!   concurrent publications are invisible to it (stale-but-consistent).
 //! * **The writer** is the only mutator. It drains queued update requests
 //!   in bounded admission windows, merges every still-live request's
-//!   updates into one batch, applies it with the parallel maintenance
-//!   pipeline ([`MaintainedIndex::apply_batch_parallel`]), and publishes a
-//!   fresh epoch-stamped snapshot once per window — so a storm of
-//!   single-edge updates costs one pipeline run and one index clone, not
-//!   one per edge. Per-request outcomes are recovered by slicing the
-//!   pipeline's per-update dispositions.
+//!   updates into one batch, applies it through the index's one write
+//!   path ([`MaintainedIndex::apply_window`]), and publishes a fresh
+//!   epoch-stamped snapshot once per window — so a storm of single-edge
+//!   updates costs one list commit and one index clone, not one per edge.
+//!   Per-request outcomes are recovered by slicing the window's per-update
+//!   dispositions.
 //! * **Backpressure**: both queues are bounded; a full queue rejects the
 //!   request with [`ServeError::QueueFull`] instead of growing without
 //!   bound. Every request carries a deadline; requests that are already
@@ -55,9 +55,11 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
-    /// Recompute threads for the batch-maintenance pipeline the writer
-    /// runs (`apply_batch_parallel`); `1` keeps the recompute phase
-    /// sequential.
+    /// Ignored: every window applies through the one sequential write
+    /// path. Kept for the frozen benchmark harness, which sets it
+    /// (`esdbench/src/workloads.rs:99`; see `esd_core::maintain`'s
+    /// `compat` module).
+    #[doc(hidden)]
     pub pipeline_threads: usize,
     /// How many epochs of stale cached results publication retains for
     /// overload shedding: when the query queue refuses a request, the
@@ -305,7 +307,6 @@ pub(crate) struct Engine {
     update_queue: BoundedQueue<UpdateJob>,
     inline: bool,
     default_deadline: Option<Duration>,
-    pipeline_threads: usize,
     shed_stale_epochs: u64,
     faults: FaultInjector,
     /// Durable commit state (WAL + checkpoint store). Locked **after**
@@ -380,7 +381,6 @@ impl Engine {
             update_queue: BoundedQueue::new(cfg.queue_capacity),
             inline: cfg.workers == 0,
             default_deadline: cfg.default_deadline,
-            pipeline_threads: cfg.pipeline_threads.max(1),
             shed_stale_epochs: cfg.shed_stale_epochs,
             faults: FaultInjector::from_plan(plan),
             durable,
@@ -684,7 +684,7 @@ impl Engine {
     }
 
     /// One apply window: lock the writer's working copy, apply `updates`
-    /// via the parallel pipeline, log the window to the WAL (when durable),
+    /// through the index's write path, log the window to the WAL (when durable),
     /// publish if anything changed — with injected faults and panics
     /// contained *inside* the lock scope. On any failure the working copy
     /// is rolled back to the last published snapshot **and** the window's
@@ -705,12 +705,12 @@ impl Engine {
         let window = catch_unwind(AssertUnwindSafe(|| -> WindowResult {
             self.fault(FaultPoint::WriterApply)
                 .map_err(|e| ServeError::Internal(e.to_string()))?;
-            let outcome = index.apply_batch_parallel(updates, self.pipeline_threads);
+            let outcome = index.apply_window(updates);
             let epoch = if outcome.stats.applied > 0 {
                 // Family state rides the same window: recomputed against
                 // the post-batch graph, published in the same snapshot,
                 // rolled back with the index on any failure below.
-                families.apply(index.graph(), updates, self.pipeline_threads);
+                families.apply_window(index.graph(), updates);
                 if let Some(d) = durable.as_deref_mut() {
                     self.wal_commit(d, updates)?;
                 }
@@ -823,8 +823,8 @@ fn writer_loop(engine: &Engine) {
                 None => break,
             }
         }
-        // Coalesce every still-live job's updates into ONE pipeline run —
-        // the admission window the pipeline was built for. Jobs already
+        // Coalesce every still-live job's updates into ONE apply window,
+        // sharing one list commit and one publication. Jobs already
         // past their deadline are excluded up front; `ranges[i]` remembers
         // which slice of the merged batch belongs to live job `i` so its
         // dispositions can be handed back individually.
@@ -840,7 +840,7 @@ fn writer_loop(engine: &Engine) {
             ranges.push(Some(start..merged.len()));
         }
         // An empty merge (every job expired, or only empty batches) has
-        // nothing to apply — skip the writer lock and the pipeline run and
+        // nothing to apply — skip the writer lock and the apply window and
         // hand out the current epoch.
         let window = if merged.is_empty() {
             Ok((Vec::new(), engine.snapshot.load().epoch()))
@@ -1412,10 +1412,10 @@ mod tests {
             queue_capacity: 1,
             cache_capacity: 0,
             default_deadline: Some(Duration::from_millis(200)),
-            pipeline_threads: 1,
             shed_stale_epochs: 1,
             durability: None,
             ownership: EdgeOwnership::ALL,
+            ..ServiceConfig::default()
         };
         let engine = Arc::new(Engine::new(&test_graph(), &cfg, FaultPlan::default()));
         let handle = ServiceHandle {
@@ -1456,10 +1456,10 @@ mod tests {
             queue_capacity: 1,
             cache_capacity: 64,
             default_deadline: Some(Duration::from_millis(200)),
-            pipeline_threads: 1,
             shed_stale_epochs: 1,
             durability: None,
             ownership: EdgeOwnership::ALL,
+            ..ServiceConfig::default()
         };
         let g = test_graph();
         let engine = Arc::new(Engine::new(&g, &cfg, FaultPlan::default()));
@@ -1515,10 +1515,10 @@ mod tests {
             queue_capacity: 1,
             cache_capacity: 0,
             default_deadline: Some(Duration::from_millis(500)),
-            pipeline_threads: 1,
             shed_stale_epochs: 1,
             durability: None,
             ownership: EdgeOwnership::ALL,
+            ..ServiceConfig::default()
         };
         let engine = Arc::new(Engine::new(&test_graph(), &cfg, FaultPlan::default()));
         let handle = ServiceHandle {

@@ -108,7 +108,7 @@ mod tests {
         for (epoch, e) in (1..=8u64).zip(g.edges().iter().step_by(7)) {
             let window = [GraphUpdate::Remove(e.u, e.v)];
             index.apply_batch(&window);
-            families.apply(index.graph(), &window, 1);
+            families.apply_window(index.graph(), &window);
             cell.store(Arc::new(Snapshot::new(
                 epoch,
                 index.clone(),

@@ -128,15 +128,9 @@ catalogue! {
         MaintainInsert => "maintain.insert",
         /// One `MaintainedIndex::remove_edge` call, end to end.
         MaintainRemove => "maintain.remove",
-        /// One `MaintainedIndex::apply_batch` call, end to end.
+        /// One `MaintainedIndex::apply_window` (or `apply_batch`) call, end
+        /// to end.
         MaintainBatch => "maintain.batch",
-        /// Pipeline phase 1: sequential planning (blast radii + conflict
-        /// groups) inside `apply_batch_parallel`.
-        PbatchPlan => "pbatch.plan",
-        /// Pipeline phase 2: parallel per-edge forest recomputation.
-        PbatchRecompute => "pbatch.recompute",
-        /// Pipeline phase 3: sequential retract/install/restore commit.
-        PbatchCommit => "pbatch.commit",
         /// One dequeue-twice online top-k search.
         OnlineTopk => "online.topk",
         /// The bound pass of one online search: every edge's upper bound
@@ -195,8 +189,9 @@ catalogue! {
         BuildNbrTotal => "build.nbr_total",
         /// Union ops applied by parallel-build shard workers (phase B).
         ParOpsApplied => "pbuild.ops_applied",
-        /// Union ops performed by dynamic maintenance (ego-net rebuilds
-        /// and incremental insert paths).
+        /// Union ops performed on owned forests by dynamic maintenance
+        /// (ego-net rebuilds and incremental insert paths); one add per
+        /// window, equal to its `WindowOutcome::union_ops`.
         MaintainUnionOps => "maintain.union_ops",
         /// Key insertions into the maintained `H(c)` runs while restoring
         /// entries (the name predates the runs, which replaced a treap).
@@ -204,14 +199,9 @@ catalogue! {
         /// Key removals from the maintained `H(c)` runs while retracting
         /// entries (named like `maintain.treap_inserts`).
         TreapRemoves => "maintain.treap_removes",
-        /// Edges whose scores were recomputed by maintenance updates.
+        /// Edge keys in the radius of a maintenance window (its
+        /// `WindowOutcome::radius`).
         MaintainAffected => "maintain.affected_edges",
-        /// Conflict-free groups formed by the pipeline planner.
-        PbatchGroups => "pbatch.groups",
-        /// Distinct edges whose forests the pipeline recomputed (phase 2).
-        PbatchRecomputedEdges => "pbatch.recomputed_edges",
-        /// Union ops performed by pipeline recompute workers (phase 2).
-        PbatchUnionOps => "pbatch.union_ops",
         /// Exact ego-net evaluations by the online search (paper Fig 5's
         /// cost driver).
         OnlineExactEvals => "online.exact_evals",

@@ -19,9 +19,6 @@
 //!   (structurally invalid, e.g. a self-loop).
 //! * [`BatchOutcome`] / [`QueryResponse`] — the service-side results,
 //!   epoch-stamped and latency-annotated.
-//! * [`PipelineOutcome`] / [`PipelineReport`] — per-phase work breakdown
-//!   from the parallel batch-maintenance pipeline
-//!   ([`MaintainedIndex::apply_batch_parallel`](esd_core::MaintainedIndex::apply_batch_parallel)).
 //!
 //! ## Shard transparency
 //!
@@ -107,9 +104,7 @@
 //! service.shutdown();
 //! ```
 
-pub use esd_core::maintain::{
-    BatchStats, GraphUpdate, MutationBatch, PipelineOutcome, PipelineReport, UpdateDisposition,
-};
+pub use esd_core::maintain::{BatchStats, GraphUpdate, MutationBatch, UpdateDisposition};
 pub use esd_core::Family;
 pub use esd_serve::{
     BatchOutcome, EngineHandle, QueryRequest, QueryResponse, ShardConfig, ShardedHandle,

@@ -33,7 +33,7 @@
 //! and adds two first-party modules:
 //!
 //! * [`api`] — the unified mutation & query vocabulary ([`api::QueryRequest`],
-//!   [`api::MutationBatch`], batch dispositions, pipeline reports).
+//!   [`api::MutationBatch`], batch dispositions).
 //! * [`Error`] — one error type unifying every layer's failures, with the
 //!   CLI exit-code policy in a single place.
 //!

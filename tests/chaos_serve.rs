@@ -77,7 +77,6 @@ fn chaos_config(workers: usize) -> ServiceConfig {
         // applied, Err ⇒ rolled back), which is what makes the replay
         // check sound. Liveness is proven by the suite completing.
         default_deadline: None,
-        pipeline_threads: 2,
         shed_stale_epochs: 1,
         durability: None,
         ..ServiceConfig::default()

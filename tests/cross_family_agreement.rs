@@ -17,7 +17,7 @@
 //!
 //! 1. rebuilt suites match the oracles edge-for-edge on every surrogate;
 //! 2. incrementally maintained state equals a from-scratch rebuild after
-//!    every seeded churn window, at every pipeline width;
+//!    every seeded churn window;
 //! 3. the cross-family invariants hold (truss ≤ component at every τ;
 //!    parameter-free == component at τ*(e));
 //! 4. a sharded fleet answers every family query identically to the
@@ -143,9 +143,8 @@ fn cross_family_invariants_hold_on_all_surrogates() {
 }
 
 /// Incrementally maintained family state equals a from-scratch rebuild
-/// after every window of realistic churn, on real surrogate topology, at
-/// several pipeline widths — and the final state still matches the
-/// oracles.
+/// after every window of realistic churn, on real surrogate topology — and
+/// the final state still matches the oracles.
 #[test]
 fn maintained_suites_match_rebuild_under_churn() {
     for name in ["Youtube", "DBLP"] {
@@ -153,10 +152,10 @@ fn maintained_suites_match_rebuild_under_churn() {
         let mut index = MaintainedIndex::new(&g);
         let mut suite = FamilySuite::new(&g);
         let events = churn_trace(&g, 90, ChurnMix::default(), 0xFA31);
-        for (round, (chunk, threads)) in events.chunks(30).zip([1, 2, 4]).enumerate() {
+        for (round, chunk) in events.chunks(30).enumerate() {
             let batch: Vec<GraphUpdate> = chunk.iter().map(as_update).collect();
-            index.apply_batch_parallel(&batch, threads);
-            let report = suite.apply(index.graph(), &batch, threads);
+            index.apply_batch(&batch);
+            let report = suite.apply_window(index.graph(), &batch);
             assert!(
                 report.recomputed <= report.affected,
                 "{name} round {round}: recomputed > affected"
@@ -319,12 +318,12 @@ fn family_unspecified_requests_are_byte_identical_to_component() {
 }
 
 // ---------------------------------------------------------------------------
-// Property suite: arbitrary insert/remove sequences, 1–4 pipeline threads.
+// Property suite: arbitrary insert/remove sequences.
 // ---------------------------------------------------------------------------
 
 /// Random raw updates over a bounded id range — dense enough to produce
 /// duplicate inserts, missing removals, self-loops, and ids beyond the
-/// current vertex count (plan-phase growth).
+/// current vertex count (mid-batch growth).
 fn random_batch(rng: &mut StdRng, n: u32, len: usize) -> Vec<GraphUpdate> {
     (0..len)
         .map(|_| {
@@ -339,37 +338,37 @@ fn random_batch(rng: &mut StdRng, n: u32, len: usize) -> Vec<GraphUpdate> {
         .collect()
 }
 
-fn family_maintenance_case(seed: u64, threads: usize) {
+fn family_maintenance_case(seed: u64) {
     let g = generators::clique_overlap(80, 60, 4, seed ^ 0xFA);
     let mut index = MaintainedIndex::new(&g);
     let mut suite = FamilySuite::new(&g);
     let mut rng = StdRng::seed_from_u64(seed);
     for round in 0..4 {
         let batch = random_batch(&mut rng, 90, 25);
-        index.apply_batch_parallel(&batch, threads);
-        suite.apply(index.graph(), &batch, threads);
+        index.apply_batch(&batch);
+        suite.apply_window(index.graph(), &batch);
         assert_eq!(
             suite,
             FamilySuite::rebuild(index.graph(), EdgeOwnership::ALL),
-            "seed={seed:#x} threads={threads} round={round}: maintained state diverged"
+            "seed={seed:#x} round={round}: maintained state diverged"
         );
     }
     index.check_consistency();
     assert_suite_matches_oracle(
         &suite,
         &index.graph().to_graph(),
-        &format!("seed={seed:#x} threads={threads}"),
+        &format!("seed={seed:#x}"),
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// After arbitrary insert/remove sequences at any pipeline width,
-    /// batch-maintained family state equals a full recompute — and the
-    /// final answers still match the independent oracles.
+    /// After arbitrary insert/remove sequences, batch-maintained family
+    /// state equals a full recompute — and the final answers still match
+    /// the independent oracles.
     #[test]
-    fn family_maintenance_matches_full_recompute(seed in any::<u64>(), threads in 1usize..=4) {
-        family_maintenance_case(seed, threads);
+    fn family_maintenance_matches_full_recompute(seed in any::<u64>()) {
+        family_maintenance_case(seed);
     }
 }

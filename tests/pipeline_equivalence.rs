@@ -1,22 +1,25 @@
-//! Equivalence suite for the parallel batch-maintenance pipeline.
+//! Equivalence suite for the served write path.
 //!
-//! The pipeline (`MaintainedIndex::apply_batch_parallel`) promises to be
-//! *result-identical* to the sequential `apply_batch` path: same per-update
-//! dispositions, same component-size catalogue, same answers to every
-//! `(k, τ)` query — regardless of the worker count. These tests drive both
-//! paths with the same randomized churn batches over the surrogate
-//! datasets and fail on any observable divergence.
+//! A served window — an inline `Service` applying a batch through
+//! `MaintainedIndex::apply_window` — promises to land on the state a
+//! from-scratch construction of the final graph has: same edge set, same
+//! component-size catalogue with the same list lengths, same answers to
+//! every `(k, τ)` query, and the per-update dispositions a plain replay of
+//! the batch on the graph alone gives. These tests drive the service with
+//! randomized churn over the surrogate datasets and, after every window,
+//! compare its published index against `MaintainedIndex::new` on the graph
+//! replayed independently with `GraphUpdate::apply_to`.
 //!
 //! This binary is compiled with `strict-invariants` armed (root
 //! dev-dependencies), so every mutation below also runs the incremental
-//! structural audits, and each round ends with the full ego-network
+//! structural audits, and each test ends with the full ego-network
 //! partition recomputation via `check_consistency`.
 
 use esd::api::{GraphUpdate, MutationBatch};
 use esd::core::MaintainedIndex;
 use esd::datasets::churn::{churn_trace, ChurnEvent, ChurnMix};
 use esd::datasets::{load, Scale};
-use esd::graph::generators;
+use esd::graph::{generators, DynamicGraph, Graph};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -26,22 +29,22 @@ const TAU_GRID: [u32; 4] = [1, 2, 3, 4];
 /// Asserts the two indexes are observably identical: same edge set, same
 /// component-size catalogue with same per-size list lengths, and same
 /// ranked answers across the whole query grid.
-fn assert_state_identical(seq: &MaintainedIndex, par: &MaintainedIndex, what: &str) {
+fn assert_state_identical(got: &MaintainedIndex, want: &MaintainedIndex, what: &str) {
     assert_eq!(
-        seq.graph().edges(),
-        par.graph().edges(),
+        got.graph().edges(),
+        want.graph().edges(),
         "{what}: edge sets diverged"
     );
-    let sizes = seq.component_sizes();
-    assert_eq!(sizes, par.component_sizes(), "{what}: component catalogue");
+    let sizes = want.component_sizes();
+    assert_eq!(got.component_sizes(), sizes, "{what}: component catalogue");
     for &c in &sizes {
-        assert_eq!(seq.list_len(c), par.list_len(c), "{what}: list H({c})");
+        assert_eq!(got.list_len(c), want.list_len(c), "{what}: list H({c})");
     }
     for k in K_GRID {
         for tau in TAU_GRID {
             assert_eq!(
-                seq.query(k, tau),
-                par.query(k, tau),
+                got.query(k, tau),
+                want.query(k, tau),
                 "{what}: query(k={k}, tau={tau})"
             );
         }
@@ -62,7 +65,7 @@ fn random_batch(rng: &mut StdRng, n: u32, len: usize) -> Vec<GraphUpdate> {
         .map(|_| {
             let u = rng.gen_range(0..n);
             let v = rng.gen_range(0..n);
-            // Self-loops are kept: both paths must classify them Rejected.
+            // Self-loops are kept: the window must classify them Rejected.
             if rng.gen_bool(0.6) {
                 GraphUpdate::Insert(u, v)
             } else {
@@ -72,117 +75,159 @@ fn random_batch(rng: &mut StdRng, n: u32, len: usize) -> Vec<GraphUpdate> {
         .collect()
 }
 
+/// An engine that applies every window on the calling thread.
+fn inline_service(g: &Graph) -> Service {
+    Service::start(
+        g,
+        &ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        },
+    )
+}
+
+/// The served index against a rebuild of the reference graph.
+fn assert_served_matches_rebuild(service: &Service, truth: &DynamicGraph, what: &str) {
+    let snapshot = service.handle().snapshot();
+    let rebuilt = MaintainedIndex::new(&truth.to_graph());
+    assert_state_identical(snapshot.index(), &rebuilt, what);
+}
+
+/// Serves `batch` as one raw window, replays it on the reference graph
+/// alone, and checks the window's (applied, noop, rejected) counts and
+/// the served state against the replay. Returns the counts.
+fn serve_and_check(
+    service: &Service,
+    truth: &mut DynamicGraph,
+    batch: &[GraphUpdate],
+    what: &str,
+) -> (usize, usize, usize) {
+    let ack = service
+        .handle()
+        .submit(MutationBatch::from_raw(batch.to_vec()))
+        .unwrap_or_else(|e| panic!("{what}: submit failed: {e}"));
+    let mut want = (0, 0, 0);
+    for &update in batch {
+        let (u, v) = update.endpoints();
+        if u == v {
+            want.2 += 1;
+        } else if update.apply_to(truth) {
+            want.0 += 1;
+        } else {
+            want.1 += 1;
+        }
+    }
+    let got = (ack.applied, ack.noop, ack.rejected);
+    assert_eq!(got, want, "{what}: dispositions");
+    assert_served_matches_rebuild(service, truth, what);
+    got
+}
+
 #[test]
 fn churn_batches_match_sequential_on_surrogate_datasets() {
     for name in ["Youtube", "DBLP"] {
         let g = load(name, Scale::Tiny);
-        let mut seq = MaintainedIndex::new(&g);
-        let mut par = MaintainedIndex::new(&g);
-        // Three rounds of realistic churn, each applied at a different
-        // worker count, each compared in full before the next begins.
+        let service = inline_service(&g);
+        let mut truth = DynamicGraph::from_graph(&g);
+        // Three rounds of realistic churn, each compared in full before
+        // the next begins.
         let events = churn_trace(&g, 90, ChurnMix::default(), 0xE5D0);
-        for (round, (chunk, threads)) in events.chunks(30).zip([1, 2, 4]).enumerate() {
+        for (round, chunk) in events.chunks(30).enumerate() {
             let batch: Vec<GraphUpdate> = chunk.iter().map(as_update).collect();
-            let stats = seq.apply_batch(&batch);
-            let outcome = par.apply_batch_parallel(&batch, threads);
-            assert_eq!(
-                stats, outcome.stats,
-                "{name} round {round}: batch stats diverged"
+            serve_and_check(
+                &service,
+                &mut truth,
+                &batch,
+                &format!("{name} round {round}"),
             );
-            assert_eq!(
-                outcome.stats,
-                esd::api::BatchStats::from_dispositions(&outcome.dispositions),
-                "{name} round {round}: dispositions inconsistent with stats"
-            );
-            assert_state_identical(&seq, &par, &format!("{name} round {round}"));
-            seq.check_consistency();
-            par.check_consistency();
         }
+        service.handle().snapshot().index().check_consistency();
+        service.shutdown();
     }
 }
 
 #[test]
 fn adversarial_random_batches_match_sequential() {
     let g = generators::clique_overlap(160, 120, 5, 21);
-    let mut seq = MaintainedIndex::new(&g);
-    let mut par = MaintainedIndex::new(&g);
+    let service = inline_service(&g);
+    let mut truth = DynamicGraph::from_graph(&g);
     let mut rng = StdRng::seed_from_u64(0xD1CE);
     for round in 0..6 {
-        // Ids beyond the current vertex count exercise plan-phase vertex
+        // Ids beyond the current vertex count exercise mid-batch vertex
         // growth; a tight id range maximises intra-batch conflicts.
         let batch = random_batch(&mut rng, 170, 40);
-        let stats = seq.apply_batch(&batch);
-        let outcome = par.apply_batch_parallel(&batch, 1 + round % 4);
-        assert_eq!(stats, outcome.stats, "round {round}");
-        assert_state_identical(&seq, &par, &format!("random round {round}"));
+        serve_and_check(
+            &service,
+            &mut truth,
+            &batch,
+            &format!("random round {round}"),
+        );
     }
-    seq.check_consistency();
-    par.check_consistency();
+    service.handle().snapshot().index().check_consistency();
+    service.shutdown();
 }
 
 #[test]
 fn intra_batch_insert_then_remove_leaves_state_unchanged() {
     let g = generators::clique_overlap(100, 80, 5, 9);
-    let mut seq = MaintainedIndex::new(&g);
-    let mut par = MaintainedIndex::new(&g);
-    let before_sizes = seq.component_sizes();
-    let before_top = seq.query(10, 2);
+    let service = inline_service(&g);
+    let mut truth = DynamicGraph::from_graph(&g);
+    let before = service.handle().snapshot();
     // (0, 99) is absent: the insert applies, then the remove undoes it
-    // within the same batch. Both updates count as applied on both paths.
+    // within the same batch. Both updates count as applied.
     let batch = [GraphUpdate::Insert(0, 99), GraphUpdate::Remove(0, 99)];
-    let stats = seq.apply_batch(&batch);
-    let outcome = par.apply_batch_parallel(&batch, 2);
-    assert_eq!(stats, outcome.stats);
-    assert_eq!((stats.applied, stats.noop, stats.rejected), (2, 0, 0));
-    assert_state_identical(&seq, &par, "insert-then-remove");
-    assert_eq!(seq.component_sizes(), before_sizes);
-    assert_eq!(seq.query(10, 2), before_top);
-    seq.check_consistency();
-    par.check_consistency();
+    let counts = serve_and_check(&service, &mut truth, &batch, "insert-then-remove");
+    assert_eq!(counts, (2, 0, 0));
+    let after = service.handle().snapshot();
+    assert_state_identical(after.index(), before.index(), "insert-then-remove");
+    after.index().check_consistency();
+    service.shutdown();
 }
 
 #[test]
 fn intra_batch_remove_then_insert_round_trips() {
     let g = generators::clique_overlap(100, 80, 5, 9);
-    let mut seq = MaintainedIndex::new(&g);
-    let mut par = MaintainedIndex::new(&g);
+    let service = inline_service(&g);
+    let mut truth = DynamicGraph::from_graph(&g);
+    let before = service.handle().snapshot();
     let e = g.edges()[0];
-    let before_sizes = seq.component_sizes();
-    let before_top = seq.query(10, 2);
     let batch = [
         GraphUpdate::Remove(e.u, e.v),
         GraphUpdate::Insert(e.u, e.v),
         // A repeat insert of the now-present edge must be a no-op.
         GraphUpdate::Insert(e.u, e.v),
     ];
-    let stats = seq.apply_batch(&batch);
-    let outcome = par.apply_batch_parallel(&batch, 3);
-    assert_eq!(stats, outcome.stats);
-    assert_eq!((stats.applied, stats.noop, stats.rejected), (2, 1, 0));
-    assert_state_identical(&seq, &par, "remove-then-insert");
-    assert_eq!(seq.component_sizes(), before_sizes);
-    assert_eq!(seq.query(10, 2), before_top);
-    seq.check_consistency();
-    par.check_consistency();
+    let counts = serve_and_check(&service, &mut truth, &batch, "remove-then-insert");
+    assert_eq!(counts, (2, 1, 0));
+    let after = service.handle().snapshot();
+    assert_state_identical(after.index(), before.index(), "remove-then-insert");
+    after.index().check_consistency();
+    service.shutdown();
 }
 
 #[test]
 fn coalesced_batches_reach_the_same_final_state() {
     let g = generators::clique_overlap(120, 90, 5, 33);
-    let mut raw = MaintainedIndex::new(&g);
-    let mut coalesced = MaintainedIndex::new(&g);
+    let raw = inline_service(&g);
+    let coalesced = inline_service(&g);
+    let mut truth = DynamicGraph::from_graph(&g);
     let mut rng = StdRng::seed_from_u64(0xC0A1);
     for round in 0..4 {
         let updates = random_batch(&mut rng, 120, 30);
-        raw.apply_batch_parallel(&updates, 2);
+        let what = format!("coalesce round {round}");
+        serve_and_check(&raw, &mut truth, &updates, &what);
         // MutationBatch keeps only the last-queued op per edge; the
         // surviving updates must still produce the identical final index.
-        let batch: MutationBatch = updates.clone().into();
-        coalesced.apply_batch_parallel(&batch.into_updates(), 2);
-        assert_state_identical(&raw, &coalesced, &format!("coalesce round {round}"));
+        coalesced
+            .handle()
+            .submit(MutationBatch::from(updates))
+            .unwrap_or_else(|e| panic!("{what}: submit failed: {e}"));
+        assert_served_matches_rebuild(&coalesced, &truth, &what);
     }
-    raw.check_consistency();
-    coalesced.check_consistency();
+    raw.handle().snapshot().index().check_consistency();
+    coalesced.handle().snapshot().index().check_consistency();
+    raw.shutdown();
+    coalesced.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -421,7 +466,7 @@ fn sharded_serve_matches_single_engine_ground_truth() {
         let mut truth_families = FamilySuite::new(&g);
         for (round, ops) in batches.iter().enumerate() {
             truth.apply_batch(ops);
-            truth_families.apply(truth.graph(), ops, 2);
+            truth_families.apply_window(truth.graph(), ops);
             handle
                 .submit(MutationBatch::from_raw(ops.clone()))
                 .unwrap_or_else(|e| panic!("S={shards} round {round}: submit failed: {e}"));

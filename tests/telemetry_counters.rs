@@ -227,7 +227,7 @@ fn maintenance_counters_balance_over_a_round_trip() {
 }
 
 #[test]
-fn pipeline_counters_match_its_own_report() {
+fn window_counters_match_its_own_outcome() {
     let _guard = registry_guard();
     let g = generators::clique_overlap(120, 90, 5, 3);
     let mut index = MaintainedIndex::new(&g);
@@ -239,25 +239,124 @@ fn pipeline_counters_match_its_own_report() {
         .collect();
 
     telemetry::reset();
-    let outcome = index.apply_batch_parallel(&batch, 2);
+    let outcome = index.apply_window(&batch);
     let snap = telemetry::snapshot();
 
     assert_eq!(outcome.stats.applied, batch.len());
-    // Each pipeline counter is pinned to the report the same run returned.
-    assert_eq!(snap.counter("pbatch.groups"), outcome.report.groups as u64);
+    // Each maintenance counter is pinned to the outcome the same window
+    // returned, under one batch span.
     assert_eq!(
-        snap.counter("pbatch.recomputed_edges"),
-        outcome.report.recomputed_edges as u64
+        snap.counter("maintain.affected_edges"),
+        outcome.radius.len() as u64
     );
-    assert_eq!(
-        snap.counter("pbatch.union_ops"),
-        outcome.report.union_ops_per_worker.iter().sum::<u64>()
-    );
-    // Exactly one pass through each phase, under the shared batch span.
-    for stage in ["pbatch.plan", "pbatch.recompute", "pbatch.commit"] {
-        assert_eq!(snap.stage(stage).unwrap().count, 1, "{stage}");
-    }
+    assert_eq!(snap.counter("maintain.union_ops"), outcome.union_ops);
     assert_eq!(snap.stage("maintain.batch").unwrap().count, 1);
+
+    // One removal against an independent count: its radius is the edge,
+    // its triangle edges and the ego-network edges among the h common
+    // neighbours, and each surviving radius edge's forest is rebuilt with
+    // one union per edge of its new ego network.
+    let e = g.edges()[40];
+    let members = index.graph().common_neighbors(e.u, e.v);
+    let ego_edges = |graph: &esd::graph::DynamicGraph, members: &[u32]| {
+        let mut pairs = Vec::new();
+        for (i, &a) in members.iter().enumerate() {
+            for &b in &members[i + 1..] {
+                if graph.has_edge(a, b) {
+                    pairs.push((a, b));
+                }
+            }
+        }
+        pairs
+    };
+    let ego = ego_edges(index.graph(), &members);
+    assert!(!ego.is_empty(), "the removal must reach some ego edges");
+    telemetry::reset();
+    let outcome = index.apply_window(&[GraphUpdate::Remove(e.u, e.v)]);
+    let snap = telemetry::snapshot();
+    assert_eq!(
+        outcome.radius.len(),
+        1 + 2 * members.len() + ego.len(),
+        "the radius of {e:?}"
+    );
+    let after = index.graph();
+    let unions: usize = members
+        .iter()
+        .flat_map(|&w| [(e.u, w), (e.v, w)])
+        .chain(ego)
+        .map(|(a, b)| ego_edges(after, &after.common_neighbors(a, b)).len())
+        .sum();
+    assert_eq!(outcome.union_ops, unions as u64);
+    assert_eq!(snap.counter("maintain.union_ops"), unions as u64);
+    assert_eq!(
+        snap.counter("maintain.affected_edges"),
+        outcome.radius.len() as u64
+    );
+}
+
+#[test]
+fn window_commit_moves_only_the_edges_whose_sizes_changed() {
+    use esd::core::score::component_sizes;
+    use esd::graph::Edge;
+
+    let _guard = registry_guard();
+    let g = generators::clique_overlap(120, 90, 5, 3);
+    let mut index = MaintainedIndex::new(&g);
+    // Removals in overlapping cliques: most ego edges of a removed edge
+    // keep their ego networks connected, so their sizes do not change.
+    let window: Vec<GraphUpdate> = g
+        .edges()
+        .iter()
+        .step_by(9)
+        .take(3)
+        .map(|e| GraphUpdate::Remove(e.u, e.v))
+        .collect();
+    let before_graph = index.graph().to_graph();
+    let before_sizes = index.component_sizes();
+
+    telemetry::reset();
+    let outcome = index.apply_window(&window);
+    let snap = telemetry::snapshot();
+    assert_eq!(outcome.stats.applied, window.len());
+
+    // Ground truth from the graphs alone: an edge's sorted sizes, empty
+    // when the edge is absent.
+    let after_graph = index.graph().to_graph();
+    let sizes = |g: &esd::graph::Graph, e: Edge| {
+        if g.has_edge(e.u, e.v) {
+            component_sizes(g, e.u, e.v)
+        } else {
+            Vec::new()
+        }
+    };
+    let after_sizes = index.component_sizes();
+    // Retracting an edge removes its key from every run `c <= max` of the
+    // catalogue before the window; restoring inserts one per run `c <=
+    // max` of the catalogue after it.
+    let runs_upto = |catalogue: &[u32], sizes: &[u32]| {
+        sizes
+            .last()
+            .map_or(0, |&max| catalogue.iter().filter(|&&c| c <= max).count()) as u64
+    };
+    let (mut changed, mut removes, mut inserts) = (0, 0u64, 0u64);
+    for &key in &outcome.radius {
+        let e = Edge::from_key(key);
+        let (old, new) = (sizes(&before_graph, e), sizes(&after_graph, e));
+        if old != new {
+            changed += 1;
+            removes += runs_upto(&before_sizes, &old);
+            inserts += runs_upto(&after_sizes, &new);
+        }
+    }
+    assert!(changed > 0, "the window must move some edge");
+    assert!(
+        changed < outcome.radius.len(),
+        "the radius must hold unchanged edges: {changed} of {}",
+        outcome.radius.len()
+    );
+    assert_eq!(snap.counter("maintain.treap_removes"), removes);
+    assert_eq!(snap.counter("maintain.treap_inserts"), inserts);
+    index.check_consistency();
 }
 
 #[test]
@@ -292,7 +391,7 @@ fn family_counters_match_the_suite_reports() {
         let before = telemetry::snapshot();
         index.apply_batch(window);
         let mid = telemetry::snapshot();
-        let report = suite.apply(index.graph(), window, 2);
+        let report = suite.apply_window(index.graph(), window);
         let after = telemetry::snapshot();
         // The truss runs share the component lists' type, not their
         // counters: a family window edits no `H(c)` key.
